@@ -16,10 +16,10 @@ import sys
 from fractions import Fraction
 
 from .corpus import run_corpus
-from .errors import RationalParseError, SchemaError, StarLatticeError
+from .errors import SchemaError, StarLatticeError
 from .floatmode import bench_star_power
 from .fourier import fourier_step
-from .galois import ConstLinearEq, QuadExt, build_fundamental_system, verify_fundamental
+from .galois import ConstLinearEq, QuadExt, verify_fundamental
 from .odes import (
     LinearOde,
     NonlinearOde,
@@ -191,7 +191,6 @@ def cmd_galois(args) -> int:
             "--mode",
             "equation has non-exact roots; rerun with --mode float or --allow-float-roots",
         )
-    system = build_fundamental_system(eq, args.length)
     payload = {
         "command": "galois",
         "equation": to_document(eq),
@@ -205,7 +204,7 @@ def cmd_galois(args) -> int:
             }
             for r in report.roots
         ],
-        "solutions": [[_render(v, args.mode) for v in sol] for sol in system.solutions],
+        "solutions": [[_render(v, args.mode) for v in sol] for sol in report.system.solutions],
         "wronskian": _render(report.wronskian, args.mode),
         "wronskian_nonzero": report.wronskian_nonzero,
         "residuals_ok": report.residuals_ok,
@@ -256,8 +255,25 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one error line and exit 2, like any other bad input."""
+
+    def error(self, message: str):
+        raise SchemaError(self.prog, message)
+
+
+def _at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="starlattice",
         description="Exact nonlocal discrete analogs of ODEs: build, step, verify.",
     )
@@ -266,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_input: bool) -> None:
         if needs_input:
             p.add_argument("--input", required=True, help="equation document (JSON)")
-        p.add_argument("--length", type=int, default=20, help="largest lattice index L")
+        p.add_argument("--length", type=_at_least(0), default=20, help="largest lattice index L")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
         p.add_argument("--out", help="output path (stdout when omitted)")
@@ -287,30 +303,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench")
     add_common(p, needs_input=False)
-    p.add_argument("--arity", type=int, default=3)
+    p.add_argument("--arity", type=_at_least(1), default=3)
     p.add_argument("--kernel-cap", type=int, default=512, help="largest L for the kernel route")
     p.set_defaults(length=512, mode="float")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in JSON_ONLY and args.format == "csv":
-        print(f"{args.command}: structured report, use --format json", file=sys.stderr)
-        return 2
     try:
+        args = build_parser().parse_args(argv)
+        if args.command in JSON_ONLY and args.format == "csv":
+            print(f"{args.command}: structured report, use --format json", file=sys.stderr)
+            return 2
         return _HANDLERS[args.command](args)
-    except (SchemaError, RationalParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StarLatticeError as exc:
+    except (StarLatticeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv=None) -> None:
     sys.exit(run(argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -28,6 +28,7 @@ from .odes import (
 )
 from .transforms import falling_factorial, taylor_to_lattice
 
+# Every builder self-checks over this range, so its series prefix must cover it too.
 _BUILD_CHECK_RANGE = 6
 
 
@@ -87,7 +88,7 @@ def harmonic_case(omega=Fraction(1), length: int = 20) -> CorpusCase:
     """z'' + omega^2 z = 0 with the sine and cosine series."""
     omega = as_rational(omega)
     eq = LinearOde((PolyCoeff.constant(omega**2), PolyCoeff(()), PolyCoeff.constant(1)))
-    L = length + 4
+    L = max(length, _BUILD_CHECK_RANGE) + 4
     return _checked(
         CorpusCase(
             name="harmonic",
@@ -111,7 +112,7 @@ def damped_case(omega=Fraction(1), q=Fraction(1, 2), length: int = 20) -> Corpus
     eq = LinearOde(
         (PolyCoeff.constant(omega**2), PolyCoeff.constant(2 * q * omega), PolyCoeff.constant(1))
     )
-    L = length + 4
+    L = max(length, _BUILD_CHECK_RANGE) + 4
     sols = (
         taylor_solution_linear(eq, (Fraction(1), Fraction(0)), L),
         taylor_solution_linear(eq, (Fraction(0), Fraction(1)), L),
@@ -129,7 +130,7 @@ def damped_case(omega=Fraction(1), q=Fraction(1, 2), length: int = 20) -> Corpus
 def gaussian_case(length: int = 20) -> CorpusCase:
     """z' + t z = 0 with the bell-curve series exp(-t^2/2)."""
     eq = LinearOde((PolyCoeff(((1, Fraction(1)),)), PolyCoeff.constant(1)))
-    L = length + 4
+    L = max(length, _BUILD_CHECK_RANGE) + 4
     coeffs = []
     for k in range(L + 1):
         if k % 2:
@@ -191,7 +192,7 @@ def hypergeometric_case(
             PolyCoeff(((1, Fraction(1)), (2, Fraction(-1)))),
         )
     )
-    L = length + 4
+    L = max(length, _BUILD_CHECK_RANGE) + 4
     coeffs = []
     for k in range(L + 1):
         den = _pochhammer(c, k)
@@ -221,7 +222,7 @@ def riccati_case(k: int = 1, c1=Fraction(-2), c2=Fraction(0), length: int = 20) 
     if pole == 0:
         raise SingularAtOrigin("c1 + k c2 = 0 puts the solution's pole at t = 0")
     eq = NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), PolyCoeff(((k, Fraction(1)),))))
-    L = length + 4
+    L = max(length, _BUILD_CHECK_RANGE) + 4
     denominator = [Fraction(0)] * (k + 2)
     denominator[0] = pole
     denominator[k + 1] = Fraction(1)

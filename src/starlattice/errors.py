@@ -43,6 +43,10 @@ class NotForwardSolvable(StarLatticeError):
     """The leading coefficient vanishes at the origin, so stepping cannot isolate the next value."""
 
 
+class RootCertificationError(StarLatticeError, ArithmeticError):
+    """A float fallback root leaves a characteristic-polynomial residual above the bound."""
+
+
 class SingularSystem(StarLatticeError):
     """A solution set has an exactly-zero modified Wronskian (dependent solutions)."""
 

@@ -1,10 +1,11 @@
 """Float evaluation paths, used only for benchmarking.
 
 Verification stays exact elsewhere; nothing here feeds back into it. The
-transforms are reorganized for float range: the inverse goes through the
-difference table (no factorials at all) and the forward map evaluates the
-binomial form by nested Horner factors, so smooth decaying inputs stay
-inside double range even at lengths in the thousands.
+convolution route runs the scalar-generic Newton map of `transforms` and
+the Cauchy product of `series` on floats: the difference table needs no
+factorials and the nested-product forward map no bare binomials. Only the
+scaling between Newton and series coefficients forms l!, which leaves
+double range past l = 170.
 
 The direct power route evaluates the closed kernel term-by-term over all
 index tuples, exactly like its exact counterpart; per-tuple weights are
@@ -17,39 +18,8 @@ from __future__ import annotations
 import time
 from operator import mul
 
-
-def lattice_to_newton(z: list[float]) -> list[float]:
-    """Divided coefficients w_l = (Delta^l z)_0 via the difference table."""
-    row = list(z)
-    out = [row[0]]
-    for _ in range(len(z) - 1):
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        out.append(row[0])
-    return out
-
-
-def newton_to_lattice(w: list[float]) -> list[float]:
-    """z_n = sum_l C(n,l) w_l, evaluated as nested products for range safety."""
-    L = len(w) - 1
-    out = []
-    for n in range(L + 1):
-        top = min(n, L)
-        acc = 0.0
-        for l in range(top, 0, -1):
-            acc = (acc + w[l]) * (n - l + 1) / l
-        out.append(acc + w[0])
-    return out
-
-
-def _convolve(a: list[float], b: list[float]) -> list[float]:
-    L = len(a) - 1
-    out = [0.0] * (L + 1)
-    for i, ai in enumerate(a):
-        if ai == 0.0:
-            continue
-        for j in range(L - i + 1):
-            out[i + j] += ai * b[j]
-    return out
+from .series import mul_trunc
+from .transforms import lattice_to_newton, newton_to_lattice
 
 
 def star_power_convolution(z: list[float], p: int) -> list[float]:
@@ -65,11 +35,13 @@ def star_power_convolution(z: list[float], p: int) -> list[float]:
         zeta[l] /= fact
     acc = zeta
     for _ in range(p - 1):
-        acc = _convolve(acc, zeta)
+        acc = mul_trunc(acc, zeta, len(zeta) - 1)
+    # back to w_l = l! * acc_l, index 0 included: an entry the product
+    # skipped as zero is still the exact Fraction(0) and must become 0.0
     fact = 1.0
-    for l in range(1, len(acc)):
-        fact *= l
+    for l in range(len(acc)):
         acc[l] *= fact
+        fact *= l + 1
     return newton_to_lattice(acc)
 
 

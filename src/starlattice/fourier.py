@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import LengthMismatch
 from .rational import as_rational
 from .sequences import FourierSeq, TaylorCoeffs
+from .series import pow_trunc
 from .transforms import falling_factorial, recip_factorial
 
 
@@ -47,20 +48,12 @@ class ConstNonlinearOde:
 
 
 def constrained_convolution(zeta, j: int, n: int) -> Fraction:
-    """conv_j at index n by direct nested summation over j-1 free indices."""
+    """conv_j at index n: sum_s [x^s] Z(x)^(j-1) * zeta_{n-s}, Z the prefix zeta_0..zeta_n."""
     if j == 1:
         return as_rational(zeta[n])
-
-    def rec(level: int, budget: int, prod: Fraction) -> Fraction:
-        if level == j - 1:
-            return prod * zeta[budget]
-        acc = Fraction(0)
-        for l in range(budget + 1):
-            if zeta[l]:
-                acc += rec(level + 1, budget - l, prod * zeta[l])
-        return acc
-
-    return rec(0, n, Fraction(1))
+    head = [zeta[l] for l in range(n + 1)]
+    power = pow_trunc(head, j - 1, n)
+    return sum((power[s] * head[n - s] for s in range(n + 1)), Fraction(0))
 
 
 def fourier_step(eq: ConstNonlinearOde, zeta_init, L: int) -> FourierSeq:

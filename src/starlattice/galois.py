@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import SingularSystem
+from .errors import RootCertificationError, SingularSystem
 from .rational import as_rational, format_rational
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
-from .transforms import falling_factorial
+from .transforms import falling_factorial, lattice_to_newton
 
 FLOAT_ROOT_RESIDUAL_BOUND = 1e-12
 FLOAT_SOLUTION_RESIDUAL_BOUND = 1e-9
@@ -263,7 +263,7 @@ def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
             value = complex(r)
             residual = abs(_eval_scalar_poly(monic, value))
             if residual >= FLOAT_ROOT_RESIDUAL_BOUND:
-                raise ArithmeticError(
+                raise RootCertificationError(
                     f"float root {value} fails certification: residual {residual:.3e}"
                 )
             out.append(RootDatum(value, mult, exact=False, residual=residual))
@@ -302,15 +302,16 @@ def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
     return tuple(values)
 
 
+def _map_roots(roots: list[RootDatum], L: int) -> FundamentalSystem:
+    pairs = [(root, j) for root in roots for j in range(root.multiplicity)]
+    return FundamentalSystem(
+        tuple(map_solution(root, j, L) for root, j in pairs),
+        tuple((root.value, j) for root, j in pairs),
+    )
+
+
 def build_fundamental_system(eq: ConstLinearEq, L: int) -> FundamentalSystem:
-    roots = char_roots(eq)
-    solutions = []
-    generators = []
-    for root in roots:
-        for j in range(root.multiplicity):
-            solutions.append(map_solution(root, j, L))
-            generators.append((root.value, j))
-    return FundamentalSystem(tuple(solutions), tuple(generators))
+    return _map_roots(char_roots(eq), L)
 
 
 def system_from_sequences(seqs) -> FundamentalSystem:
@@ -318,26 +319,16 @@ def system_from_sequences(seqs) -> FundamentalSystem:
     return FundamentalSystem(tuple(tuple(as_rational(v) for v in s) for s in seqs))
 
 
-def iterated_differences(values, order: int) -> list:
-    out = list(values)
-    for _ in range(order):
-        out = [out[i + 1] - out[i] for i in range(len(out) - 1)]
-    return out
-
-
 def apply_operator(eq: ConstLinearEq, values, n: int):
     """T[Delta] z at index n: Delta^N z_n + sum a_i Delta^i z_n."""
     N = eq.order
     if n + N > len(values) - 1:
         raise IndexError(f"operator at n={n} needs index {n + N}")
-    tables = [list(values)]
-    for _ in range(N):
-        prev = tables[-1]
-        tables.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
-    acc = tables[N][n]
+    w = lattice_to_newton(values[n : n + N + 1])
+    acc = w[N]
     for i, a_i in enumerate(eq.a):
         if a_i:
-            acc = acc + a_i * tables[i][n]
+            acc = acc + a_i * w[i]
     return acc
 
 
@@ -388,12 +379,8 @@ def modified_wronskian(sys: FundamentalSystem, n0: int = 0) -> Scalar:
     N = sys.size
     if sys.length - 1 < n0 + N - 1:
         raise IndexError(f"need indices up to {n0 + N - 1}, solutions stored to {sys.length - 1}")
-    rows = []
-    for i in range(N):
-        row = []
-        for sol in sys.solutions:
-            row.append(iterated_differences(sol, i)[n0])
-        rows.append(row)
+    newton = [lattice_to_newton(sol[n0 : n0 + N]) for sol in sys.solutions]
+    rows = [[w[i] for w in newton] for i in range(N)]
     det = _det(_promote_matrix(rows))
     if _is_zero_scalar(det):
         raise SingularSystem(f"modified Wronskian vanishes at n0={n0}")
@@ -410,6 +397,7 @@ class FundamentalReport:
     max_float_residual: float
     wronskian: Scalar | None
     wronskian_nonzero: bool
+    system: FundamentalSystem
     singular: bool = False
 
     @property
@@ -418,34 +406,29 @@ class FundamentalReport:
 
 
 def verify_fundamental(eq: ConstLinearEq, L: int) -> FundamentalReport:
-    """Build the mapped system and check the defining certificates.
+    """Build the mapped system, check the defining certificates and report both.
 
     Exact solutions must satisfy the difference operator identically; float
     solutions must stay below FLOAT_SOLUTION_RESIDUAL_BOUND. The modified
     Wronskian at n0 = 0 must be nonzero.
     """
     roots = char_roots(eq)
+    system = _map_roots(roots, L)
+    exact = [root.exact for root in roots for _ in range(root.multiplicity)]
     N = eq.order
     residuals_ok = True
     max_float = 0.0
-    solutions = []
-    generators = []
-    for root in roots:
-        for j in range(root.multiplicity):
-            sol = map_solution(root, j, L)
-            solutions.append(sol)
-            generators.append((root.value, j))
-            for n in range(L - N + 1):
-                value = apply_operator(eq, sol, n)
-                if root.exact:
-                    if not _is_zero_scalar(value):
-                        residuals_ok = False
-                else:
-                    mag = abs(complex(value))
-                    max_float = max(max_float, mag)
-                    if mag >= FLOAT_SOLUTION_RESIDUAL_BOUND:
-                        residuals_ok = False
-    system = FundamentalSystem(tuple(solutions), tuple(generators))
+    for sol, sol_exact in zip(system.solutions, exact):
+        for n in range(L - N + 1):
+            value = apply_operator(eq, sol, n)
+            if sol_exact:
+                if not _is_zero_scalar(value):
+                    residuals_ok = False
+            else:
+                mag = abs(complex(value))
+                max_float = max(max_float, mag)
+                if mag >= FLOAT_SOLUTION_RESIDUAL_BOUND:
+                    residuals_ok = False
     try:
         w = modified_wronskian(system, 0)
         nonzero = True
@@ -463,5 +446,6 @@ def verify_fundamental(eq: ConstLinearEq, L: int) -> FundamentalReport:
         max_float_residual=max_float,
         wronskian=w,
         wronskian_nonzero=nonzero,
+        system=system,
         singular=singular,
     )

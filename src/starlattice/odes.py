@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
@@ -24,7 +25,7 @@ from .rational import as_rational
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import mul_trunc
 from .star import monomial_star, star_power
-from .transforms import falling_factorial
+from .transforms import difference_rows, falling_factorial
 
 
 @dataclass(frozen=True)
@@ -119,22 +120,14 @@ class NonlinearOde:
 
 
 def delta_power(z: LatticeSeq, l: int) -> LatticeSeq:
-    """l-fold forward difference; entry n is sum_j (-1)^(l-j) C(l,j) z_{n+j}."""
+    """l-fold forward difference: row l of the difference table of z."""
     if l < 0:
         raise ValueError("difference order must be nonnegative")
     if l > z.last_index:
         raise OrderTooLarge(f"difference order {l} exceeds stored range 0..{z.last_index}")
     if l == 0:
         return z
-    L = z.last_index
-    values = []
-    for n in range(L + 1 - l):
-        acc = Fraction(0)
-        for j in range(l + 1):
-            term = comb(l, j) * z[n + j]
-            acc += term if (l - j) % 2 == 0 else -term
-        values.append(acc)
-    return LatticeSeq(tuple(values))
+    return LatticeSeq(tuple(next(islice(difference_rows(z.values), l, None))))
 
 
 def lin_residual(eq: LinearOde, z: LatticeSeq, n: int, form: str = "shift") -> Fraction:

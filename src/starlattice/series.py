@@ -2,7 +2,9 @@
 
 Coefficient lists are indexed by power (index 0 = constant term). All
 routines stay in `Fraction` arithmetic; truncation degree D means
-coefficients 0..D are kept.
+coefficients 0..D are kept. `mul_trunc` only adds and multiplies its
+inputs, so the float route in `floatmode` runs it on floats as well; an
+entry it never accumulates into stays the exact `Fraction(0)`.
 """
 
 from __future__ import annotations
@@ -23,21 +25,17 @@ def mul_trunc(a: list[Fraction], b: list[Fraction], D: int) -> list[Fraction]:
     return out
 
 
-def cauchy_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Convolution truncated at the shorter input's length."""
-    D = min(len(a), len(b)) - 1
-    return mul_trunc(a, b, D)
-
-
 def pow_trunc(a: list[Fraction], e: int, D: int) -> list[Fraction]:
+    """a(x)^e modulo x^(D+1) by repeated squaring; never multiplies by the unit series."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
-    res = [Fraction(0)] * (D + 1)
-    res[0] = Fraction(1)
-    base = list(a[: D + 1])
+    if e == 0:
+        return [Fraction(1)] + [Fraction(0)] * D
+    res = None
+    base = list(a[: D + 1]) + [Fraction(0)] * (D + 1 - len(a))
     while e:
         if e & 1:
-            res = mul_trunc(res, base, D)
+            res = base if res is None else mul_trunc(res, base, D)
         e >>= 1
         if e:
             base = mul_trunc(base, base, D)

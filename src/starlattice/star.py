@@ -20,7 +20,7 @@ from math import factorial
 
 from .errors import ArityZero, LengthMismatch
 from .sequences import FourierSeq, LatticeSeq
-from .series import mul_trunc
+from .series import mul_trunc, pow_trunc
 from .transforms import falling_factorial, forward_transform, inverse_transform, recip_factorial
 
 
@@ -70,12 +70,8 @@ def star_power(z: LatticeSeq, p: int, path: str = "convolution") -> LatticeSeq:
 
 
 def _star_power_convolution(z: LatticeSeq, p: int) -> LatticeSeq:
-    L = z.last_index
     zeta = list(inverse_transform(z).coeffs)
-    acc = zeta
-    for _ in range(p - 1):
-        acc = mul_trunc(acc, zeta, L)
-    return forward_transform(FourierSeq(tuple(acc)))
+    return forward_transform(FourierSeq(tuple(pow_trunc(zeta, p, z.last_index))))
 
 
 def _star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:

@@ -7,6 +7,11 @@ With p_l(n) = n!/(n-l)! (zero for n < l), the pair
 
 is triangular and mutually inverse at every length. A power-series prefix
 b_0..b_L maps to the lattice through the same forward rule with zeta = b.
+
+Both directions go through the Newton coefficients w_l = l! * zeta_l, which
+are the leading entries (Delta^l z)_0 of the forward-difference table, so
+z_n = sum_l C(n,l) w_l. The table and the Newton map below are written once
+for any scalar with + - * / (Fraction, quadratic surds, complex, float).
 """
 
 from __future__ import annotations
@@ -35,24 +40,49 @@ def recip_factorial(k: int) -> Fraction:
     return Fraction(1, factorial(k))
 
 
+def difference_rows(values):
+    """Rows Delta^0 z, Delta^1 z, ... of the forward-difference table.
+
+    Row l has len(values) - l entries; only the current row is held, so
+    reading the leading entries costs O(len) memory, not the whole table.
+    """
+    row = list(values)
+    while row:
+        yield row
+        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+
+
+def lattice_to_newton(z) -> list:
+    """Newton coefficients w_l = (Delta^l z)_0 for l = 0..len(z)-1."""
+    return [row[0] for row in difference_rows(z)]
+
+
+def newton_to_lattice(w, length: int | None = None) -> list:
+    """z_n = sum_l C(n,l) w_l for n < length (default len(w)); w counts as zero-extended.
+
+    Evaluated as nested products (acc + w_l) * (n-l+1) / l, so float input
+    never forms a bare binomial or factorial and stays inside double range.
+    """
+    if length is None:
+        length = len(w)
+    out = []
+    for n in range(length):
+        acc = 0  # int zero: 0 + x is x for every scalar type, and 0.0 + x for a float
+        for l in range(min(n, len(w) - 1), 0, -1):
+            acc = (acc + w[l]) * (n - l + 1) / l
+        out.append(acc + w[0])
+    return out
+
+
 def forward_transform(zeta: FourierSeq) -> LatticeSeq:
     """z_n = sum_{l<=n} zeta_l (n)_l; entry n depends on zeta_0..zeta_n only."""
-    values = []
-    for n in range(len(zeta)):
-        values.append(sum((zeta[l] * falling_factorial(n, l) for l in range(n + 1)), Fraction(0)))
-    return LatticeSeq(tuple(values))
+    return taylor_to_lattice(zeta.coeffs, zeta.last_index)
 
 
 def inverse_transform(z: LatticeSeq) -> FourierSeq:
-    """zeta_n = sum_{l<=n} (-1)^(n-l) z_l / (l!(n-l)!); exact inverse of the forward map."""
-    coeffs = []
-    for n in range(len(z)):
-        acc = Fraction(0)
-        for l in range(n + 1):
-            term = z[l] * recip_factorial(l) * recip_factorial(n - l)
-            acc += term if (n - l) % 2 == 0 else -term
-        coeffs.append(acc)
-    return FourierSeq(tuple(coeffs))
+    """zeta_l = (Delta^l z)_0 / l!; exact inverse of the forward map."""
+    w = lattice_to_newton(z.values)
+    return FourierSeq(tuple(w_l / factorial(l) for l, w_l in enumerate(w)))
 
 
 def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:
@@ -64,11 +94,5 @@ def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    top = len(b) - 1
-    values = []
-    for n in range(L + 1):
-        acc = Fraction(0)
-        for k in range(min(n, top) + 1):
-            acc += b[k] * falling_factorial(n, k)
-        values.append(acc)
-    return LatticeSeq(tuple(values))
+    w = [b_k * factorial(k) for k, b_k in zip(range(L + 1), b)]
+    return LatticeSeq(tuple(newton_to_lattice(w, L + 1)))

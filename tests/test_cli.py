@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from starlattice import SchemaError
+import starlattice
+from starlattice import RootCertificationError, SchemaError, StarLatticeError
+from starlattice import galois
 from starlattice.cli import run
 from starlattice.fourier import ConstNonlinearOde
 from starlattice.galois import ConstLinearEq
@@ -215,3 +221,70 @@ def test_cli_bench_small(tmp_path):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0].startswith("length,arity,convolution_seconds")
     assert len(lines) == 2
+
+
+def assert_one_line_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cli_galois_failed_root_certification(tmp_path, capsys):
+    # x^64 - 10^6 x - 10^6: the float roots miss the residual bound by far
+    doc = {"type": "const_linear", "coeffs": ["-1000000", "-1000000"] + ["0"] * 62}
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(RootCertificationError) as err:
+        galois.char_roots(parse_spec(doc))
+    assert isinstance(err.value, StarLatticeError)
+    code = run(["galois", "--input", path, "--length", "70", "--allow-float-roots"])
+    assert_one_line_usage_error(code, capsys)
+
+
+def test_cli_rejects_negative_length(tmp_path, capsys):
+    doc = dict(SQUARE_DOC, solution={"taylor": ["1"] * 5})
+    path = write_doc(tmp_path, doc)
+    assert_one_line_usage_error(run(["residual", "--input", path, "--length", "-2"]), capsys)
+
+
+def test_cli_rejects_zero_arity(capsys):
+    assert_one_line_usage_error(run(["bench", "--arity", "0", "--length", "8"]), capsys)
+
+
+def test_cli_corpus_shorter_than_build_check(tmp_path):
+    for length in range(4):
+        out_path = tmp_path / f"report{length}.json"
+        assert run(["corpus", "--length", str(length), "--out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["all_pass"] is True
+
+
+def test_cli_galois_finds_roots_once(tmp_path, monkeypatch):
+    calls = {"char_roots": 0, "map_solution": 0}
+
+    def counting(name):
+        original = getattr(galois, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(galois, name, counting(name))
+    path = write_doc(tmp_path, CONST_DOC)
+    assert run(["galois", "--input", path, "--length", "12", "--out", str(tmp_path / "g.json")]) == 0
+    assert calls == {"char_roots": 1, "map_solution": 2}
+
+
+def test_cli_module_entry_point(tmp_path):
+    path = write_doc(tmp_path, HARMONIC_DOC)
+    env = dict(os.environ, PYTHONPATH=str(Path(starlattice.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "starlattice.cli", "solve", "--input", path, "--init", "0,1", "--length", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "n,z\n0,0\n1,1\n2,2\n3,2\n"

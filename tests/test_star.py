@@ -13,6 +13,7 @@ from starlattice import (
     TaylorCoeffs,
     taylor_to_lattice,
 )
+from starlattice.floatmode import star_power_convolution
 from starlattice.series import mul_trunc
 from starlattice.star import (
     StarKernelArgs,
@@ -107,6 +108,16 @@ def test_star_power_paths_agree():
             length = rng.randrange(2, 10)
             z = rand_seq(rng, length)
             assert star_power(z, p, "convolution") == star_power(z, p, "kernel")
+
+
+def test_float_convolution_route_returns_floats():
+    # z_0 = 0 makes the Cauchy product skip entries, which must still come back as floats
+    z = [0.0, 1.0, 3.0, -2.0, 0.5]
+    for p in (1, 2, 3):
+        got = star_power_convolution(z, p)
+        exact = star_power(LatticeSeq(tuple(Fraction(x) for x in z)), p)
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx([float(v) for v in exact.values])
 
 
 def test_star_power_sum_of_falling_factorials():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm
 
 import pytest
 
@@ -16,6 +16,9 @@ from starlattice import (
     recip_factorial,
     taylor_to_lattice,
 )
+from starlattice.galois import QuadExt
+from starlattice.odes import delta_power
+from starlattice.transforms import lattice_to_newton, newton_to_lattice
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
@@ -107,6 +110,49 @@ def test_taylor_to_lattice_matches_forward_transform():
         b = tuple(rand_fraction(rng) for _ in range(length))
         L = length - 1
         assert taylor_to_lattice(TaylorCoeffs(b), L) == forward_transform(FourierSeq(b))
+
+
+def binomial_delta_power(z: list[Fraction], l: int) -> list[Fraction]:
+    """Reference: (Delta^l z)_n = sum_j (-1)^(l-j) C(l,j) z_{n+j}."""
+    return [
+        sum((-1) ** (l - j) * comb(l, j) * z[n + j] for j in range(l + 1))
+        for n in range(len(z) - l)
+    ]
+
+
+def factorial_inverse(z: list[Fraction]) -> list[Fraction]:
+    """Reference: zeta_n = sum_l (-1)^(n-l) z_l / (l!(n-l)!)."""
+    return [
+        sum(Fraction((-1) ** (n - l), factorial(l) * factorial(n - l)) * z[l] for l in range(n + 1))
+        for n in range(len(z))
+    ]
+
+
+def falling_factorial_forward(zeta: list[Fraction]) -> list[Fraction]:
+    """Reference: z_n = sum_l zeta_l (n)_l."""
+    return [sum(zeta[l] * perm(n, l) for l in range(n + 1)) for n in range(len(zeta))]
+
+
+def test_newton_core_matches_closed_formulas_on_every_scalar():
+    rng = random.Random(2024)
+    for _ in range(25):
+        length = rng.randrange(1, 16)
+        z = [rand_fraction(rng) for _ in range(length)]
+        seq = LatticeSeq(tuple(z))
+        for l in range(length):
+            assert list(delta_power(seq, l).values) == binomial_delta_power(z, l)
+        assert list(inverse_transform(seq).coeffs) == factorial_inverse(z)
+        assert list(forward_transform(FourierSeq(tuple(z))).values) == falling_factorial_forward(z)
+        # The table is linear, so a surd sequence splits into its two rational parts.
+        y = [rand_fraction(rng) for _ in range(length)]
+        d = Fraction(rng.choice((2, 3, 5, 7)))
+        surd = [QuadExt(a, b, d) for a, b in zip(z, y)]
+        w = lattice_to_newton(surd)
+        assert w == [QuadExt(a, b, d) for a, b in zip(lattice_to_newton(z), lattice_to_newton(y))]
+        assert newton_to_lattice(w) == surd
+        # Small integers difference exactly in floats.
+        ints = [rng.randrange(-50, 51) for _ in range(length)]
+        assert lattice_to_newton([float(v) for v in ints]) == [float(v) for v in lattice_to_newton(ints)]
 
 
 def test_sequences_reject_floats_and_out_of_range():
