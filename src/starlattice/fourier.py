@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import LengthMismatch
 from .rational import as_rational
 from .sequences import FourierSeq, TaylorCoeffs
-from .series import pow_trunc
+from .series import extend_powers, pow_trunc
 from .transforms import falling_factorial, recip_factorial
 
 
@@ -57,17 +57,23 @@ def constrained_convolution(zeta, j: int, n: int) -> Fraction:
 
 
 def fourier_step(eq: ConstNonlinearOde, zeta_init, L: int) -> FourierSeq:
-    """Coefficient stream zeta_0..zeta_L from the first m values."""
+    """Coefficient stream zeta_0..zeta_L from the first m values.
+
+    conv_j(zeta, n) is coefficient n of the Cauchy power zeta^j, so the
+    powers are kept running and extended by one coefficient per index.
+    """
     zeta = [as_rational(v) for v in zeta_init]
     if len(zeta) != eq.m:
         raise LengthMismatch(f"need exactly {eq.m} initial coefficients, got {len(zeta)}")
     if L < eq.m - 1:
         raise ValueError(f"L={L} shorter than the {eq.m} initial coefficients")
+    powers = [[] for _ in range(eq.degree - 1)]  # zeta^2 .. zeta^N
     for n in range(L - eq.m + 1):
-        rhs = Fraction(0)
-        for j, a_j in enumerate(eq.a, start=1):
+        extend_powers(zeta, powers)
+        rhs = eq.a[0] * zeta[n]
+        for a_j, power in zip(eq.a[1:], powers):
             if a_j:
-                rhs += a_j * constrained_convolution(zeta, j, n)
+                rhs += a_j * power[n]
         if n == 0:
             rhs += eq.b0
         zeta.append(rhs / falling_factorial(n + eq.m, eq.m))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import RootCertificationError, SingularSystem
+from .errors import IndexOutOfRange, RootCertificationError, SingularSystem
 from .rational import as_rational, format_rational
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
 from .transforms import falling_factorial, lattice_to_newton
@@ -323,7 +323,7 @@ def apply_operator(eq: ConstLinearEq, values, n: int):
     """T[Delta] z at index n: Delta^N z_n + sum a_i Delta^i z_n."""
     N = eq.order
     if n + N > len(values) - 1:
-        raise IndexError(f"operator at n={n} needs index {n + N}")
+        raise IndexOutOfRange(f"operator at n={n} needs index {n + N}")
     w = lattice_to_newton(values[n : n + N + 1])
     acc = w[N]
     for i, a_i in enumerate(eq.a):
@@ -378,7 +378,7 @@ def modified_wronskian(sys: FundamentalSystem, n0: int = 0) -> Scalar:
     """Determinant of [Delta^i z^(j)] at base index n0; zero raises SingularSystem."""
     N = sys.size
     if sys.length - 1 < n0 + N - 1:
-        raise IndexError(f"need indices up to {n0 + N - 1}, solutions stored to {sys.length - 1}")
+        raise IndexOutOfRange(f"need indices up to {n0 + N - 1}, solutions stored to {sys.length - 1}")
     newton = [lattice_to_newton(sol[n0 : n0 + N]) for sol in sys.solutions]
     rows = [[w[i] for w in newton] for i in range(N)]
     det = _det(_promote_matrix(rows))

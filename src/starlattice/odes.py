@@ -11,6 +11,14 @@ exactly, which is what the residual evaluators check.
 Forward stepping solves the recurrences for z_{n+N} (resp. z_{n+m}); for
 linear equations this needs a_N(0) != 0, since every nonlocal term reaches
 at most index n+N-1 while the local one contributes a_N(0) * z_{n+N}.
+
+Residuals and steps are evaluated online: index n does only the work that
+index needs. A linear term c t^p z^(l) reads the entries n-p..n-p+l through
+the binomial formula for (Delta^l z)_{n-p}, so a linear index costs
+O(terms * order). The star powers at n need z_0..z_n only, so one
+`StarPowerStream` fed each entry once keeps them current, and a nonlinear
+index costs O(degree * n). The kernel form of `lin_residual` keeps the
+paper's whole-sequence route as its cross-check.
 """
 
 from __future__ import annotations
@@ -18,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, perm
 
 from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
 from .rational import as_rational
 from .sequences import LatticeSeq, TaylorCoeffs
-from .series import mul_trunc
-from .star import monomial_star, star_power
+from .series import extend_powers
+from .star import StarPowerStream, monomial_star
 from .transforms import difference_rows, falling_factorial
 
 
@@ -130,15 +138,41 @@ def delta_power(z: LatticeSeq, l: int) -> LatticeSeq:
     return LatticeSeq(tuple(next(islice(difference_rows(z.values), l, None))))
 
 
+def _difference(values, l: int, s: int) -> Fraction:
+    """(Delta^l z)_s = sum_i (-1)^(l-i) C(l,i) z_{s+i}; reads z_s..z_{s+l} only."""
+    acc = values[s + l]
+    for i in range(l):
+        term = comb(l, i) * values[s + i]
+        acc = acc - term if (l - i) % 2 else acc + term
+    return acc
+
+
+def _lin_residual_at(eq: LinearOde, values, n: int) -> Fraction:
+    """Shift form: each term c t^p z^(l) contributes c (n)_p (Delta^l z)_{n-p}."""
+    acc = eq.c0.image_at(n)
+    for l, a_l in enumerate(eq.coeffs):
+        for power, coeff in a_l.monomials:
+            if power <= n:
+                acc += coeff * perm(n, power) * _difference(values, l, n - power)
+    return acc
+
+
 def lin_residual(eq: LinearOde, z: LatticeSeq, n: int, form: str = "shift") -> Fraction:
     """Left-hand side of the discrete linear equation at index n.
 
     Exactly zero when z is the lattice image of a power-series solution.
-    ``form`` selects the monomial-image evaluation route (shift or kernel).
+    ``form`` selects the monomial-image evaluation route: the shift form reads
+    only the entries n-p..n-p+l of each term, the kernel form builds
+    ``delta_power`` and the kernel ``monomial_star`` over the whole sequence
+    as the paper's cross-check.
     """
     N = eq.order
     if n < 0 or n + N > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + N}, stored 0..{z.last_index}")
+    if form == "shift":
+        return _lin_residual_at(eq, z.values, n)
+    if form != "kernel":
+        raise ValueError(f"unknown form {form!r}")
     acc = Fraction(0)
     for l, a_l in enumerate(eq.coeffs):
         if a_l.is_zero:
@@ -154,30 +188,42 @@ def lin_residuals(eq: LinearOde, z: LatticeSeq, form: str = "shift") -> list[Fra
     return [lin_residual(eq, z, n, form) for n in range(z.last_index - eq.order + 1)]
 
 
+def _nonlin_residual_at(eq: NonlinearOde, values, stream: StarPowerStream, n: int) -> Fraction:
+    """Residual at n once z_0..z_n are fed to the stream; reads z_n..z_{n+m} too."""
+    acc = _difference(values, eq.m, n) - eq.coeffs[0].image_at(n)
+    for j in range(1, eq.degree + 1):
+        for power, coeff in eq.coeffs[j].monomials:
+            if power <= n:
+                s = n - power
+                zj = values[s] if j == 1 else stream.entry(j, s)
+                acc -= coeff * perm(n, power) * zj
+    return acc
+
+
 def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
     """(Delta^m z)_n minus the star image of the right-hand side at n."""
     if n < 0 or n + eq.m > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + eq.m}, stored 0..{z.last_index}")
-    acc = delta_power(z, eq.m)[n]
-    for j in range(1, eq.degree + 1):
-        a_j = eq.coeffs[j]
-        if a_j.is_zero:
-            continue
-        zj = star_power(z, j)
-        for power, coeff in a_j.monomials:
-            acc -= coeff * monomial_star(power, zj)[n]
-    return acc - eq.coeffs[0].image_at(n)
+    stream = StarPowerStream(eq.degree)
+    for value in z.values[: n + 1]:
+        stream.feed(value)
+    return _nonlin_residual_at(eq, z.values, stream, n)
 
 
 def nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:
-    return [nonlin_residual(eq, z, n) for n in range(z.last_index - eq.m + 1)]
+    stream = StarPowerStream(eq.degree)
+    out = []
+    for n in range(z.last_index - eq.m + 1):
+        stream.feed(z[n])
+        out.append(_nonlin_residual_at(eq, z.values, stream, n))
+    return out
 
 
 def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
     """Unique sequence with the given first N values and zero residual up to L-N.
 
     The recurrence isolates z_{n+N} with coefficient a_N(0), so that constant
-    term must be nonzero.
+    term must be nonzero: every other term reads at most z_{n+N-1}.
     """
     N = eq.order
     lead = eq.coeffs[-1].constant_term
@@ -189,24 +235,28 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
     if L < N - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {N} initial values")
     for n in range(L - N + 1):
-        trial = LatticeSeq(tuple(values) + (Fraction(0),))
-        base = lin_residual(eq, trial, n)
-        values.append(-base / lead)
+        values.append(Fraction(0))
+        values[-1] = -_lin_residual_at(eq, values, n) / lead
     return LatticeSeq(tuple(values))
 
 
 def nonlin_step(eq: NonlinearOde, init, L: int) -> LatticeSeq:
-    """Forward-solve the nonlinear recurrence; z_{n+m} always has coefficient 1."""
+    """Forward-solve the nonlinear recurrence; z_{n+m} always has coefficient 1.
+
+    The star powers at index n need z_0..z_n only, so one stream fed each
+    entry once serves every step.
+    """
     m = eq.m
     values = [as_rational(v) for v in init]
     if len(values) != m:
         raise ValueError(f"need exactly {m} initial values, got {len(values)}")
     if L < m - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {m} initial values")
+    stream = StarPowerStream(eq.degree)
     for n in range(L - m + 1):
-        trial = LatticeSeq(tuple(values) + (Fraction(0),))
-        base = nonlin_residual(eq, trial, n)
-        values.append(-base)
+        stream.feed(values[n])
+        values.append(Fraction(0))
+        values[-1] = -_nonlin_residual_at(eq, values, stream, n)
     return LatticeSeq(tuple(values))
 
 
@@ -272,17 +322,14 @@ def taylor_solution_nonlinear(eq: NonlinearOde, init, L: int) -> TaylorCoeffs:
     b = [as_rational(v) for v in init]
     if len(b) != m:
         raise ValueError(f"need exactly {m} initial Taylor coefficients, got {len(b)}")
+    powers = [[] for _ in range(eq.degree - 1)]  # b^2 .. b^N, extended to degree s
     for s in range(L - m + 1):
+        extend_powers(b, powers)
         rhs = _poly_coefficient(eq.coeffs[0], s)
-        zpow = [Fraction(1)] + [Fraction(0)] * s  # z^0 truncated at degree s
-        prefix = b[: s + 1]
         for j in range(1, eq.degree + 1):
-            zpow = mul_trunc(zpow, prefix, s)
-            a_j = eq.coeffs[j]
-            if a_j.is_zero:
-                continue
-            for power, coeff in a_j.monomials:
+            bj = b if j == 1 else powers[j - 2]
+            for power, coeff in eq.coeffs[j].monomials:
                 if power <= s:
-                    rhs += coeff * zpow[s - power]
+                    rhs += coeff * bj[s - power]
         b.append(rhs / falling_factorial(s + m, m))
     return TaylorCoeffs(tuple(b[: L + 1]))

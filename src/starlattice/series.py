@@ -42,6 +42,33 @@ def pow_trunc(a: list[Fraction], e: int, D: int) -> list[Fraction]:
     return res
 
 
+def extend_powers(a: list[Fraction], powers: list[list[Fraction]]) -> None:
+    """Append the next coefficient to each running power a^2, a^3, ... in place.
+
+    powers[i] holds a^(i+2) modulo x^k and a holds at least k+1 coefficients;
+    afterwards every power holds k+1. Coefficient k of a^j needs only a_0..a_k
+    and coefficients 0..k of a^(j-1), so a series known one coefficient at a
+    time keeps all its powers current in O(len(powers) * k) per coefficient.
+    """
+    if not powers:
+        return
+    k = len(powers[0])
+    # a^2 is symmetric: each product a_i a_(k-i) with i < k-i counts twice.
+    cross = Fraction(0)
+    for i in range((k + 1) // 2):
+        if a[i] and a[k - i]:
+            cross += a[i] * a[k - i]
+    powers[0].append(2 * cross + (a[k // 2] ** 2 if k % 2 == 0 else 0))
+    prev = powers[0]
+    for p in powers[1:]:
+        acc = Fraction(0)
+        for i in range(k + 1):
+            if prev[i] and a[k - i]:
+                acc += prev[i] * a[k - i]
+        p.append(acc)
+        prev = p
+
+
 def reciprocal_trunc(a: list[Fraction], D: int) -> list[Fraction]:
     """1/a(x) modulo x^(D+1); requires a(0) != 0."""
     if not a or a[0] == 0:

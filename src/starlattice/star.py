@@ -9,7 +9,8 @@ the closed-form power kernel
 
 and a literal multi-sum over shift indices serves as its independent oracle.
 Everything is triangular: entry n of any product depends only on entries
-0..n of the factors, so truncation at a common length is exact.
+0..n of the factors, so truncation at a common length is exact, and
+`StarPowerStream` extends star powers one entry at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import factorial
 
 from .errors import ArityZero, LengthMismatch
 from .sequences import FourierSeq, LatticeSeq
-from .series import mul_trunc, pow_trunc
+from .series import extend_powers, mul_trunc, pow_trunc
 from .transforms import falling_factorial, forward_transform, inverse_transform, recip_factorial
 
 
@@ -94,6 +95,38 @@ def _star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:
         rec(0, n, Fraction(1))
         out.append(total if n % 2 == 0 else -total)
     return LatticeSeq(tuple(out))
+
+
+class StarPowerStream:
+    """Star powers z^{*2}..z^{*degree} of a sequence fed one entry at a time.
+
+    The stream keeps the last diagonal (Delta^i z)_{k-i}, i = 0..k, of the
+    difference table of z_0..z_k, so the next coefficient
+    zeta_k = (Delta^k z)_0 / k! costs O(k), and extends the Cauchy powers
+    zeta^j by one coefficient per entry. After z_0..z_k are fed it answers
+    every (z^{*j})_s with s <= k, in O(s).
+    """
+
+    def __init__(self, degree: int) -> None:
+        self._diagonal: list[Fraction] = []
+        self._zeta: list[Fraction] = []
+        self._powers: list[list[Fraction]] = [[] for _ in range(degree - 1)]  # zeta^2 ..
+
+    def feed(self, value: Fraction) -> None:
+        row = [value]
+        for d in self._diagonal:
+            row.append(row[-1] - d)
+        self._diagonal = row
+        self._zeta.append(row[-1] / factorial(len(self._zeta)))
+        extend_powers(self._zeta, self._powers)
+
+    def entry(self, j: int, s: int) -> Fraction:
+        """(z^{*j})_s = sum_l (zeta^j)_l (s)_l for 2 <= j <= degree, as a nested product."""
+        coeffs = self._powers[j - 2]
+        acc = coeffs[s]
+        for l in range(s - 1, -1, -1):
+            acc = coeffs[l] + (s - l) * acc
+        return acc
 
 
 def star_kernel_closed(args: StarKernelArgs) -> Fraction:

@@ -246,6 +246,12 @@ def test_cli_rejects_negative_length(tmp_path, capsys):
     assert_one_line_usage_error(run(["residual", "--input", path, "--length", "-2"]), capsys)
 
 
+def test_cli_galois_length_shorter_than_order(tmp_path, capsys):
+    # Order 2 needs solution entries 0..1 for the modified Wronskian.
+    path = write_doc(tmp_path, CONST_DOC)
+    assert_one_line_usage_error(run(["galois", "--input", path, "--length", "0"]), capsys)
+
+
 def test_cli_rejects_zero_arity(capsys):
     assert_one_line_usage_error(run(["bench", "--arity", "0", "--length", "8"]), capsys)
 

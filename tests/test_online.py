@@ -1,0 +1,203 @@
+"""Online residuals and stepping against the whole-sequence formulas.
+
+A seeded sweep over small random equations with polynomial coefficients
+checks that the per-index residual evaluators equal the paper's
+whole-sequence route (delta_power, kernel star powers, monomial images),
+that lattice stepping reproduces the lattice image of the Taylor solution,
+and that the Fourier stream reproduces the Taylor coefficients.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from starlattice import IndexOutOfRange, LatticeSeq, TaylorCoeffs, taylor_to_lattice
+from starlattice.cli import run
+from starlattice.fourier import ConstNonlinearOde, constrained_convolution, fourier_step
+from starlattice.galois import ConstLinearEq, FundamentalSystem, apply_operator, modified_wronskian
+from starlattice.odes import (
+    LinearOde,
+    NonlinearOde,
+    PolyCoeff,
+    delta_power,
+    lin_residual,
+    lin_residuals,
+    lin_step,
+    nonlin_residual,
+    nonlin_residuals,
+    nonlin_step,
+    taylor_solution_linear,
+    taylor_solution_nonlinear,
+)
+from starlattice.series import extend_powers, pow_trunc
+from starlattice.star import monomial_star, star_power
+from starlattice.transforms import falling_factorial
+
+
+def rand_rat(rng: random.Random) -> Fraction:
+    return Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+
+
+def rand_poly(rng: random.Random, nonzero_constant: bool = False) -> PolyCoeff:
+    pairs = [(p, rand_rat(rng)) for p in rng.sample(range(3), rng.randrange(0, 3))]
+    if nonzero_constant:
+        pairs = [(p, c) for p, c in pairs if p != 0] + [(0, Fraction(rng.choice([-2, -1, 1, 3]), 2))]
+    return PolyCoeff.from_pairs(pairs)
+
+
+def rand_linear(rng: random.Random) -> LinearOde:
+    N = rng.randrange(1, 4)
+    coeffs = [rand_poly(rng) for _ in range(N)] + [rand_poly(rng, nonzero_constant=True)]
+    return LinearOde(tuple(coeffs), c0=rand_poly(rng))
+
+
+def rand_nonlinear(rng: random.Random) -> NonlinearOde:
+    degree = rng.randrange(1, 4)
+    coeffs = [rand_poly(rng) for _ in range(degree)] + [rand_poly(rng, nonzero_constant=True)]
+    return NonlinearOde(rng.randrange(1, 3), tuple(coeffs))
+
+
+def rand_seq(rng: random.Random, length: int) -> LatticeSeq:
+    return LatticeSeq(tuple(rand_rat(rng) for _ in range(length)))
+
+
+def whole_lin_residual(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
+    acc = Fraction(0)
+    for l, a_l in enumerate(eq.coeffs):
+        dz = delta_power(z, l)
+        for power, coeff in a_l.monomials:
+            acc += coeff * monomial_star(power, dz)[n]
+    return acc + eq.c0.image_at(n)
+
+
+def whole_nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
+    acc = delta_power(z, eq.m)[n]
+    for j in range(1, eq.degree + 1):
+        zj = star_power(z, j, "kernel")
+        for power, coeff in eq.coeffs[j].monomials:
+            acc -= coeff * monomial_star(power, zj)[n]
+    return acc - eq.coeffs[0].image_at(n)
+
+
+def test_sweep_residuals_match_whole_sequence_formula():
+    rng = random.Random(20)
+    for _ in range(25):
+        eq = rand_linear(rng)
+        z = rand_seq(rng, eq.order + rng.randrange(1, 8))
+        table = lin_residuals(eq, z)
+        assert len(table) == z.last_index - eq.order + 1
+        for n, r in enumerate(table):
+            assert r == whole_lin_residual(eq, z, n) == lin_residual(eq, z, n, form="kernel")
+    for _ in range(25):
+        eq = rand_nonlinear(rng)
+        z = rand_seq(rng, eq.m + rng.randrange(1, 7))
+        table = nonlin_residuals(eq, z)
+        assert len(table) == z.last_index - eq.m + 1
+        for n, r in enumerate(table):
+            assert r == whole_nonlin_residual(eq, z, n) == nonlin_residual(eq, z, n)
+
+
+def test_sweep_stepping_matches_taylor_image():
+    rng = random.Random(21)
+    for _ in range(20):
+        eq = rand_linear(rng)
+        L = rng.randrange(eq.order - 1, 14)
+        b_init = [rand_rat(rng) for _ in range(eq.order)]
+        z_init = taylor_to_lattice(TaylorCoeffs(b_init), eq.order - 1).values
+        expected = taylor_to_lattice(taylor_solution_linear(eq, b_init, L), L)
+        assert lin_step(eq, z_init, L) == expected
+    for _ in range(20):
+        eq = rand_nonlinear(rng)
+        L = rng.randrange(eq.m - 1, 14)
+        b_init = [rand_rat(rng) for _ in range(eq.m)]
+        z_init = taylor_to_lattice(TaylorCoeffs(b_init), eq.m - 1).values
+        expected = taylor_to_lattice(taylor_solution_nonlinear(eq, b_init, L), L)
+        assert nonlin_step(eq, z_init, L) == expected
+
+
+def test_sweep_fourier_stream_matches_taylor_coefficients():
+    rng = random.Random(22)
+    for _ in range(20):
+        m = rng.randrange(1, 3)
+        a = [rand_rat(rng) for _ in range(rng.randrange(0, 3))] + [Fraction(rng.choice([-1, 1, 2]))]
+        b0 = rand_rat(rng)
+        L = rng.randrange(m - 1, 16)
+        init = [rand_rat(rng) for _ in range(m)]
+        zeta = fourier_step(ConstNonlinearOde(m, tuple(a), b0), init, L)
+        cont = NonlinearOde(m, tuple(PolyCoeff.constant(c) for c in [b0] + a))
+        assert zeta.coeffs == taylor_solution_nonlinear(cont, init, L).coeffs
+        # The stream obeys the per-index definition through constrained_convolution.
+        for n in range(L - m + 1):
+            rhs = sum((a_j * constrained_convolution(zeta, j, n) for j, a_j in enumerate(a, 1)), Fraction(0))
+            assert falling_factorial(n + m, m) * zeta[n + m] == rhs + (b0 if n == 0 else 0)
+
+
+def test_extend_powers_matches_pow_trunc():
+    rng = random.Random(23)
+    a = [rand_rat(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(12)]
+    powers = [[] for _ in range(4)]
+    for k in range(len(a)):
+        extend_powers(a[: k + 1], powers)
+    assert powers == [pow_trunc(a, j, len(a) - 1) for j in range(2, 6)]
+
+
+def test_residual_ignores_entries_beyond_its_window():
+    rng = random.Random(24)
+    for make, residual, order in (
+        (rand_linear, lin_residual, lambda eq: eq.order),
+        (rand_nonlinear, nonlin_residual, lambda eq: eq.m),
+    ):
+        for _ in range(15):
+            eq = make(rng)
+            z = rand_seq(rng, order(eq) + 8)
+            for n in range(z.last_index - order(eq) + 1):
+                keep = z.values[: n + order(eq) + 1]
+                changed = LatticeSeq(keep + tuple(rand_rat(rng) + 7 for _ in z.values[len(keep) :]))
+                assert residual(eq, changed, n) == residual(eq, z, n)
+
+
+def test_index_guards_and_messages():
+    lin = LinearOde((PolyCoeff.constant(1), PolyCoeff(()), PolyCoeff.constant(1)))
+    nonlin = NonlinearOde(2, (PolyCoeff(()), PolyCoeff(()), PolyCoeff.constant(1)))
+    z = LatticeSeq((1, 1, 3))
+    for residual, eq, at_zero in ((lin_residual, lin, 3), (nonlin_residual, nonlin, 1)):
+        with pytest.raises(IndexOutOfRange, match=r"^residual at n=1 needs index 3, stored 0\.\.2$"):
+            residual(eq, z, 1)
+        with pytest.raises(IndexOutOfRange, match=r"^residual at n=-1 needs index 1, stored 0\.\.2$"):
+            residual(eq, z, -1)
+        assert residual(eq, z, 0) == at_zero
+    with pytest.raises(IndexOutOfRange, match=r"^length L=0 shorter than the 2 initial values$"):
+        lin_step(lin, (0, 1), 0)
+    with pytest.raises(IndexOutOfRange, match=r"^length L=0 shorter than the 2 initial values$"):
+        nonlin_step(nonlin, (0, 1), 0)
+    const = ConstLinearEq((Fraction(1), Fraction(0)))
+    with pytest.raises(IndexOutOfRange, match=r"^operator at n=1 needs index 3$"):
+        apply_operator(const, [Fraction(v) for v in (0, 1, 2)], 1)
+    one_entry = FundamentalSystem(((Fraction(1),), (Fraction(0),)))
+    with pytest.raises(IndexOutOfRange, match=r"^need indices up to 1, solutions stored to 0$"):
+        modified_wronskian(one_entry)
+
+
+def test_solve_never_calls_the_taylor_solver(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stepping must solve the lattice recurrence itself")
+
+    for name, module in list(sys.modules.items()):
+        if name == "starlattice" or name.startswith("starlattice."):
+            for attr in ("taylor_solution_linear", "taylor_solution_nonlinear"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    docs = {
+        "0,1": {"type": "linear", "order": 2, "coeffs": [[[0, "1"]], [[1, "-2"]], [[0, "1"]]], "c0": []},
+        "1/2": {"type": "nonlinear", "m": 1, "coeffs": [[[1, "1"]], [], [[0, "1"]], [[0, "-1"]]]},
+    }
+    for init, doc in docs.items():
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve", "--input", str(path), "--length", "12", "--init", init]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 14
