@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .corpus import run_corpus
-from .errors import SchemaError, StarLatticeError
+from .errors import IndexOutOfRange, SchemaError, StarLatticeError
 from .floatmode import bench_star_power
 from .fourier import fourier_step
 from .galois import ConstLinearEq, QuadExt, verify_fundamental
@@ -145,8 +145,13 @@ def cmd_residual(args) -> int:
         raise SchemaError("type", "residual works on linear/nonlinear documents")
     kind, values = solution
     order = eq.order if isinstance(eq, LinearOde) else eq.m
+    needed = args.length + order + 1
     if kind == "taylor":
-        z = taylor_to_lattice(TaylorCoeffs(values), args.length + order)
+        z = taylor_to_lattice(TaylorCoeffs(values), needed - 1)
+    elif len(values) < needed:
+        raise IndexOutOfRange(
+            f"lattice solution has {len(values)} entries; residuals up to n={args.length} need {needed}"
+        )
     else:
         z = LatticeSeq(values)
     residuals = lin_residuals(eq, z) if isinstance(eq, LinearOde) else nonlin_residuals(eq, z)

@@ -410,12 +410,15 @@ def verify_fundamental(eq: ConstLinearEq, L: int) -> FundamentalReport:
 
     Exact solutions must satisfy the difference operator identically; float
     solutions must stay below FLOAT_SOLUTION_RESIDUAL_BOUND. The modified
-    Wronskian at n0 = 0 must be nonzero.
+    Wronskian at n0 = 0 must be nonzero. The operator at n reads index n+N,
+    so a length L below the order N leaves no index to check and is refused.
     """
+    N = eq.order
+    if L < N:
+        raise IndexOutOfRange(f"length L={L} leaves no operator index to check: order {N} needs L >= {N}")
     roots = char_roots(eq)
     system = _map_roots(roots, L)
     exact = [root.exact for root in roots for _ in range(root.multiplicity)]
-    N = eq.order
     residuals_ok = True
     max_float = 0.0
     for sol, sol_exact in zip(system.solutions, exact):

@@ -15,10 +15,12 @@ at most index n+N-1 while the local one contributes a_N(0) * z_{n+N}.
 Residuals and steps are evaluated online: index n does only the work that
 index needs. A linear term c t^p z^(l) reads the entries n-p..n-p+l through
 the binomial formula for (Delta^l z)_{n-p}, so a linear index costs
-O(terms * order). The star powers at n need z_0..z_n only, so one
-`StarPowerStream` fed each entry once keeps them current, and a nonlinear
-index costs O(degree * n). The kernel form of `lin_residual` keeps the
-paper's whole-sequence route as its cross-check.
+O(terms * order). The linear evaluator runs on the equation scaled once
+to integer coefficients, and `lin_residuals` on the sequence scaled to
+integer numerators over one denominator. The star powers at n need
+z_0..z_n only, so one `StarPowerStream` fed each entry once keeps them
+current, and a nonlinear index costs O(degree * n). The kernel form of
+`lin_residual` keeps the paper's whole-sequence route as its cross-check.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import islice
 from math import comb, perm
 
 from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
-from .rational import as_rational
+from .rational import as_rational, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_powers
 from .star import StarPowerStream, monomial_star
@@ -147,13 +149,38 @@ def _difference(values, l: int, s: int) -> Fraction:
     return acc
 
 
-def _lin_residual_at(eq: LinearOde, values, n: int) -> Fraction:
-    """Shift form: each term c t^p z^(l) contributes c (n)_p (Delta^l z)_{n-p}."""
-    acc = eq.c0.image_at(n)
-    for l, a_l in enumerate(eq.coeffs):
-        for power, coeff in a_l.monomials:
-            if power <= n:
-                acc += coeff * perm(n, power) * _difference(values, l, n - power)
+@dataclass(frozen=True)
+class _IntegerForm:
+    """A linear equation times E, the common denominator of its coefficients.
+
+    ``terms`` holds (l, p, C) for each monomial C t^p of E a_l, ``c0`` holds
+    (r, G) for each monomial G t^r of E c_0; every C and G is an integer.
+    """
+
+    E: int
+    terms: tuple[tuple[int, int, int], ...]
+    c0: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, eq: LinearOde) -> "_IntegerForm":
+        lhs = [(l, p, c) for l, a_l in enumerate(eq.coeffs) for p, c in a_l.monomials]
+        E, scaled = over_common_denominator([c for _, _, c in lhs] + [g for _, g in eq.c0.monomials])
+        terms = tuple((l, p, C) for (l, p, _), C in zip(lhs, scaled))
+        c0 = tuple((r, G) for (r, _), G in zip(eq.c0.monomials, scaled[len(lhs) :]))
+        return cls(E, terms, c0)
+
+
+def _lin_residual_at(form: _IntegerForm, values, n: int, D: int = 1):
+    """D * E times the residual at n of z = values / D, in the shift form.
+
+    Each term C t^p z^(l) contributes C (n)_p (Delta^l values)_{n-p}, and the
+    inhomogeneity D * G (n)_r. Integer values give an integer, rational
+    values a rational.
+    """
+    acc = D * sum(g * perm(n, r) for r, g in form.c0)
+    for l, p, c in form.terms:
+        if p <= n:
+            acc += c * perm(n, p) * _difference(values, l, n - p)
     return acc
 
 
@@ -170,7 +197,8 @@ def lin_residual(eq: LinearOde, z: LatticeSeq, n: int, form: str = "shift") -> F
     if n < 0 or n + N > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + N}, stored 0..{z.last_index}")
     if form == "shift":
-        return _lin_residual_at(eq, z.values, n)
+        integer = _IntegerForm.of(eq)
+        return Fraction(_lin_residual_at(integer, z.values, n), integer.E)
     if form != "kernel":
         raise ValueError(f"unknown form {form!r}")
     acc = Fraction(0)
@@ -184,8 +212,17 @@ def lin_residual(eq: LinearOde, z: LatticeSeq, n: int, form: str = "shift") -> F
 
 
 def lin_residuals(eq: LinearOde, z: LatticeSeq, form: str = "shift") -> list[Fraction]:
-    """Residuals for every index with all needed entries stored."""
-    return [lin_residual(eq, z, n, form) for n in range(z.last_index - eq.order + 1)]
+    """Residuals for every index with all needed entries stored.
+
+    The shift form runs on integers: with D the common denominator of z and
+    Z = z * D, each index is one integer sum divided once by D * E.
+    """
+    count = z.last_index - eq.order + 1
+    if form != "shift":
+        return [lin_residual(eq, z, n, form) for n in range(count)]
+    integer = _IntegerForm.of(eq)
+    D, Z = over_common_denominator(z.values)
+    return [Fraction(_lin_residual_at(integer, Z, n, D), D * integer.E) for n in range(count)]
 
 
 def _nonlin_residual_at(eq: NonlinearOde, values, stream: StarPowerStream, n: int) -> Fraction:
@@ -234,9 +271,11 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
         raise ValueError(f"need exactly {N} initial values, got {len(values)}")
     if L < N - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {N} initial values")
+    integer = _IntegerForm.of(eq)
+    scaled_lead = lead.numerator * (integer.E // lead.denominator)
     for n in range(L - N + 1):
         values.append(Fraction(0))
-        values[-1] = -_lin_residual_at(eq, values, n) / lead
+        values[-1] = Fraction(-_lin_residual_at(integer, values, n), scaled_lead)
     return LatticeSeq(tuple(values))
 
 

@@ -3,13 +3,16 @@
 Every verification path in the package computes over `fractions.Fraction`,
 which already guarantees the canonical invariants (positive denominator,
 reduced to lowest terms). Floats are rejected at the boundary so that no
-inexact value can leak into an exact computation.
+inexact value can leak into an exact computation. Hot exact kernels put a
+list of rationals over one common denominator and work on the integer
+numerators, dividing once at the end.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import RationalParseError
 
@@ -47,6 +50,12 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def over_common_denominator(values) -> tuple[int, list[int]]:
+    """(D, [x * D for x in values]) with D the least common denominator of the values."""
+    D = lcm(*(x.denominator for x in values))
+    return D, [x.numerator * (D // x.denominator) for x in values]
 
 
 def format_float(value: float) -> str:

@@ -8,17 +8,26 @@ With p_l(n) = n!/(n-l)! (zero for n < l), the pair
 is triangular and mutually inverse at every length. A power-series prefix
 b_0..b_L maps to the lattice through the same forward rule with zeta = b.
 
-Both directions go through the Newton coefficients w_l = l! * zeta_l, which
+The inverse goes through the Newton coefficients w_l = l! * zeta_l, which
 are the leading entries (Delta^l z)_0 of the forward-difference table, so
 z_n = sum_l C(n,l) w_l. The table and the Newton map below are written once
 for any scalar with + - * / (Fraction, quadratic surds, complex, float).
+
+The exact forward map runs on integers instead: the falling-factorial basis
+is of binomial type, so (n)_k is an integer and a rational prefix needs one
+common denominator D. `taylor_to_lattice` multiplies the prefix by D, runs
+the nested product on integer numerators and divides by D once per entry.
+The Newton map `newton_to_lattice` serves the float route and is the
+forward map's test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial, perm
 
+from .rational import over_common_denominator
 from .sequences import FourierSeq, LatticeSeq, TaylorCoeffs
 
 
@@ -57,18 +66,16 @@ def lattice_to_newton(z) -> list:
     return [row[0] for row in difference_rows(z)]
 
 
-def newton_to_lattice(w, length: int | None = None) -> list:
-    """z_n = sum_l C(n,l) w_l for n < length (default len(w)); w counts as zero-extended.
+def newton_to_lattice(w) -> list:
+    """z_n = sum_l C(n,l) w_l for n < len(w).
 
     Evaluated as nested products (acc + w_l) * (n-l+1) / l, so float input
     never forms a bare binomial or factorial and stays inside double range.
     """
-    if length is None:
-        length = len(w)
     out = []
-    for n in range(length):
+    for n in range(len(w)):
         acc = 0  # int zero: 0 + x is x for every scalar type, and 0.0 + x for a float
-        for l in range(min(n, len(w) - 1), 0, -1):
+        for l in range(n, 0, -1):
             acc = (acc + w[l]) * (n - l + 1) / l
         out.append(acc + w[0])
     return out
@@ -91,8 +98,19 @@ def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:
     Coefficients beyond the stored prefix are taken as exact zeros, so a
     polynomial may be passed as its finite coefficient list. For a
     transcendental series supply at least L+1 coefficients.
+
+    With D the common denominator of b_0..b_K (K = min(L, len-1)) and
+    B_k = b_k * D, the sum is the integer nested product
+    (...(B_K (n-K+1) + B_{K-1}) (n-K+2) ...) n + B_0 over D.
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    w = [b_k * factorial(k) for k, b_k in zip(range(L + 1), b)]
-    return LatticeSeq(tuple(newton_to_lattice(w, L + 1)))
+    D, B = over_common_denominator(list(islice(b, L + 1)))
+    K = len(B) - 1
+    out = []
+    for n in range(L + 1):
+        acc = 0
+        for k in range(min(n, K), 0, -1):
+            acc = (acc + B[k]) * (n - k + 1)
+        out.append(Fraction(acc + B[0], D))
+    return LatticeSeq(tuple(out))

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import starlattice
-from starlattice import RootCertificationError, SchemaError, StarLatticeError
+from starlattice import IndexOutOfRange, RootCertificationError, SchemaError, StarLatticeError
 from starlattice import galois
 from starlattice.cli import run
 from starlattice.fourier import ConstNonlinearOde
-from starlattice.galois import ConstLinearEq
+from starlattice.galois import ConstLinearEq, verify_fundamental
 from starlattice.odes import LinearOde, NonlinearOde
 from starlattice.specio import as_const_nonlinear, parse_solution, parse_spec, to_document
 
@@ -250,6 +250,28 @@ def test_cli_galois_length_shorter_than_order(tmp_path, capsys):
     # Order 2 needs solution entries 0..1 for the modified Wronskian.
     path = write_doc(tmp_path, CONST_DOC)
     assert_one_line_usage_error(run(["galois", "--input", path, "--length", "0"]), capsys)
+
+
+def test_cli_galois_length_equal_to_order_minus_one(tmp_path, capsys):
+    # At L = order - 1 the operator reads no index at all, so nothing would be checked.
+    path = write_doc(tmp_path, CONST_DOC)
+    assert_one_line_usage_error(run(["galois", "--input", path, "--length", "1"]), capsys)
+    assert capsys.readouterr().out == ""
+    assert run(["galois", "--input", path, "--length", "2", "--out", str(tmp_path / "g.json")]) == 0
+    assert json.loads((tmp_path / "g.json").read_text())["residuals_ok"] is True
+    with pytest.raises(IndexOutOfRange, match=r"^length L=2 leaves no operator index to check"):
+        verify_fundamental(ConstLinearEq((Fraction(2), Fraction(-2), Fraction(-1))), 2)
+
+
+def test_cli_residual_short_lattice_solution(tmp_path, capsys):
+    # z'' + z = 0 up to n = 10 needs lattice entries 0..12.
+    for values in (["5", "7"], ["0", "1", "2", "2", "0", "-4", "-8", "-8", "0", "16", "32", "32"]):
+        path = write_doc(tmp_path, dict(HARMONIC_DOC, solution={"lattice": values}))
+        assert_one_line_usage_error(run(["residual", "--input", path, "--length", "10"]), capsys)
+    values = ["0", "1", "2", "2", "0", "-4", "-8", "-8", "0", "16", "32", "32", "0"]
+    path = write_doc(tmp_path, dict(HARMONIC_DOC, solution={"lattice": values}))
+    assert run(["residual", "--input", path, "--length", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 12
 
 
 def test_cli_rejects_zero_arity(capsys):

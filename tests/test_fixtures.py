@@ -1,0 +1,59 @@
+"""Byte-identity of the data commands on frozen documents.
+
+Each case runs one command through `cli.run` on a document under
+`tests/fixtures/` and compares its stdout, byte for byte, and its exit
+code with the files under `tests/fixtures/expected/`. Those files were
+written by the code before the integer kernel of `transforms` and `odes`
+existed, so they pin the output of every exact route to the older one.
+They are never rewritten to make a failing case pass.
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from starlattice.cli import run
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# (case name, argv with {doc} for the document path, document stem or None, exit code)
+CASES = [
+    ("harmonic-residual", ["residual", "--input", "{doc}", "--length", "20"], "harmonic", 0),
+    ("harmonic-solve", ["solve", "--input", "{doc}", "--length", "20", "--init", "0,1"], "harmonic", 0),
+    ("hermite-residual", ["residual", "--input", "{doc}", "--length", "20"], "hermite", 0),
+    ("hermite-solve", ["solve", "--input", "{doc}", "--length", "20", "--init=-2,-2"], "hermite", 0),
+    ("square-residual", ["residual", "--input", "{doc}", "--length", "20"], "square", 0),
+    ("square-solve", ["solve", "--input", "{doc}", "--length", "20", "--init", "1/2"], "square", 0),
+    ("cube-residual", ["residual", "--input", "{doc}", "--length", "20"], "cube", 0),
+    ("cube-solve", ["solve", "--input", "{doc}", "--length", "20", "--init", "1/2"], "cube", 0),
+    (
+        "hypergeometric-residual",
+        ["residual", "--input", "{doc}", "--length", "20", "--format", "json"],
+        "hypergeometric",
+        0,
+    ),
+    ("gaussian-perturbed-residual", ["residual", "--input", "{doc}", "--length", "20"], "gaussian-perturbed", 1),
+    ("cubic-galois", ["galois", "--input", "{doc}", "--length", "20"], "cubic", 0),
+    ("corpus", ["corpus", "--length", "20"], None, 0),
+]
+
+
+def run_case(argv: list[str], doc: str | None) -> tuple[int, str]:
+    """Exit code and stdout of one command on the named fixture document."""
+    path = str(FIXTURES / f"{doc}.json") if doc else None
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run([path if a == "{doc}" else a for a in argv])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name, argv, doc, code", CASES, ids=[c[0] for c in CASES])
+def test_fixture_output_is_byte_identical(name, argv, doc, code):
+    expected = (FIXTURES / "expected" / f"{name}.out").read_bytes()
+    got_code, got = run_case(argv, doc)
+    assert got_code == code
+    assert got.encode("utf-8") == expected

@@ -66,6 +66,21 @@ def rand_seq(rng: random.Random, length: int) -> LatticeSeq:
     return LatticeSeq(tuple(rand_rat(rng) for _ in range(length)))
 
 
+WIDE_DENOMINATORS = (1, 2, 3, 7, 12, 25, 101, 2**20 + 7)
+
+
+def wide_rat(rng: random.Random) -> Fraction:
+    return Fraction(rng.randrange(-10**6, 10**6), rng.choice(WIDE_DENOMINATORS))
+
+
+def wide_linear(rng: random.Random) -> LinearOde:
+    """Coefficients and inhomogeneity over many denominators, so the common ones are far from 1."""
+    N = rng.randrange(1, 4)
+    coeffs = [PolyCoeff.from_pairs((p, wide_rat(rng)) for p in rng.sample(range(4), rng.randrange(0, 4))) for _ in range(N)]
+    coeffs.append(PolyCoeff.from_pairs([(0, wide_rat(rng) or Fraction(1)), (rng.randrange(1, 3), wide_rat(rng))]))
+    return LinearOde(tuple(coeffs), c0=PolyCoeff.from_pairs((p, wide_rat(rng)) for p in rng.sample(range(4), 2)))
+
+
 def whole_lin_residual(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
     acc = Fraction(0)
     for l, a_l in enumerate(eq.coeffs):
@@ -93,6 +108,14 @@ def test_sweep_residuals_match_whole_sequence_formula():
         assert len(table) == z.last_index - eq.order + 1
         for n, r in enumerate(table):
             assert r == whole_lin_residual(eq, z, n) == lin_residual(eq, z, n, form="kernel")
+    wide = random.Random(25)
+    for _ in range(25):  # sequences that are not lattice images, over mixed denominators
+        eq = wide_linear(wide)
+        z = LatticeSeq(tuple(wide_rat(wide) for _ in range(eq.order + wide.randrange(1, 10))))
+        table = lin_residuals(eq, z)
+        assert table == lin_residuals(eq, z, form="kernel")
+        assert table == [lin_residual(eq, z, n) for n in range(len(table))]
+        assert all(type(r) is Fraction for r in table)
     for _ in range(25):
         eq = rand_nonlinear(rng)
         z = rand_seq(rng, eq.m + rng.randrange(1, 7))
@@ -111,6 +134,13 @@ def test_sweep_stepping_matches_taylor_image():
         z_init = taylor_to_lattice(TaylorCoeffs(b_init), eq.order - 1).values
         expected = taylor_to_lattice(taylor_solution_linear(eq, b_init, L), L)
         assert lin_step(eq, z_init, L) == expected
+    wide = random.Random(26)
+    for _ in range(10):
+        eq = wide_linear(wide)
+        b_init = [wide_rat(wide) for _ in range(eq.order)]
+        z_init = taylor_to_lattice(TaylorCoeffs(b_init), eq.order - 1).values
+        expected = taylor_to_lattice(taylor_solution_linear(eq, b_init, 10), 10)
+        assert lin_step(eq, z_init, 10) == expected
     for _ in range(20):
         eq = rand_nonlinear(rng)
         L = rng.randrange(eq.m - 1, 14)

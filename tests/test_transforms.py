@@ -155,6 +155,39 @@ def test_newton_core_matches_closed_formulas_on_every_scalar():
         assert lattice_to_newton([float(v) for v in ints]) == [float(v) for v in lattice_to_newton(ints)]
 
 
+def rand_height(rng: random.Random) -> Fraction:
+    """Signed rational whose numerator and denominator heights vary from 1 to ~100 bits."""
+    num = rng.randrange(-(2 ** rng.randrange(1, 100)), 2 ** rng.randrange(1, 100))
+    return Fraction(num, rng.randrange(1, 2 ** rng.randrange(1, 60)))
+
+
+def perm_sum_image(b: list[Fraction], L: int) -> list[Fraction]:
+    """Reference: z_n = sum_{k<=n} b_k (n)_k with b zero past its prefix."""
+    return [sum((b[k] * perm(n, k) for k in range(min(n, len(b) - 1) + 1)), Fraction(0)) for n in range(L + 1)]
+
+
+def test_integer_taylor_to_lattice_matches_newton_map_and_definition():
+    rng = random.Random(2026)
+    cases = []
+    for _ in range(30):  # mixed heights and signs, prefix as long as L+1
+        L = rng.randrange(0, 40)
+        cases.append(([rand_height(rng) for _ in range(L + 1)], L))
+    for _ in range(10):  # whole numbers
+        L = rng.randrange(0, 30)
+        cases.append(([Fraction(rng.randrange(-10**6, 10**6)) for _ in range(L + 1)], L))
+    for _ in range(10):  # L = 0 with a longer prefix
+        cases.append(([rand_height(rng) for _ in range(rng.randrange(1, 6))], 0))
+    for _ in range(20):  # prefixes shorter than L+1 are zero-extended
+        b = [rand_height(rng) for _ in range(rng.randrange(1, 8))]
+        cases.append((b, rng.randrange(len(b), 35)))
+    for b, L in cases:
+        z = list(taylor_to_lattice(TaylorCoeffs(tuple(b)), L).values)
+        padded = b[: L + 1] + [Fraction(0)] * (L + 1 - len(b))
+        assert z == newton_to_lattice([b_k * factorial(k) for k, b_k in enumerate(padded)])
+        assert z == perm_sum_image(b, L)
+        assert all(type(v) is Fraction for v in z)
+
+
 def test_sequences_reject_floats_and_out_of_range():
     with pytest.raises(TypeError):
         LatticeSeq((0.5, 1))
