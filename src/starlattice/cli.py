@@ -3,13 +3,15 @@
 Subcommands: discretize, residual, solve, fourier, galois, corpus, bench.
 Data outputs are byte-deterministic (sorted-key JSON / newline-terminated
 CSV, no timestamps); bench emits measured timings and is the documented
-exception. Exit codes: 0 success, 1 verification failure, 2 usage error.
+exception. Exit codes: 0 success, 1 verification failure, 2 usage error;
+an option a subcommand does not read is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -34,9 +36,6 @@ from .rational import format_float, format_rational, parse_rational
 from .sequences import LatticeSeq, TaylorCoeffs
 from .specio import as_const_nonlinear, parse_solution, parse_spec, to_document
 from .transforms import taylor_to_lattice
-
-JSON_ONLY = ("discretize", "galois", "corpus")
-
 
 def _render(value, mode: str):
     if value is None:
@@ -249,17 +248,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "discretize": cmd_discretize,
-    "residual": cmd_residual,
-    "solve": cmd_solve,
-    "fourier": cmd_fourier,
-    "galois": cmd_galois,
-    "corpus": cmd_corpus,
-    "bench": cmd_bench,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one error line and exit 2, like any other bad input."""
 
@@ -267,60 +255,70 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(self.prog, message)
 
 
-def _at_least(minimum: int):
+# Largest --length any command accepts: far above every documented use (the
+# largest is bench's default of 512), so a mistyped length is refused at parse time.
+MAX_LENGTH = 10_000
+
+
+def _integer(minimum: int, maximum: int | None = None):
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return integer
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INPUT = ("--input", {"required": True, "help": "equation document (JSON)"})
+_LENGTH = ("--length", {"type": _integer(0, MAX_LENGTH), "default": 20, "help": "largest lattice index L"})
+_INIT = ("--init", {"help": "comma-separated initial values, e.g. \"0,1\""})
+_FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv"})
+_MODE = ("--mode", {"choices": ("exact", "float"), "default": "exact"})
+_OUT = ("--out", {"help": "output path (stdout when omitted)"})
+
+# Each subcommand with its handler and exactly the options that handler reads.
+COMMANDS = {
+    "discretize": (cmd_discretize, (_INPUT, _OUT)),
+    "residual": (cmd_residual, (_INPUT, _LENGTH, _FORMAT, _MODE, _OUT)),
+    "solve": (cmd_solve, (_INPUT, _LENGTH, _INIT, _FORMAT, _MODE, _OUT)),
+    "fourier": (cmd_fourier, (_INPUT, _LENGTH, _INIT, _FORMAT, _MODE, _OUT)),
+    "galois": (cmd_galois, (_INPUT, _LENGTH, _MODE, ("--allow-float-roots", {"action": "store_true"}), _OUT)),
+    "corpus": (cmd_corpus, (_LENGTH, _OUT)),
+    "bench": (
+        cmd_bench,
+        (
+            ("--length", {**_LENGTH[1], "default": 512}),
+            ("--arity", {"type": _integer(1), "default": 3}),
+            ("--kernel-cap", {"type": int, "default": 512, "help": "largest L for the kernel route"}),
+            _FORMAT,
+            _OUT,
+        ),
+    ),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one command-line parser, built on first use and shared by every `run` call."""
     parser = _Parser(
         prog="starlattice",
         description="Exact nonlocal discrete analogs of ODEs: build, step, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_input: bool) -> None:
-        if needs_input:
-            p.add_argument("--input", required=True, help="equation document (JSON)")
-        p.add_argument("--length", type=_at_least(0), default=20, help="largest lattice index L")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
-        p.add_argument("--out", help="output path (stdout when omitted)")
-
-    for name in ("discretize", "residual", "solve", "fourier", "galois"):
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
-        add_common(p, needs_input=True)
-        if name in ("solve", "fourier"):
-            p.add_argument("--init", help="comma-separated initial values, e.g. \"0,1\"")
-        if name == "galois":
-            p.add_argument("--allow-float-roots", action="store_true")
-        if name in JSON_ONLY:
-            p.set_defaults(format="json")
-
-    p = sub.add_parser("corpus")
-    add_common(p, needs_input=False)
-    p.set_defaults(format="json")
-
-    p = sub.add_parser("bench")
-    add_common(p, needs_input=False)
-    p.add_argument("--arity", type=_at_least(1), default=3)
-    p.add_argument("--kernel-cap", type=int, default=512, help="largest L for the kernel route")
-    p.set_defaults(length=512, mode="float")
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
     return parser
 
 
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.command in JSON_ONLY and args.format == "csv":
-            print(f"{args.command}: structured report, use --format json", file=sys.stderr)
-            return 2
-        return _HANDLERS[args.command](args)
+        args = _parser().parse_args(argv)
+        return COMMANDS[args.command][0](args)
     except (StarLatticeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

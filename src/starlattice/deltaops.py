@@ -41,11 +41,6 @@ class DeltaStencil:
     def m(self) -> int:
         return self.l + len(self.alphas) - 1
 
-    def weight(self, k: int) -> Fraction:
-        if not self.l <= k <= self.m:
-            return Fraction(0)
-        return self.alphas[k - self.l]
-
 
 FORWARD_DIFFERENCE = DeltaStencil(Fraction(1), 0, (Fraction(-1), Fraction(1)))
 SYMMETRIC_DIFFERENCE = DeltaStencil(

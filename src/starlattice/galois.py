@@ -17,10 +17,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import IndexOutOfRange, RootCertificationError, SingularSystem
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, over_common_denominator
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
 from .transforms import falling_factorial, lattice_to_newton
 
@@ -193,8 +193,7 @@ def _rational_roots(poly: list[Fraction]) -> tuple[list[Fraction], list[Fraction
         poly = poly[1:]
     if len(poly) <= 1:
         return roots, poly
-    denominator = lcm(*(c.denominator for c in poly))
-    ints = [int(c * denominator) for c in poly]
+    _, ints = over_common_denominator(poly)
     candidates = [
         Fraction(sp * p, q)
         for p in _divisors(ints[0])
@@ -398,7 +397,6 @@ class FundamentalReport:
     wronskian: Scalar | None
     wronskian_nonzero: bool
     system: FundamentalSystem
-    singular: bool = False
 
     @property
     def ok(self) -> bool:
@@ -435,11 +433,9 @@ def verify_fundamental(eq: ConstLinearEq, L: int) -> FundamentalReport:
     try:
         w = modified_wronskian(system, 0)
         nonzero = True
-        singular = False
     except SingularSystem:
         w = None
         nonzero = False
-        singular = True
     return FundamentalReport(
         order=N,
         dimension=sum(r.multiplicity for r in roots),
@@ -450,5 +446,4 @@ def verify_fundamental(eq: ConstLinearEq, L: int) -> FundamentalReport:
         wronskian=w,
         wronskian_nonzero=nonzero,
         system=system,
-        singular=singular,
     )

@@ -86,10 +86,6 @@ class PolyCoeff:
         """Termwise lattice image sum_r gamma_r (n)_r evaluated at n."""
         return sum((c * falling_factorial(n, p) for p, c in self.monomials), Fraction(0))
 
-    def eval_at(self, t: Fraction) -> Fraction:
-        t = as_rational(t)
-        return sum((c * t**p for p, c in self.monomials), Fraction(0))
-
 
 @dataclass(frozen=True)
 class LinearOde:

@@ -11,7 +11,7 @@ import pytest
 
 import starlattice
 from starlattice import IndexOutOfRange, RootCertificationError, SchemaError, StarLatticeError
-from starlattice import galois
+from starlattice import cli, galois
 from starlattice.cli import run
 from starlattice.fourier import ConstNonlinearOde
 from starlattice.galois import ConstLinearEq, verify_fundamental
@@ -276,6 +276,43 @@ def test_cli_residual_short_lattice_solution(tmp_path, capsys):
 
 def test_cli_rejects_zero_arity(capsys):
     assert_one_line_usage_error(run(["bench", "--arity", "0", "--length", "8"]), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # options a command does not read: each was once accepted and ignored
+        ["discretize", "--input", "{doc}", "--length", "5"],
+        ["discretize", "--input", "{doc}", "--format", "json"],
+        ["discretize", "--input", "{doc}", "--mode", "float"],
+        ["galois", "--input", "{doc}", "--format", "json"],
+        ["corpus", "--length", "4", "--format", "json"],
+        ["corpus", "--length", "4", "--mode", "float"],
+        ["bench", "--length", "8", "--kernel-cap", "8", "--mode", "exact"],
+        # lengths above the bound are refused before any work starts
+        ["solve", "--input", "{doc}", "--init", "1", "--length", "100000000"],
+        ["corpus", "--length", str(cli.MAX_LENGTH + 1)],
+        ["bench", "--length", str(cli.MAX_LENGTH + 1)],
+    ],
+)
+def test_cli_refuses_bad_option_in_one_line(tmp_path, capsys, argv):
+    path = write_doc(tmp_path, SQUARE_DOC)
+    assert_one_line_usage_error(run([path if a == "{doc}" else a for a in argv]), capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_accepts_length_at_the_bound():
+    args = cli._parser().parse_args(["solve", "--input", "eq.json", "--length", str(cli.MAX_LENGTH)])
+    assert args.length == cli.MAX_LENGTH
+
+
+def test_cli_runs_share_one_parser_without_leaking_options(tmp_path, capsys):
+    path = write_doc(tmp_path, SQUARE_DOC)
+    assert run(["solve", "--input", path, "--init", "1/2", "--length", "2", "--mode", "float"]) == 0
+    assert capsys.readouterr().out == "n,z\n0,0.5\n1,0.75\n2,1.25\n"
+    assert run(["solve", "--input", path, "--init", "1/2", "--length", "2"]) == 0
+    assert capsys.readouterr().out == "n,z\n0,1/2\n1,3/4\n2,5/4\n"
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_cli_corpus_shorter_than_build_check(tmp_path):

@@ -2,10 +2,12 @@
 
 Each case runs one command through `cli.run` on a document under
 `tests/fixtures/` and compares its stdout, byte for byte, and its exit
-code with the files under `tests/fixtures/expected/`. Those files were
-written by the code before the integer kernel of `transforms` and `odes`
-existed, so they pin the output of every exact route to the older one.
-They are never rewritten to make a failing case pass.
+code with the files under `tests/fixtures/expected/`. The first twelve
+were written by the code before the integer kernel of `transforms` and
+`odes` existed, so they pin the output of every exact route to the older
+one; the `discretize`, `fourier` and `--mode float` cases were written by
+the code before the CLI's command table. They are never rewritten to make
+a failing case pass.
 """
 
 from __future__ import annotations
@@ -39,6 +41,19 @@ CASES = [
     ("gaussian-perturbed-residual", ["residual", "--input", "{doc}", "--length", "20"], "gaussian-perturbed", 1),
     ("cubic-galois", ["galois", "--input", "{doc}", "--length", "20"], "cubic", 0),
     ("corpus", ["corpus", "--length", "20"], None, 0),
+    ("harmonic-discretize", ["discretize", "--input", "{doc}"], "harmonic", 0),
+    ("hermite-discretize", ["discretize", "--input", "{doc}"], "hermite", 0),
+    ("square-discretize", ["discretize", "--input", "{doc}"], "square", 0),
+    ("cubic-discretize", ["discretize", "--input", "{doc}"], "cubic", 0),
+    ("square-fourier", ["fourier", "--input", "{doc}", "--init", "1/2", "--length", "20"], "square", 0),
+    ("cube-fourier", ["fourier", "--input", "{doc}", "--init", "1/2", "--length", "20"], "cube", 0),
+    (
+        "harmonic-solve-float",
+        ["solve", "--input", "{doc}", "--length", "20", "--init", "0,1", "--mode", "float"],
+        "harmonic",
+        0,
+    ),
+    ("cubic-galois-float", ["galois", "--input", "{doc}", "--length", "20", "--mode", "float"], "cubic", 0),
 ]
 
 
