@@ -17,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import galois
 from .corpus import run_corpus
 from .errors import IndexOutOfRange, SchemaError, StarLatticeError
 from .floatmode import bench_star_power
@@ -189,12 +190,13 @@ def cmd_galois(args) -> int:
     eq = parse_spec(_load_document(args.input))
     if not isinstance(eq, ConstLinearEq):
         raise SchemaError("type", "galois works on const_linear documents")
-    report = verify_fundamental(eq, args.length)
-    if args.mode == "exact" and not report.all_exact and not args.allow_float_roots:
+    roots = galois.char_roots(eq)
+    if args.mode == "exact" and not all(r.exact for r in roots) and not args.allow_float_roots:
         raise SchemaError(
             "--mode",
             "equation has non-exact roots; rerun with --mode float or --allow-float-roots",
         )
+    report = verify_fundamental(eq, args.length, roots)
     payload = {
         "command": "galois",
         "equation": to_document(eq),
@@ -258,6 +260,10 @@ class _Parser(argparse.ArgumentParser):
 # Largest --length any command accepts: far above every documented use (the
 # largest is bench's default of 512), so a mistyped length is refused at parse time.
 MAX_LENGTH = 10_000
+# solve and fourier run the exact solvers, whose cost grows about 13x per
+# doubling of L here because the numbers grow with L: z' = z^2 from 1/2 took
+# 23 s (solve) and 17 s (fourier) at L = 1600 on one core of a 2-vCPU Xeon VM.
+MAX_SOLVE_LENGTH = 1600
 
 
 def _integer(minimum: int, maximum: int | None = None):
@@ -274,6 +280,7 @@ def _integer(minimum: int, maximum: int | None = None):
 
 _INPUT = ("--input", {"required": True, "help": "equation document (JSON)"})
 _LENGTH = ("--length", {"type": _integer(0, MAX_LENGTH), "default": 20, "help": "largest lattice index L"})
+_SOLVE_LENGTH = ("--length", {**_LENGTH[1], "type": _integer(0, MAX_SOLVE_LENGTH)})
 _INIT = ("--init", {"help": "comma-separated initial values, e.g. \"0,1\""})
 _FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv"})
 _MODE = ("--mode", {"choices": ("exact", "float"), "default": "exact"})
@@ -283,8 +290,8 @@ _OUT = ("--out", {"help": "output path (stdout when omitted)"})
 COMMANDS = {
     "discretize": (cmd_discretize, (_INPUT, _OUT)),
     "residual": (cmd_residual, (_INPUT, _LENGTH, _FORMAT, _MODE, _OUT)),
-    "solve": (cmd_solve, (_INPUT, _LENGTH, _INIT, _FORMAT, _MODE, _OUT)),
-    "fourier": (cmd_fourier, (_INPUT, _LENGTH, _INIT, _FORMAT, _MODE, _OUT)),
+    "solve": (cmd_solve, (_INPUT, _SOLVE_LENGTH, _INIT, _FORMAT, _MODE, _OUT)),
+    "fourier": (cmd_fourier, (_INPUT, _SOLVE_LENGTH, _INIT, _FORMAT, _MODE, _OUT)),
     "galois": (cmd_galois, (_INPUT, _LENGTH, _MODE, ("--allow-float-roots", {"action": "store_true"}), _OUT)),
     "corpus": (cmd_corpus, (_LENGTH, _OUT)),
     "bench": (

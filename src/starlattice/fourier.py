@@ -10,6 +10,13 @@ sum_{l_1+...+l_{j-1} <= n} zeta_{l_1} ... zeta_{l_{j-1}} zeta_{n - l_1 - ... - l
 The constant b_0 enters only at n = 0 because the constant function has
 coefficient stream (b_0, 0, 0, ...). Forward-transforming the stream
 reproduces the lattice recurrence exactly.
+
+conv_j(zeta, n) is coefficient n of the Cauchy power zeta^j, so the stream
+is the Taylor-coefficient recurrence of the same equation: `fourier_step`
+hands it to `odes.solve_newton`, which runs it on integer scaled Newton
+coefficients k! c E^k zeta_k and divides once per entry.
+`constrained_convolution` and `fourier_solution` keep the paper's literal
+formulas as its cross-checks.
 """
 
 from __future__ import annotations
@@ -17,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LengthMismatch
+from .errors import IndexOutOfRange, LengthMismatch
+from .odes import PolyCoeff, solve_newton
 from .rational import as_rational
 from .sequences import FourierSeq, TaylorCoeffs
-from .series import extend_powers, pow_trunc
-from .transforms import falling_factorial, recip_factorial
+from .series import pow_trunc
+from .transforms import recip_factorial
 
 
 @dataclass(frozen=True)
@@ -57,27 +65,14 @@ def constrained_convolution(zeta, j: int, n: int) -> Fraction:
 
 
 def fourier_step(eq: ConstNonlinearOde, zeta_init, L: int) -> FourierSeq:
-    """Coefficient stream zeta_0..zeta_L from the first m values.
-
-    conv_j(zeta, n) is coefficient n of the Cauchy power zeta^j, so the
-    powers are kept running and extended by one coefficient per index.
-    """
+    """Coefficient stream zeta_0..zeta_L from the first m values."""
     zeta = [as_rational(v) for v in zeta_init]
     if len(zeta) != eq.m:
         raise LengthMismatch(f"need exactly {eq.m} initial coefficients, got {len(zeta)}")
     if L < eq.m - 1:
-        raise ValueError(f"L={L} shorter than the {eq.m} initial coefficients")
-    powers = [[] for _ in range(eq.degree - 1)]  # zeta^2 .. zeta^N
-    for n in range(L - eq.m + 1):
-        extend_powers(zeta, powers)
-        rhs = eq.a[0] * zeta[n]
-        for a_j, power in zip(eq.a[1:], powers):
-            if a_j:
-                rhs += a_j * power[n]
-        if n == 0:
-            rhs += eq.b0
-        zeta.append(rhs / falling_factorial(n + eq.m, eq.m))
-    return FourierSeq(tuple(zeta[: L + 1]))
+        raise IndexOutOfRange(f"length L={L} shorter than the {eq.m} initial coefficients")
+    coeffs = [PolyCoeff.constant(c) for c in (eq.b0, *eq.a)]
+    return FourierSeq(tuple(solve_newton(eq.m, coeffs, zeta, L).taylor_coeffs()))
 
 
 def fourier_solution(b: TaylorCoeffs, n: int) -> Fraction:

@@ -17,14 +17,20 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 from .errors import IndexOutOfRange, RootCertificationError, SingularSystem
+from .odes import LinearOde, PolyCoeff, local_stencil
 from .rational import as_rational, format_rational, over_common_denominator
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
 from .transforms import falling_factorial, lattice_to_newton
 
 FLOAT_ROOT_RESIDUAL_BOUND = 1e-12
+# Relative: a float column fails at n when |T[Delta] z_n| exceeds this times
+# sum_k |s_k| |z_{n+k}| over the local stencil s, the running error bound of
+# that dot product (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., 2002, section 3.1). The columns grow like |1+l|^n, so an
+# absolute bound would fail correct columns once n is large enough.
 FLOAT_SOLUTION_RESIDUAL_BOUND = 1e-9
 _FLOAT_ZERO = 1e-12
 
@@ -403,20 +409,25 @@ class FundamentalReport:
         return self.residuals_ok and self.wronskian_nonzero
 
 
-def verify_fundamental(eq: ConstLinearEq, L: int) -> FundamentalReport:
+def verify_fundamental(eq: ConstLinearEq, L: int, roots: list[RootDatum] | None = None) -> FundamentalReport:
     """Build the mapped system, check the defining certificates and report both.
 
     Exact solutions must satisfy the difference operator identically; float
-    solutions must stay below FLOAT_SOLUTION_RESIDUAL_BOUND. The modified
+    solutions must stay below FLOAT_SOLUTION_RESIDUAL_BOUND relative to the
+    scale sum_k |s_k| |z_{n+k}| of the stencil s at n. The modified
     Wronskian at n0 = 0 must be nonzero. The operator at n reads index n+N,
     so a length L below the order N leaves no index to check and is refused.
+    ``roots`` are `char_roots(eq)` when the caller has found them already.
     """
     N = eq.order
     if L < N:
         raise IndexOutOfRange(f"length L={L} leaves no operator index to check: order {N} needs L >= {N}")
-    roots = char_roots(eq)
+    if roots is None:
+        roots = char_roots(eq)
     system = _map_roots(roots, L)
     exact = [root.exact for root in roots for _ in range(root.multiplicity)]
+    monic = LinearOde(tuple(PolyCoeff.constant(c) for c in eq.char_poly()))
+    weights = [abs(float(s)) for s in reversed(local_stencil(monic))]  # weights[k] goes with z_{n+k}
     residuals_ok = True
     max_float = 0.0
     for sol, sol_exact in zip(system.solutions, exact):
@@ -428,7 +439,8 @@ def verify_fundamental(eq: ConstLinearEq, L: int) -> FundamentalReport:
             else:
                 mag = abs(complex(value))
                 max_float = max(max_float, mag)
-                if mag >= FLOAT_SOLUTION_RESIDUAL_BOUND:
+                scale = sum(s * abs(complex(sol[n + k])) for k, s in enumerate(weights))
+                if not mag <= FLOAT_SOLUTION_RESIDUAL_BOUND * scale < inf:  # NaN or overflow fails too
                     residuals_ok = False
     try:
         w = modified_wronskian(system, 0)

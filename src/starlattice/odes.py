@@ -8,17 +8,27 @@ additionally replaces powers by star powers. Lattice images of power-series
 solutions of the continuous equation satisfy the resulting recurrences
 exactly, which is what the residual evaluators check.
 
-Forward stepping solves the recurrences for z_{n+N} (resp. z_{n+m}); for
-linear equations this needs a_N(0) != 0, since every nonlocal term reaches
-at most index n+N-1 while the local one contributes a_N(0) * z_{n+N}.
+Linear forward stepping solves the recurrence for z_{n+N}; this needs
+a_N(0) != 0, since every nonlocal term reaches at most index n+N-1 while
+the local one contributes a_N(0) * z_{n+N}.
 
-Residuals and steps are evaluated online: index n does only the work that
-index needs. A linear term c t^p z^(l) reads the entries n-p..n-p+l through
-the binomial formula for (Delta^l z)_{n-p}, so a linear index costs
-O(terms * order). The linear evaluator runs on the equation scaled once
-to integer coefficients, and `lin_residuals` on the sequence scaled to
-integer numerators over one denominator. The star powers at n need
-z_0..z_n only, so one `StarPowerStream` fed each entry once keeps them
+The nonlinear recurrence is solved once, in Newton space. The transform
+coefficients zeta of the lattice solution obey the same recurrence as the
+Taylor coefficients of the continuous one, so `nonlin_step`,
+`taylor_solution_nonlinear` and `fourier.fourier_step` all call
+`solve_newton`. It runs on scaled Newton coefficients W_k = k! c E^k zeta_k,
+where the star product is the binomial convolution with integer weights,
+so every W_k is an integer (the proof is in its docstring) and no index
+builds a `Fraction`. `NewtonSolution` maps W back to Taylor coefficients or
+to lattice values with one division per entry.
+
+Residuals are evaluated online: index n does only the work that index
+needs. A linear term c t^p z^(l) reads the entries n-p..n-p+l through the
+binomial formula for (Delta^l z)_{n-p}, so a linear index costs
+O(terms * order). Both residual evaluators run on the equation scaled once
+to integer coefficients and on the sequence scaled to integer numerators
+over one denominator, and divide once per index. The star powers at n
+need z_0..z_n only, so one `StarPowerStream` fed each entry once keeps them
 current, and a nonlinear index costs O(degree * n). The kernel form of
 `lin_residual` keeps the paper's whole-sequence route as its cross-check.
 """
@@ -28,14 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, perm
+from math import comb, factorial, lcm, perm
 
 from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
 from .rational import as_rational, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
-from .series import extend_powers
+from .series import extend_binomial_powers
 from .star import StarPowerStream, monomial_star
-from .transforms import difference_rows, falling_factorial
+from .transforms import difference_rows, falling_factorial, lattice_to_newton
 
 
 @dataclass(frozen=True)
@@ -147,10 +157,12 @@ def _difference(values, l: int, s: int) -> Fraction:
 
 @dataclass(frozen=True)
 class _IntegerForm:
-    """A linear equation times E, the common denominator of its coefficients.
+    """sum_l a_l(t) X_l + c_0(t) times E, the common denominator of its coefficients.
 
     ``terms`` holds (l, p, C) for each monomial C t^p of E a_l, ``c0`` holds
     (r, G) for each monomial G t^r of E c_0; every C and G is an integer.
+    A linear equation has X_l = z^(l); the right-hand side of a nonlinear
+    one has X_j = z^{*j} for j >= 1, with a_0 in the place of c_0.
     """
 
     E: int
@@ -158,12 +170,11 @@ class _IntegerForm:
     c0: tuple[tuple[int, int], ...]
 
     @classmethod
-    def of(cls, eq: LinearOde) -> "_IntegerForm":
-        lhs = [(l, p, c) for l, a_l in enumerate(eq.coeffs) for p, c in a_l.monomials]
-        E, scaled = over_common_denominator([c for _, _, c in lhs] + [g for _, g in eq.c0.monomials])
+    def of(cls, coeffs, c0: PolyCoeff) -> "_IntegerForm":
+        lhs = [(l, p, c) for l, a_l in enumerate(coeffs) for p, c in a_l.monomials]
+        E, scaled = over_common_denominator([c for _, _, c in lhs] + [g for _, g in c0.monomials])
         terms = tuple((l, p, C) for (l, p, _), C in zip(lhs, scaled))
-        c0 = tuple((r, G) for (r, _), G in zip(eq.c0.monomials, scaled[len(lhs) :]))
-        return cls(E, terms, c0)
+        return cls(E, terms, tuple((r, G) for (r, _), G in zip(c0.monomials, scaled[len(lhs) :])))
 
 
 def _lin_residual_at(form: _IntegerForm, values, n: int, D: int = 1):
@@ -193,7 +204,7 @@ def lin_residual(eq: LinearOde, z: LatticeSeq, n: int, form: str = "shift") -> F
     if n < 0 or n + N > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + N}, stored 0..{z.last_index}")
     if form == "shift":
-        integer = _IntegerForm.of(eq)
+        integer = _IntegerForm.of(eq.coeffs, eq.c0)
         return Fraction(_lin_residual_at(integer, z.values, n), integer.E)
     if form != "kernel":
         raise ValueError(f"unknown form {form!r}")
@@ -216,40 +227,47 @@ def lin_residuals(eq: LinearOde, z: LatticeSeq, form: str = "shift") -> list[Fra
     count = z.last_index - eq.order + 1
     if form != "shift":
         return [lin_residual(eq, z, n, form) for n in range(count)]
-    integer = _IntegerForm.of(eq)
+    integer = _IntegerForm.of(eq.coeffs, eq.c0)
     D, Z = over_common_denominator(z.values)
     return [Fraction(_lin_residual_at(integer, Z, n, D), D * integer.E) for n in range(count)]
 
 
-def _nonlin_residual_at(eq: NonlinearOde, values, stream: StarPowerStream, n: int) -> Fraction:
-    """Residual at n once z_0..z_n are fed to the stream; reads z_n..z_{n+m} too."""
-    acc = _difference(values, eq.m, n) - eq.coeffs[0].image_at(n)
-    for j in range(1, eq.degree + 1):
-        for power, coeff in eq.coeffs[j].monomials:
-            if power <= n:
-                s = n - power
-                zj = values[s] if j == 1 else stream.entry(j, s)
-                acc -= coeff * perm(n, power) * zj
-    return acc
+def _nonlin_scaled_residuals(eq: NonlinearOde, values, count: int) -> tuple[int, list[int]]:
+    """(D^N E, that multiple of the residuals at n = 0..count-1).
+
+    D is the common denominator of the values, Z = z * D, N the degree and E
+    the common denominator of the coefficients. Since (z^{*j}) = (Z^{*j}) / D^j,
+    index n is the integer sum
+    E D^(N-1) (Delta^m Z)_n - D^N sum_r G_r (n)_r - sum C_{j,p} D^(N-j) (n)_p (Z^{*j})_{n-p},
+    which reads Z_0..Z_{n+m}.
+    """
+    form = _IntegerForm.of((PolyCoeff(()), *eq.coeffs[1:]), eq.coeffs[0])
+    D, Z = over_common_denominator(values)
+    N = eq.degree
+    scale = [D ** (N - j) for j in range(N + 1)]
+    stream = StarPowerStream(N)
+    out = []
+    for n in range(count):
+        stream.feed(Z[n])
+        acc = form.E * scale[1] * _difference(Z, eq.m, n) - scale[0] * sum(g * perm(n, r) for r, g in form.c0)
+        for j, p, c in form.terms:
+            if p <= n:
+                acc -= c * perm(n, p) * scale[j] * (Z[n - p] if j == 1 else stream.entry(j, n - p))
+        out.append(acc)
+    return scale[0] * form.E, out
 
 
 def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
     """(Delta^m z)_n minus the star image of the right-hand side at n."""
     if n < 0 or n + eq.m > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + eq.m}, stored 0..{z.last_index}")
-    stream = StarPowerStream(eq.degree)
-    for value in z.values[: n + 1]:
-        stream.feed(value)
-    return _nonlin_residual_at(eq, z.values, stream, n)
+    denominator, scaled = _nonlin_scaled_residuals(eq, z.values[: n + eq.m + 1], n + 1)
+    return Fraction(scaled[n], denominator)
 
 
 def nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:
-    stream = StarPowerStream(eq.degree)
-    out = []
-    for n in range(z.last_index - eq.m + 1):
-        stream.feed(z[n])
-        out.append(_nonlin_residual_at(eq, z.values, stream, n))
-    return out
+    denominator, scaled = _nonlin_scaled_residuals(eq, z.values, z.last_index - eq.m + 1)
+    return [Fraction(r, denominator) for r in scaled]
 
 
 def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
@@ -267,7 +285,7 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
         raise ValueError(f"need exactly {N} initial values, got {len(values)}")
     if L < N - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {N} initial values")
-    integer = _IntegerForm.of(eq)
+    integer = _IntegerForm.of(eq.coeffs, eq.c0)
     scaled_lead = lead.numerator * (integer.E // lead.denominator)
     for n in range(L - N + 1):
         values.append(Fraction(0))
@@ -276,10 +294,11 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
 
 
 def nonlin_step(eq: NonlinearOde, init, L: int) -> LatticeSeq:
-    """Forward-solve the nonlinear recurrence; z_{n+m} always has coefficient 1.
+    """Forward-solve the nonlinear recurrence from z_0..z_{m-1}.
 
-    The star powers at index n need z_0..z_n only, so one stream fed each
-    entry once serves every step.
+    The first m transform coefficients come from the initial values through
+    their Newton coefficients; `solve_newton` extends them to zeta_0..zeta_L
+    and maps them back to z_0..z_L.
     """
     m = eq.m
     values = [as_rational(v) for v in init]
@@ -287,12 +306,8 @@ def nonlin_step(eq: NonlinearOde, init, L: int) -> LatticeSeq:
         raise ValueError(f"need exactly {m} initial values, got {len(values)}")
     if L < m - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {m} initial values")
-    stream = StarPowerStream(eq.degree)
-    for n in range(L - m + 1):
-        stream.feed(values[n])
-        values.append(Fraction(0))
-        values[-1] = -_nonlin_residual_at(eq, values, stream, n)
-    return LatticeSeq(tuple(values))
+    zeta = [w / factorial(l) for l, w in enumerate(lattice_to_newton(values))]
+    return LatticeSeq(tuple(solve_newton(m, eq.coeffs, zeta, L).lattice_values()))
 
 
 def local_stencil(eq: LinearOde) -> tuple[Fraction, ...] | None:
@@ -353,18 +368,90 @@ def _poly_coefficient(poly: PolyCoeff, power: int) -> Fraction:
 
 def taylor_solution_nonlinear(eq: NonlinearOde, init, L: int) -> TaylorCoeffs:
     """Power-series solution of z^(m) = sum_j a_j(t) z^j from m initial coefficients."""
-    m = eq.m
     b = [as_rational(v) for v in init]
-    if len(b) != m:
-        raise ValueError(f"need exactly {m} initial Taylor coefficients, got {len(b)}")
-    powers = [[] for _ in range(eq.degree - 1)]  # b^2 .. b^N, extended to degree s
-    for s in range(L - m + 1):
-        extend_powers(b, powers)
-        rhs = _poly_coefficient(eq.coeffs[0], s)
-        for j in range(1, eq.degree + 1):
-            bj = b if j == 1 else powers[j - 2]
-            for power, coeff in eq.coeffs[j].monomials:
-                if power <= s:
-                    rhs += coeff * bj[s - power]
-        b.append(rhs / falling_factorial(s + m, m))
-    return TaylorCoeffs(tuple(b[: L + 1]))
+    if len(b) != eq.m:
+        raise ValueError(f"need exactly {eq.m} initial Taylor coefficients, got {len(b)}")
+    return TaylorCoeffs(tuple(solve_newton(eq.m, eq.coeffs, b, L).taylor_coeffs()[: L + 1]))
+
+
+@dataclass(frozen=True)
+class NewtonSolution:
+    """Scaled Newton coefficients W_k = k! c E^k zeta_k, k = 0..len(W)-1.
+
+    w_k = k! zeta_k are the Newton coefficients (Delta^k z)_0 of the lattice
+    solution; c and E are positive integers (see `solve_newton`).
+    """
+
+    c: int
+    E: int
+    W: tuple[int, ...]
+
+    def taylor_coeffs(self) -> list[Fraction]:
+        """zeta_k = W_k / (k! c E^k): the Taylor, equally the transform, coefficients."""
+        out, denominator = [], self.c
+        for k, w in enumerate(self.W):
+            out.append(Fraction(w, denominator))
+            denominator *= (k + 1) * self.E
+        return out
+
+    def lattice_values(self) -> list[Fraction]:
+        """z_n = sum_l C(n,l) w_l = S_n / (c E^n) with S_n = sum_l C(n,l) E^(n-l) W_l.
+
+        S_n is entry 0 of row n of the table T_0 = W,
+        T_{n+1}[l] = E T_n[l] + T_n[l+1] (the Pascal rule), so each row costs
+        additions and multiplications by the small integer E only.
+        """
+        E, row, out, denominator = self.E, list(self.W), [], self.c
+        while row:
+            out.append(Fraction(row[0], denominator))
+            row = [E * a + b for a, b in zip(row, row[1:])]
+            denominator *= E
+        return out
+
+
+def solve_newton(m: int, coeffs, zeta_init, L: int) -> NewtonSolution:
+    """Solve z^(m) = sum_{j=0}^N a_j(t) z^j for zeta_0..zeta_L on integers.
+
+    ``coeffs`` are a_0..a_N as `PolyCoeff`, ``zeta_init`` the m coefficients
+    zeta_0..zeta_{m-1}. Multiplying coefficient k of the equation by k!
+    turns the Cauchy powers of zeta into binomial powers of w_k = k! zeta_k:
+
+        w_{k+m} = k! gamma_k + sum_{j>=1, p} a_{j,p} (k)_p (w^(*j))_{k-p},
+
+    with gamma_r the monomials of a_0, a_{j,p} those of a_j and
+    (u * v)_k = sum_i C(k,i) u_i v_{k-i}. Let c be the common denominator of
+    zeta_0..zeta_{m-1}, and E that of every c gamma_r and every
+    a_{j,p} / c^(j-1). Since (W^(*j))_s = c^j E^s (w^(*j))_s, the scaled
+    W_k = c E^k w_k obey
+
+        W_{k+m} = k! c E^(k+m) gamma_k + sum A_{j,p} (k)_p (W^(*j))_{k-p},
+        A_{j,p} = a_{j,p} c^(1-j) E^(m+p).
+
+    Every W_k is an integer, by induction on k. For k < m,
+    W_k = k! E^k (c zeta_k) and c clears zeta_k. For the step, each weight
+    is an integer: m + r >= 1 and m + p >= 1 leave at least one factor E,
+    and E times c gamma_r or a_{j,p} / c^(j-1) is an integer by the choice
+    of E; (k)_p and k! are integers, and binomial powers of the integers
+    W_0..W_{k+m-1} are integers because C(k,i) is. So the loop runs on
+    integers alone and divides nowhere.
+    """
+    zeta = [as_rational(v) for v in zeta_init]
+    c = lcm(*(x.denominator for x in zeta))
+    a0 = [(r, c * g) for r, g in coeffs[0].monomials]
+    rest = [(j, p, a / c ** (j - 1)) for j, a_j in enumerate(coeffs[1:], 1) for p, a in a_j.monomials]
+    E = lcm(*(x.denominator for _, x in a0), *(x.denominator for _, _, x in rest))
+    # E x is an integer for each x above, and every exponent m + r - 1, m + p - 1 is >= 0.
+    gamma = {r: (x * E).numerator * E ** (m + r - 1) for r, x in a0}
+    terms = [(j, p, (x * E).numerator * E ** (m + p - 1)) for j, p, x in rest]
+    W = [(c * x).numerator * factorial(k) * E**k for k, x in enumerate(zeta)]
+    powers: list[list[int]] = [[] for _ in range(len(coeffs) - 2)]  # W^(*2) .. W^(*N)
+    k_factorial = 1
+    for k in range(L - m + 1):
+        extend_binomial_powers(W, powers)
+        acc = k_factorial * gamma.get(k, 0)
+        for j, p, A in terms:
+            if p <= k:
+                acc += A * perm(k, p) * (W if j == 1 else powers[j - 2])[k - p]
+        W.append(acc)
+        k_factorial *= k + 1
+    return NewtonSolution(c, E, tuple(W))

@@ -1,16 +1,25 @@
 """Dense exact power-series and polynomial helpers.
 
-Coefficient lists are indexed by power (index 0 = constant term). All
-routines stay in `Fraction` arithmetic; truncation degree D means
-coefficients 0..D are kept. `mul_trunc` only adds and multiplies its
-inputs, so the float route in `floatmode` runs it on floats as well; an
-entry it never accumulates into stays the exact `Fraction(0)`.
+Coefficient lists are indexed by power (index 0 = constant term). The
+truncated series and polynomial routines stay in `Fraction` arithmetic;
+truncation degree D means coefficients 0..D are kept. `mul_trunc` only
+adds and multiplies its inputs, so the float route in `floatmode` runs it
+on floats as well; an entry it never accumulates into stays the exact
+`Fraction(0)`.
+
+`extend_binomial_powers` is the one running-power loop of the exact
+solvers. It works on Newton coefficients w_k = k! zeta_k, where the Cauchy
+product of coefficient series becomes the binomial convolution
+sum_i C(k,i) u_i v_{k-i} (the falling-factorial basis is of binomial type).
+Its weights are integers, so `odes.solve_newton` and `star.StarPowerStream`
+keep their powers on integers and never normalise a fraction per index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 
 def mul_trunc(a: list[Fraction], b: list[Fraction], D: int) -> list[Fraction]:
@@ -42,30 +51,32 @@ def pow_trunc(a: list[Fraction], e: int, D: int) -> list[Fraction]:
     return res
 
 
-def extend_powers(a: list[Fraction], powers: list[list[Fraction]]) -> None:
-    """Append the next coefficient to each running power a^2, a^3, ... in place.
+def extend_binomial_powers(w: list[int], powers: list[list[int]]) -> None:
+    """Append the next coefficient to each binomial power w^(*2), w^(*3), ... in place.
 
-    powers[i] holds a^(i+2) modulo x^k and a holds at least k+1 coefficients;
-    afterwards every power holds k+1. Coefficient k of a^j needs only a_0..a_k
-    and coefficients 0..k of a^(j-1), so a series known one coefficient at a
-    time keeps all its powers current in O(len(powers) * k) per coefficient.
+    The binomial convolution (u * v)_k = sum_i C(k,i) u_i v_(k-i) is the
+    Cauchy product written on Newton coefficients w_k = k! zeta_k, so its
+    weights are integers and integer input stays integer. powers[i] holds
+    w^(*(i+2)) up to index k-1 and w holds at least k+1 entries; afterwards
+    every power holds index k too. Index k of w^(*j) needs only w_0..w_k and
+    indices 0..k of w^(*(j-1)), so a sequence known one entry at a time keeps
+    all its powers current in O(len(powers) * k) products per entry.
     """
     if not powers:
         return
     k = len(powers[0])
-    # a^2 is symmetric: each product a_i a_(k-i) with i < k-i counts twice.
-    cross = Fraction(0)
-    for i in range((k + 1) // 2):
-        if a[i] and a[k - i]:
-            cross += a[i] * a[k - i]
-    powers[0].append(2 * cross + (a[k // 2] ** 2 if k % 2 == 0 else 0))
+    # weighted[i] = C(k,i) w_(k-i), shared by every power; the square, being
+    # symmetric, needs only i <= k/2.
+    weighted = []
+    binomial = 1
+    for i in range(k + 1 if len(powers) > 1 else k // 2 + 1):
+        weighted.append(binomial * w[k - i])
+        binomial = binomial * (k - i) // (i + 1)
+    half = sum(map(mul, w[: (k + 1) // 2], weighted))
+    powers[0].append(2 * half + (w[k // 2] * weighted[k // 2] if k % 2 == 0 else 0))
     prev = powers[0]
     for p in powers[1:]:
-        acc = Fraction(0)
-        for i in range(k + 1):
-            if prev[i] and a[k - i]:
-                acc += prev[i] * a[k - i]
-        p.append(acc)
+        p.append(sum(map(mul, prev, weighted)))
         prev = p
 
 

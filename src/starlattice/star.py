@@ -10,7 +10,11 @@ the closed-form power kernel
 and a literal multi-sum over shift indices serves as its independent oracle.
 Everything is triangular: entry n of any product depends only on entries
 0..n of the factors, so truncation at a common length is exact, and
-`StarPowerStream` extends star powers one entry at a time.
+`StarPowerStream` extends star powers one entry at a time. The stream runs
+on integers: fed a sequence over one common denominator, it takes Newton
+coefficients with the difference table, forms their binomial powers (the
+star product on Newton coefficients, with integer weights) and maps each
+power back with the Pascal rule, so no index builds a `Fraction`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from math import factorial
 
 from .errors import ArityZero, LengthMismatch
 from .sequences import FourierSeq, LatticeSeq
-from .series import extend_powers, mul_trunc, pow_trunc
+from .series import extend_binomial_powers, mul_trunc, pow_trunc
 from .transforms import falling_factorial, forward_transform, inverse_transform, recip_factorial
 
 
@@ -98,35 +102,43 @@ def _star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:
 
 
 class StarPowerStream:
-    """Star powers z^{*2}..z^{*degree} of a sequence fed one entry at a time.
+    """Star powers Z^{*2}..Z^{*degree} of an integer sequence fed one entry at a time.
 
-    The stream keeps the last diagonal (Delta^i z)_{k-i}, i = 0..k, of the
-    difference table of z_0..z_k, so the next coefficient
-    zeta_k = (Delta^k z)_0 / k! costs O(k), and extends the Cauchy powers
-    zeta^j by one coefficient per entry. After z_0..z_k are fed it answers
-    every (z^{*j})_s with s <= k, in O(s).
+    The stream keeps the last diagonal (Delta^i Z)_{k-i}, i = 0..k, of the
+    difference table of Z_0..Z_k, so the next Newton coefficient
+    w_k = (Delta^k Z)_0 costs O(k) subtractions, and extends the binomial
+    powers w^(*j) by one coefficient per entry (`extend_binomial_powers`).
+    Each power maps back to the lattice through its own summation diagonal:
+    the table T_0^(l) = P_l, T_{n+1}^(l) = T_n^(l) + T_n^(l+1) has
+    T_n^(0) = sum_l C(n,l) P_l, so one entry costs O(k) additions. All of it
+    stays on integers. After Z_0..Z_k are fed, `entry(j, s)` reads
+    (Z^{*j})_s for every s <= k.
     """
 
     def __init__(self, degree: int) -> None:
-        self._diagonal: list[Fraction] = []
-        self._zeta: list[Fraction] = []
-        self._powers: list[list[Fraction]] = [[] for _ in range(degree - 1)]  # zeta^2 ..
+        self._diagonal: list[int] = []
+        self._newton: list[int] = []
+        self._powers: list[list[int]] = [[] for _ in range(degree - 1)]  # w^(*2) ..
+        self._sums: list[list[int]] = [[] for _ in range(degree - 1)]
+        self._values: list[list[int]] = [[] for _ in range(degree - 1)]  # Z^{*2} ..
 
-    def feed(self, value: Fraction) -> None:
+    def feed(self, value: int) -> None:
         row = [value]
         for d in self._diagonal:
             row.append(row[-1] - d)
         self._diagonal = row
-        self._zeta.append(row[-1] / factorial(len(self._zeta)))
-        extend_powers(self._zeta, self._powers)
+        self._newton.append(row[-1])
+        extend_binomial_powers(self._newton, self._powers)
+        for j, power in enumerate(self._powers):
+            row = [power[-1]]
+            for d in self._sums[j]:
+                row.append(row[-1] + d)
+            self._sums[j] = row
+            self._values[j].append(row[-1])
 
-    def entry(self, j: int, s: int) -> Fraction:
-        """(z^{*j})_s = sum_l (zeta^j)_l (s)_l for 2 <= j <= degree, as a nested product."""
-        coeffs = self._powers[j - 2]
-        acc = coeffs[s]
-        for l in range(s - 1, -1, -1):
-            acc = coeffs[l] + (s - l) * acc
-        return acc
+    def entry(self, j: int, s: int) -> int:
+        """(Z^{*j})_s for 2 <= j <= degree."""
+        return self._values[j - 2][s]
 
 
 def star_kernel_closed(args: StarKernelArgs) -> Fraction:

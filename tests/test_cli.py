@@ -293,6 +293,9 @@ def test_cli_rejects_zero_arity(capsys):
         ["solve", "--input", "{doc}", "--init", "1", "--length", "100000000"],
         ["corpus", "--length", str(cli.MAX_LENGTH + 1)],
         ["bench", "--length", str(cli.MAX_LENGTH + 1)],
+        # the exact solvers have their own, lower bound
+        ["solve", "--input", "{doc}", "--init", "1/2", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
+        ["fourier", "--input", "{doc}", "--init", "1/2", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
     ],
 )
 def test_cli_refuses_bad_option_in_one_line(tmp_path, capsys, argv):
@@ -302,8 +305,13 @@ def test_cli_refuses_bad_option_in_one_line(tmp_path, capsys, argv):
 
 
 def test_cli_accepts_length_at_the_bound():
-    args = cli._parser().parse_args(["solve", "--input", "eq.json", "--length", str(cli.MAX_LENGTH)])
-    assert args.length == cli.MAX_LENGTH
+    for argv, bound in (
+        (["solve", "--input", "eq.json"], cli.MAX_SOLVE_LENGTH),
+        (["fourier", "--input", "eq.json"], cli.MAX_SOLVE_LENGTH),
+        (["residual", "--input", "eq.json"], cli.MAX_LENGTH),
+        (["corpus"], cli.MAX_LENGTH),
+    ):
+        assert cli._parser().parse_args(argv + ["--length", str(bound)]).length == bound
 
 
 def test_cli_runs_share_one_parser_without_leaking_options(tmp_path, capsys):
@@ -353,3 +361,40 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert done.returncode == 0
     assert done.stdout == "n,z\n0,0\n1,1\n2,2\n3,2\n"
+
+
+def test_cli_fourier_length_shorter_than_the_initial_coefficients(tmp_path, capsys):
+    path = write_doc(tmp_path, {"type": "nonlinear", "m": 2, "coeffs": [[], [[0, "1"]], [[0, "1"]]]})
+    code = run(["fourier", "--input", path, "--length", "0", "--init=1,2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: length L=0 shorter than the 2 initial coefficients\n"
+    assert run(["fourier", "--input", path, "--length", "1", "--init=1,2"]) == 0
+    assert capsys.readouterr().out == "n,zeta\n0,1\n1,2\n"
+
+
+def test_cli_galois_float_columns_pass_a_relative_bound(tmp_path):
+    # x^4 + x^3 + 3x^2 - 2x + 2 has only float roots, and two of its columns
+    # grow like |1 + root|^n: an absolute residual bound failed them at L = 30.
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": ["2", "-2", "3", "1"]})
+    for length in (20, 30, 200):
+        out_path = tmp_path / f"g{length}.json"
+        argv = ["galois", "--input", path, "--length", str(length), "--allow-float-roots", "--out", str(out_path)]
+        assert run(argv) == 0
+        report = json.loads(out_path.read_text())
+        assert report["residuals_ok"] is True and report["ok"] is True
+
+
+def test_cli_galois_refuses_float_roots_before_verifying(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the refusal must come before the verification")
+
+    monkeypatch.setattr(cli, "verify_fundamental", forbidden)
+    monkeypatch.setattr(galois, "map_solution", forbidden)
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": ["-1", "-1", "0"]})
+    code = run(["galois", "--input", path, "--length", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: --mode: equation has non-exact roots; rerun with --mode float or --allow-float-roots\n"
+    )

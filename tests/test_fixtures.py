@@ -6,8 +6,10 @@ code with the files under `tests/fixtures/expected/`. The first twelve
 were written by the code before the integer kernel of `transforms` and
 `odes` existed, so they pin the output of every exact route to the older
 one; the `discretize`, `fourier` and `--mode float` cases were written by
-the code before the CLI's command table. They are never rewritten to make
-a failing case pass.
+the code before the CLI's command table, and the `forced` and `cubic-m2`
+cases (polynomial a_j(t) with an a_0(t), and a second-order Fourier
+stream) by the code before the integer Newton-space solver. They are
+never rewritten to make a failing case pass.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ CASES = [
         0,
     ),
     ("cubic-galois-float", ["galois", "--input", "{doc}", "--length", "20", "--mode", "float"], "cubic", 0),
+    ("forced-solve", ["solve", "--input", "{doc}", "--length", "20", "--init", "1/2,-1/3"], "forced", 0),
+    ("forced-residual", ["residual", "--input", "{doc}", "--length", "20"], "forced", 1),
+    ("cubic-m2-fourier", ["fourier", "--input", "{doc}", "--length", "20", "--init", "1/2,-1/3"], "cubic-m2", 0),
 ]
 
 

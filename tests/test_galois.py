@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -189,3 +190,15 @@ def test_generic_stencil_solution_space_exceeds_order():
         assert apply_stencil(SYMMETRIC_DIFFERENCE, alt, n) == 0
     det = ones[0] * alt[1] - ones[1] * alt[0]
     assert det != 0
+
+
+def test_float_residual_bound_is_relative_and_still_fails_a_perturbed_root():
+    # x^4 + x^3 + 3x^2 - 2x + 2: four float roots, two with |1 + root| > 1, so
+    # their columns grow and only a bound relative to the stencil scale holds.
+    eq = ConstLinearEq(tuple(Fraction(c) for c in (2, -2, 3, 1)))
+    roots = char_roots(eq)
+    assert not any(r.exact for r in roots)
+    assert verify_fundamental(eq, 30, roots).residuals_ok
+    for i, root in enumerate(roots):
+        perturbed = roots[:i] + [replace(root, value=root.value + 1e-6)] + roots[i + 1 :]
+        assert not verify_fundamental(eq, 30, perturbed).residuals_ok

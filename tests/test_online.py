@@ -4,7 +4,9 @@ A seeded sweep over small random equations with polynomial coefficients
 checks that the per-index residual evaluators equal the paper's
 whole-sequence route (delta_power, kernel star powers, monomial images),
 that lattice stepping reproduces the lattice image of the Taylor solution,
-and that the Fourier stream reproduces the Taylor coefficients.
+and that the Fourier stream reproduces the Taylor coefficients. A second
+sweep checks the integer Newton-space solver and the integer residuals
+against the `Fraction` streams written out below as the reference.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import comb, factorial, perm
 
 import pytest
 
-from starlattice import IndexOutOfRange, LatticeSeq, TaylorCoeffs, taylor_to_lattice
+from starlattice import IndexOutOfRange, LatticeSeq, TaylorCoeffs, inverse_transform, taylor_to_lattice
 from starlattice.cli import run
 from starlattice.fourier import ConstNonlinearOde, constrained_convolution, fourier_step
 from starlattice.galois import ConstLinearEq, FundamentalSystem, apply_operator, modified_wronskian
@@ -31,12 +34,103 @@ from starlattice.odes import (
     nonlin_residual,
     nonlin_residuals,
     nonlin_step,
+    solve_newton,
     taylor_solution_linear,
     taylor_solution_nonlinear,
 )
-from starlattice.series import extend_powers, pow_trunc
+from starlattice.series import extend_binomial_powers, pow_trunc
 from starlattice.star import monomial_star, star_power
 from starlattice.transforms import falling_factorial
+
+
+def extend_powers(a: list[Fraction], powers: list[list[Fraction]]) -> None:
+    """Reference stream: append the next coefficient to each Cauchy power a^2, a^3, ... in place.
+
+    powers[i] holds a^(i+2) modulo x^k and a holds at least k+1 coefficients;
+    afterwards every power holds k+1. This is the `Fraction` loop that the
+    package's solvers ran before they moved to integer Newton coefficients.
+    """
+    if not powers:
+        return
+    k = len(powers[0])
+    cross = Fraction(0)
+    for i in range((k + 1) // 2):
+        cross += a[i] * a[k - i]
+    powers[0].append(2 * cross + (a[k // 2] ** 2 if k % 2 == 0 else 0))
+    prev = powers[0]
+    for p in powers[1:]:
+        p.append(sum((prev[i] * a[k - i] for i in range(k + 1)), Fraction(0)))
+        prev = p
+
+
+class ReferenceStarPowers:
+    """Reference star powers of a sequence fed one `Fraction` at a time.
+
+    zeta_k = (Delta^k z)_0 / k! from the last diagonal of the difference
+    table, Cauchy powers of zeta through `extend_powers`, and
+    (z^{*j})_s = sum_l (zeta^j)_l (s)_l.
+    """
+
+    def __init__(self, degree: int) -> None:
+        self.diagonal: list[Fraction] = []
+        self.zeta: list[Fraction] = []
+        self.powers: list[list[Fraction]] = [[] for _ in range(degree - 1)]
+
+    def feed(self, value: Fraction) -> None:
+        row = [value]
+        for d in self.diagonal:
+            row.append(row[-1] - d)
+        self.diagonal = row
+        self.zeta.append(row[-1] / factorial(len(self.zeta)))
+        extend_powers(self.zeta, self.powers)
+
+    def entry(self, j: int, s: int) -> Fraction:
+        return sum((c * perm(s, l) for l, c in enumerate(self.powers[j - 2][: s + 1])), Fraction(0))
+
+
+def reference_rhs(eq: NonlinearOde, values, stream: ReferenceStarPowers, n: int) -> Fraction:
+    """Star image of sum_j a_j(t) z^j at n, once z_0..z_n are fed."""
+    acc = eq.coeffs[0].image_at(n)
+    for j in range(1, eq.degree + 1):
+        for p, c in eq.coeffs[j].monomials:
+            if p <= n:
+                acc += c * perm(n, p) * (values[n - p] if j == 1 else stream.entry(j, n - p))
+    return acc
+
+
+def reference_nonlin_step(eq: NonlinearOde, init, L: int) -> list[Fraction]:
+    """Lattice stepping: (Delta^m z)_n = right-hand side at n, solved for z_{n+m}."""
+    m, values = eq.m, [Fraction(v) for v in init]
+    stream = ReferenceStarPowers(eq.degree)
+    for n in range(L - m + 1):
+        stream.feed(values[n])
+        known = sum(((-1) ** (m - i) * comb(m, i) * values[n + i] for i in range(m)), Fraction(0))
+        values.append(reference_rhs(eq, values, stream, n) - known)
+    return values
+
+
+def reference_nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:
+    m, values, out = eq.m, z.values, []
+    stream = ReferenceStarPowers(eq.degree)
+    for n in range(z.last_index - m + 1):
+        stream.feed(values[n])
+        delta = sum(((-1) ** (m - i) * comb(m, i) * values[n + i] for i in range(m + 1)), Fraction(0))
+        out.append(delta - reference_rhs(eq, values, stream, n))
+    return out
+
+
+def reference_taylor(m: int, coeffs, init, L: int) -> list[Fraction]:
+    """(s+m)!/s! b_{s+m} = gamma_s + sum_{j,p} a_{j,p} (b^j)_{s-p}, Cauchy powers through `extend_powers`."""
+    b = [Fraction(v) for v in init]
+    powers = [[] for _ in range(len(coeffs) - 2)]
+    for s in range(L - m + 1):
+        extend_powers(b, powers)
+        rhs = sum((c for p, c in coeffs[0].monomials if p == s), Fraction(0))
+        for j, a_j in enumerate(coeffs[1:], 1):
+            bj = b if j == 1 else powers[j - 2]
+            rhs += sum((c * bj[s - p] for p, c in a_j.monomials if p <= s), Fraction(0))
+        b.append(rhs / perm(s + m, m))
+    return b[: L + 1]
 
 
 def rand_rat(rng: random.Random) -> Fraction:
@@ -174,6 +268,70 @@ def test_extend_powers_matches_pow_trunc():
     for k in range(len(a)):
         extend_powers(a[: k + 1], powers)
     assert powers == [pow_trunc(a, j, len(a) - 1) for j in range(2, 6)]
+
+
+def test_extend_binomial_powers_is_the_cauchy_power_on_newton_coefficients():
+    rng = random.Random(27)
+    w = [rng.randrange(-10**6, 10**6) if rng.random() < 0.7 else 0 for _ in range(14)]
+    zeta = [Fraction(x, factorial(k)) for k, x in enumerate(w)]
+    for degree in (2, 3, 5):
+        powers = [[] for _ in range(degree - 1)]
+        for k in range(len(w)):
+            extend_binomial_powers(w[: k + 1], powers)
+        for j, power in enumerate(powers, 2):
+            assert all(type(x) is int for x in power)
+            assert power == [factorial(k) * c for k, c in enumerate(pow_trunc(zeta, j, len(w) - 1))]
+
+
+def sweep_nonlinear(rng: random.Random, wide: bool) -> NonlinearOde:
+    """m <= 3, degree <= 4, polynomial coefficients, over small or wide denominators."""
+    rat = wide_rat if wide else rand_rat
+    m, degree = rng.randrange(1, 4), rng.randrange(1, 5)
+
+    def poly(lead: bool) -> PolyCoeff:
+        pairs = [(p, rat(rng)) for p in rng.sample(range(3), rng.randrange(0, 3))]
+        if lead:
+            pairs = [(p, c) for p, c in pairs if p != 0] + [(0, rat(rng) or Fraction(1))]
+        return PolyCoeff.from_pairs(pairs)
+
+    return NonlinearOde(m, tuple(poly(False) for _ in range(degree)) + (poly(True),))
+
+
+def test_sweep_integer_solver_matches_fraction_streams():
+    rng = random.Random(28)
+    for i in range(60):
+        wide = i % 2 == 1
+        rat = wide_rat if wide else rand_rat
+        eq = sweep_nonlinear(rng, wide)
+        m = eq.m
+        L = rng.randrange(m - 1, 9 if wide else 16)
+        zero = i % 4 < 2
+        init = [Fraction(0) if zero else rat(rng) for _ in range(m)]
+        solution = solve_newton(m, eq.coeffs, init, L)
+        assert all(type(w) is int for w in solution.W)
+        if zero:
+            assert solution.c == 1
+        assert taylor_solution_nonlinear(eq, init, L).coeffs == tuple(reference_taylor(m, eq.coeffs, init, L))
+        assert nonlin_step(eq, init, L).values == tuple(reference_nonlin_step(eq, init, L))
+        z = LatticeSeq(tuple(rat(rng) for _ in range(m + rng.randrange(1, 8))))
+        assert nonlin_residuals(eq, z) == reference_nonlin_residuals(eq, z)
+        a = tuple(rat(rng) for _ in range(eq.degree - 1)) + (rat(rng) or Fraction(1),)
+        feq = ConstNonlinearOde(m, a, rat(rng))
+        coeffs = [PolyCoeff.constant(c) for c in (feq.b0, *feq.a)]
+        assert fourier_step(feq, init, max(L, m - 1)).coeffs == tuple(reference_taylor(m, coeffs, init, max(L, m - 1)))
+
+
+def test_lattice_solution_is_the_image_of_the_taylor_solution():
+    # The paper's identity: stepping from z_0..z_{m-1} equals the lattice image of
+    # the Taylor solution whose first m coefficients are the transform of those values.
+    rng = random.Random(29)
+    for i in range(40):
+        wide = i % 2 == 1
+        eq = sweep_nonlinear(rng, wide)
+        L = rng.randrange(eq.m - 1, 10 if wide else 18)
+        init = LatticeSeq(tuple((wide_rat if wide else rand_rat)(rng) for _ in range(eq.m)))
+        zeta_init = inverse_transform(init).coeffs
+        assert nonlin_step(eq, init.values, L) == taylor_to_lattice(taylor_solution_nonlinear(eq, zeta_init, L), L)
 
 
 def test_residual_ignores_entries_beyond_its_window():
