@@ -143,10 +143,24 @@ def gaussian_case(length: int = 20) -> CorpusCase:
     )
 
 
-def _pochhammer(x: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= x + i
+def _gauss_coefficients(a: Fraction, b: Fraction, c: Fraction, L: int) -> list[Fraction]:
+    """(a)_k (b)_k / ((c)_k k!) for k = 0..L.
+
+    The rising factorials and k! are running products, one factor per k.
+    Raises PochhammerPole at the first k with (c)_k = 0.
+    """
+    out = []
+    pa = pb = pc = Fraction(1)
+    k_factorial = 1
+    for k in range(L + 1):
+        if k:
+            pa *= a + k - 1
+            pb *= b + k - 1
+            pc *= c + k - 1
+            k_factorial *= k
+        if pc == 0:
+            raise PochhammerPole(f"(c)_{k} = 0 for c = {format_rational(c)}")
+        out.append(pa * pb / pc / k_factorial)
     return out
 
 
@@ -160,19 +174,10 @@ def gauss_sum(n: int, a, b, c) -> Fraction:
     a, b, c = as_rational(a), as_rational(b), as_rational(c)
     if n < 0:
         raise ValueError("index must be nonnegative")
-    acc = Fraction(0)
-    for k in range(n + 1):
-        den = _pochhammer(c, k)
-        if den == 0:
-            raise PochhammerPole(f"(c)_{k} = 0 for c = {format_rational(c)}")
-        acc += (
-            _pochhammer(a, k)
-            * _pochhammer(b, k)
-            / den
-            / factorial(k)
-            * falling_factorial(n, k)
-        )
-    return acc
+    return sum(
+        (g * falling_factorial(n, k) for k, g in enumerate(_gauss_coefficients(a, b, c, n))),
+        Fraction(0),
+    )
 
 
 def hypergeometric_case(
@@ -193,17 +198,11 @@ def hypergeometric_case(
         )
     )
     L = max(length, _BUILD_CHECK_RANGE) + 4
-    coeffs = []
-    for k in range(L + 1):
-        den = _pochhammer(c, k)
-        if den == 0:
-            raise PochhammerPole(f"(c)_{k} = 0 for c = {format_rational(c)}")
-        coeffs.append(_pochhammer(a, k) * _pochhammer(b, k) / den / factorial(k))
     return _checked(
         CorpusCase(
             name="hypergeometric",
             equation=eq,
-            solutions=(TaylorCoeffs(tuple(coeffs)),),
+            solutions=(TaylorCoeffs(tuple(_gauss_coefficients(a, b, c, L))),),
             parameters=(("a", a), ("b", b), ("c", c)),
         )
     )
@@ -302,17 +301,15 @@ def jacobi_shifted_form(m: int, alpha: Fraction, beta: Fraction, n: int) -> Frac
     Kept for side-by-side comparison with the termwise image; the two do not
     agree in general and only the residual test is authoritative.
     """
+    x = alpha + beta + m + 1
     acc = Fraction(0)
+    rising = Fraction(1)  # (x)_k
+    shifted = 1  # (n-1)(n-2)...(n-k)
     for k in range(m + 1):
-        prod = Fraction(1)
-        for i in range(k):
-            prod *= Fraction(n - 1 - i)
-        acc += (
-            _binomial_general(Fraction(m), k)
-            * _pochhammer(alpha + beta + m + 1, k)
-            * Fraction(1, 2**k)
-            * prod
-        )
+        if k:
+            rising *= x + k - 1
+            shifted *= n - k
+        acc += _binomial_general(Fraction(m), k) * rising * Fraction(shifted, 2**k)
     return acc / factorial(m)
 
 

@@ -47,6 +47,10 @@ class RootCertificationError(StarLatticeError, ArithmeticError):
     """A float fallback root leaves a characteristic-polynomial residual above the bound."""
 
 
+class FloatOverflow(StarLatticeError, ArithmeticError):
+    """A float computation leaves the double range."""
+
+
 class SingularSystem(StarLatticeError):
     """A solution set has an exactly-zero modified Wronskian (dependent solutions)."""
 

@@ -7,6 +7,13 @@ coefficients. Roots are kept exact whenever possible (rational roots by the
 rational root theorem, conjugate pairs as quadratic surds); factors of
 degree >= 3 without rational roots fall back to certified float roots.
 
+Generators are running products: each index costs one field product of
+the previous power by 1+l. `verify_fundamental` checks every index with one
+(N+1)-term dot product against the local stencil of T[Delta]
+(`odes.local_stencil`), on integer numerators for exact columns;
+`apply_operator`, the literal Delta^N z_n + sum a_i Delta^i z_n, stays as the
+definitional per-index oracle that the tests compare it with.
+
 The modified Wronskian is the determinant of iterated forward differences
 of the solution set; a nonzero value certifies a fundamental system, and an
 exactly-zero value raises ``SingularSystem``.
@@ -18,8 +25,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
+from operator import mul
 
-from .errors import IndexOutOfRange, RootCertificationError, SingularSystem
+from .errors import FloatOverflow, IndexOutOfRange, RootCertificationError, SingularSystem
 from .odes import LinearOde, PolyCoeff, local_stencil
 from .rational import as_rational, format_rational, over_common_denominator
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
@@ -294,16 +302,30 @@ def _root_sort_key(r: RootDatum):
 
 
 def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
-    """Lattice generator (n)_j (1+root)^(n-j) for n = 0..L; zero below n = j."""
+    """Lattice generator (n)_j (1+root)^(n-j) for n = 0..L; zero below n = j.
+
+    Exact roots keep a running power of 1+root, one field product per index.
+    Float roots take each power from complex `pow`; an entry that leaves the
+    double range raises ``FloatOverflow``, naming the root and the index.
+    """
     if not 0 <= j < root.multiplicity:
         raise ValueError(f"power j={j} must lie below the multiplicity {root.multiplicity}")
     one_plus = 1 + root.value
-    values: list[Scalar] = []
-    for n in range(L + 1):
-        if n < j:
-            values.append(Fraction(0))
-        else:
-            values.append(falling_factorial(n, j) * one_plus ** (n - j))
+    values: list[Scalar] = [Fraction(0)] * min(j, L + 1)
+    if isinstance(one_plus, complex):
+        for n in range(j, L + 1):
+            try:
+                value = falling_factorial(n, j) * one_plus ** (n - j)
+            except OverflowError:
+                value = complex(inf)
+            if not cmath.isfinite(value):
+                raise FloatOverflow(f"float root {root.value}: column j={j} leaves the double range at n={n}")
+            values.append(value)
+        return tuple(values)
+    power = QuadExt(Fraction(1), Fraction(0), one_plus.d) if isinstance(one_plus, QuadExt) else Fraction(1)
+    for n in range(j, L + 1):
+        values.append(falling_factorial(n, j) * power if j else power)
+        power = power * one_plus
     return tuple(values)
 
 
@@ -392,6 +414,52 @@ def modified_wronskian(sys: FundamentalSystem, n0: int = 0) -> Scalar:
     return det
 
 
+def _rational_parts(column) -> tuple[list[Fraction], ...]:
+    """The column itself if rational, else its rational and sqrt(d) parts.
+
+    `char_roots` builds a QuadExt only when d is not a rational square, so
+    sqrt(d) is irrational and a + b sqrt(d) = 0 exactly when a = b = 0: a
+    QuadExt column satisfies a rational stencil exactly when both parts do.
+    """
+    if not any(isinstance(x, QuadExt) for x in column):
+        return (column,)
+    zero = Fraction(0)
+    return (
+        [x.a if isinstance(x, QuadExt) else x for x in column],
+        [x.b if isinstance(x, QuadExt) else zero for x in column],
+    )
+
+
+def _stencil_vanishes(stencil_ints: list[int], column, N: int) -> bool:
+    """Whether sum_k S_k z_{n+k} = 0 at every n = 0..len(column)-N-1.
+
+    S is the stencil over its common denominator; each window z_n..z_{n+N}
+    is put over its own, so the test runs on integer numerators only.
+    """
+    for n in range(len(column) - N):
+        _, window = over_common_denominator(column[n : n + N + 1])
+        if sum(map(mul, stencil_ints, window)):
+            return False
+    return True
+
+
+def _float_residuals(stencil, column, N: int) -> tuple[float, bool]:
+    """Largest |sum_k s_k z_{n+k}| over n, and whether each passes its relative bound."""
+    coeffs = [complex(s) for s in stencil]
+    weights = [abs(c) for c in coeffs]
+    column = [complex(z) for z in column]
+    magnitudes = [abs(z) for z in column]
+    largest = 0.0
+    ok = True
+    for n in range(len(column) - N):
+        mag = abs(sum(map(mul, coeffs, column[n : n + N + 1])))
+        largest = max(largest, mag)
+        scale = sum(map(mul, weights, magnitudes[n : n + N + 1]))
+        if not mag <= FLOAT_SOLUTION_RESIDUAL_BOUND * scale < inf:  # NaN or overflow fails too
+            ok = False
+    return largest, ok
+
+
 @dataclass(frozen=True)
 class FundamentalReport:
     order: int
@@ -412,9 +480,11 @@ class FundamentalReport:
 def verify_fundamental(eq: ConstLinearEq, L: int, roots: list[RootDatum] | None = None) -> FundamentalReport:
     """Build the mapped system, check the defining certificates and report both.
 
-    Exact solutions must satisfy the difference operator identically; float
-    solutions must stay below FLOAT_SOLUTION_RESIDUAL_BOUND relative to the
-    scale sum_k |s_k| |z_{n+k}| of the stencil s at n. The modified
+    At every n = 0..L-N the residual is one dot product sum_k s_k z_{n+k}
+    with the local stencil s of T[Delta] (`odes.local_stencil`); it equals
+    `apply_operator` at n. Exact solutions must satisfy it identically, on
+    integers; float solutions must stay below FLOAT_SOLUTION_RESIDUAL_BOUND
+    relative to the scale sum_k |s_k| |z_{n+k}|. The modified
     Wronskian at n0 = 0 must be nonzero. The operator at n reads index n+N,
     so a length L below the order N leaves no index to check and is refused.
     ``roots`` are `char_roots(eq)` when the caller has found them already.
@@ -427,21 +497,17 @@ def verify_fundamental(eq: ConstLinearEq, L: int, roots: list[RootDatum] | None 
     system = _map_roots(roots, L)
     exact = [root.exact for root in roots for _ in range(root.multiplicity)]
     monic = LinearOde(tuple(PolyCoeff.constant(c) for c in eq.char_poly()))
-    weights = [abs(float(s)) for s in reversed(local_stencil(monic))]  # weights[k] goes with z_{n+k}
+    stencil = local_stencil(monic)[::-1]  # stencil[k] goes with z_{n+k}
+    _, stencil_ints = over_common_denominator(stencil)
     residuals_ok = True
     max_float = 0.0
     for sol, sol_exact in zip(system.solutions, exact):
-        for n in range(L - N + 1):
-            value = apply_operator(eq, sol, n)
-            if sol_exact:
-                if not _is_zero_scalar(value):
-                    residuals_ok = False
-            else:
-                mag = abs(complex(value))
-                max_float = max(max_float, mag)
-                scale = sum(s * abs(complex(sol[n + k])) for k, s in enumerate(weights))
-                if not mag <= FLOAT_SOLUTION_RESIDUAL_BOUND * scale < inf:  # NaN or overflow fails too
-                    residuals_ok = False
+        if sol_exact:
+            column_ok = all(_stencil_vanishes(stencil_ints, part, N) for part in _rational_parts(sol))
+        else:
+            column_max, column_ok = _float_residuals(stencil, sol, N)
+            max_float = max(max_float, column_max)
+        residuals_ok = residuals_ok and column_ok
     try:
         w = modified_wronskian(system, 0)
         nonzero = True

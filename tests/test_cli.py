@@ -385,6 +385,20 @@ def test_cli_galois_float_columns_pass_a_relative_bound(tmp_path):
         assert report["residuals_ok"] is True and report["ok"] is True
 
 
+def test_cli_galois_float_column_overflow_is_refused(tmp_path, capsys):
+    # x^3 - 10x - 1: its largest root puts |1 + root| near 4.2, so (1 + root)^n
+    # leaves the double range at n = 494; complex pow raised OverflowError there.
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": ["-1", "-10", "0"]})
+    code = run(["galois", "--input", path, "--length", "600", "--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: float root (3.2111") and captured.err.endswith(" at n=494\n")
+    out_path = tmp_path / "g400.json"
+    assert run(["galois", "--input", path, "--length", "400", "--mode", "float", "--out", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["residuals_ok"] is True
+
+
 def test_cli_galois_refuses_float_roots_before_verifying(tmp_path, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("the refusal must come before the verification")

@@ -8,8 +8,10 @@ were written by the code before the integer kernel of `transforms` and
 one; the `discretize`, `fourier` and `--mode float` cases were written by
 the code before the CLI's command table, and the `forced` and `cubic-m2`
 cases (polynomial a_j(t) with an a_0(t), and a second-order Fourier
-stream) by the code before the integer Newton-space solver. They are
-never rewritten to make a failing case pass.
+stream) by the code before the integer Newton-space solver, and the
+`quintic` cases ((x - 1/3)^2 (x - 2) (x^2 + x + 2): a double root next to a
+complex surd pair) by the code before the stencil residuals of `galois`.
+They are never rewritten to make a failing case pass.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ CASES = [
     ("forced-solve", ["solve", "--input", "{doc}", "--length", "20", "--init", "1/2,-1/3"], "forced", 0),
     ("forced-residual", ["residual", "--input", "{doc}", "--length", "20"], "forced", 1),
     ("cubic-m2-fourier", ["fourier", "--input", "{doc}", "--length", "20", "--init", "1/2,-1/3"], "cubic-m2", 0),
+    ("quintic-galois", ["galois", "--input", "{doc}", "--length", "40"], "quintic", 0),
+    ("quintic-galois-float", ["galois", "--input", "{doc}", "--length", "40", "--mode", "float"], "quintic", 0),
 ]
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from starlattice import LatticeSeq, SingularSystem, TaylorCoeffs, taylor_to_lattice
 from starlattice.deltaops import SYMMETRIC_DIFFERENCE, apply_stencil
+from starlattice import galois
 from starlattice.galois import (
     ConstLinearEq,
     QuadExt,
@@ -21,6 +22,7 @@ from starlattice.galois import (
     system_from_sequences,
     verify_fundamental,
 )
+from starlattice.transforms import falling_factorial
 
 
 def sin_cos_system(L: int):
@@ -202,3 +204,149 @@ def test_float_residual_bound_is_relative_and_still_fails_a_perturbed_root():
     for i, root in enumerate(roots):
         perturbed = roots[:i] + [replace(root, value=root.value + 1e-6)] + roots[i + 1 :]
         assert not verify_fundamental(eq, 30, perturbed).residuals_ok
+
+
+# ---------------------------------------------------------------- stencil residuals and running generators
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _random_operator(rng: random.Random) -> ConstLinearEq:
+    """Monic operator of order <= 5: distinct rational roots of multiplicity <= 3,
+    one real or complex surd pair of multiplicity <= 2, or both."""
+    kind = rng.choice(("rational", "surd", "mixed"))
+    poly = [Fraction(1)]
+    if kind != "rational":
+        while True:
+            p, q = (Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(2))
+            if galois._rational_sqrt(p * p - 4 * q) is None:
+                break
+        for _ in range(rng.randint(1, 2)):
+            poly = _poly_mul(poly, [q, p, Fraction(1)])
+    if kind != "surd":
+        pool = sorted({Fraction(k, d) for d in (1, 2, 3) for k in range(-2 * d, 2 * d + 1)})
+        for r in rng.sample(pool, 5):
+            for _ in range(rng.randint(1, min(3, 6 - len(poly)))):
+                poly = _poly_mul(poly, [-r, Fraction(1)])
+            if len(poly) == 6 or rng.random() < 0.4:
+                break
+    return ConstLinearEq(tuple(poly[:-1]))
+
+
+def _checks_by_apply_operator(eq, system) -> bool:
+    """Whether the literal operator vanishes at every checked index of every column."""
+    N, L = eq.order, system.length - 1
+    values = (apply_operator(eq, sol, n) for sol in system.solutions for n in range(L - N + 1))
+    return all(v.is_zero if isinstance(v, QuadExt) else v == 0 for v in values)
+
+
+def _with_entry(column, m, entry):
+    return column[:m] + (entry,) + column[m + 1 :]
+
+
+def _verify_with_column(monkeypatch, eq, L, roots, index, m, corrupt):
+    """verify_fundamental with entry m of generator `index` replaced by corrupt(entry)."""
+    pairs = [(root, j) for root in roots for j in range(root.multiplicity)]
+    original = galois.map_solution
+
+    def faulty(root, j, length):
+        column = original(root, j, length)
+        return _with_entry(column, m, corrupt(column[m])) if (root, j) == pairs[index] else column
+
+    with monkeypatch.context() as patch:
+        patch.setattr(galois, "map_solution", faulty)
+        return verify_fundamental(eq, L, roots)
+
+
+def test_seeded_sweep_stencil_residuals_agree_with_apply_operator(monkeypatch):
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(60):
+        eq = _random_operator(rng)
+        N = eq.order
+        L = N + rng.randrange(0, 16)
+        roots = char_roots(eq)
+        assert all(root.exact for root in roots)
+        kinds.update(type(root.value).__name__ for root in roots)
+        report = verify_fundamental(eq, L, roots)
+        for (value, j), sol in zip(report.system.generators, report.system.solutions):
+            assert sol == tuple(
+                Fraction(0) if n < j else falling_factorial(n, j) * (1 + value) ** (n - j) for n in range(L + 1)
+            )
+        assert report.residuals_ok is _checks_by_apply_operator(eq, report.system) is True
+        # One changed entry: both checks see the same residuals, so they agree again.
+        index = rng.randrange(N)
+        m = rng.randrange(L + 1)
+        bad = _verify_with_column(monkeypatch, eq, L, roots, index, m, lambda v: v + Fraction(1, 7))
+        assert bad.residuals_ok is _checks_by_apply_operator(eq, bad.system)
+        if m >= N:  # the window at n = m - N reads z_m with the leading stencil weight 1
+            assert bad.residuals_ok is False
+    assert kinds == {"Fraction", "QuadExt"}
+
+
+QUINTIC = ConstLinearEq((Fraction(-4, 9), Fraction(8, 3), Fraction(-37, 9), Fraction(7, 9), Fraction(-5, 3)))
+
+
+@pytest.mark.parametrize(
+    "index, m, corrupt",
+    [
+        (1, 9, lambda v: v + Fraction(1, 10**30)),  # a Fraction entry of the j = 1 column of 1/3
+        (3, 7, lambda v: replace(v, a=v.a + Fraction(1, 3**40))),  # rational part of a QuadExt entry
+        (4, 7, lambda v: replace(v, b=v.b - Fraction(1, 2**60))),  # its sqrt(d) part
+        (0, 30, lambda v: v * Fraction(2**50 + 1, 2**50)),  # the last entry z_L, read only at n = L - N
+        (4, 30, lambda v: replace(v, b=v.b + 1)),  # the same for a QuadExt column
+    ],
+    ids=["fraction", "quad-rational-part", "quad-sqrt-part", "last-index", "last-index-quad"],
+)
+def test_fault_injection_fails_the_integer_check(monkeypatch, index, m, corrupt):
+    # (x - 1/3)^2 (x - 2) (x^2 + x + 2): generators 1/3 (j = 0, 1), 2, and the sqrt(-7) pair.
+    L = 30
+    roots = char_roots(QUINTIC)
+    assert verify_fundamental(QUINTIC, L, roots).residuals_ok
+    bad = _verify_with_column(monkeypatch, QUINTIC, L, roots, index, m, corrupt)
+    assert bad.residuals_ok is False
+    assert not _checks_by_apply_operator(QUINTIC, bad.system)
+
+
+def test_map_solution_exact_roots_use_no_pow(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("pow called")
+
+    roots = char_roots(QUINTIC)
+    expected = [map_solution(root, j, 25) for root in roots for j in range(root.multiplicity)]
+    monkeypatch.setattr(Fraction, "__pow__", forbidden)
+    monkeypatch.setattr(QuadExt, "__pow__", forbidden)
+    assert [map_solution(root, j, 25) for root in roots for j in range(root.multiplicity)] == expected
+
+
+def test_stencil_residual_loop_builds_no_exact_scalars(monkeypatch):
+    # With the columns given, the objects verify_fundamental builds do not grow with L.
+    roots = char_roots(QUINTIC)
+    original_new = Fraction.__new__
+    original_post_init = QuadExt.__post_init__
+    built = []
+    for L in (20, 60):
+        columns = {(root, j): map_solution(root, j, L) for root in roots for j in range(root.multiplicity)}
+        count = [0]
+
+        def counting_new(cls, *args, **kwargs):
+            count[0] += 1
+            return original_new(cls, *args, **kwargs)
+
+        def counting_post_init(self):
+            count[0] += 1
+            original_post_init(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(galois, "map_solution", lambda root, j, length: columns[root, j])
+            patch.setattr(Fraction, "__new__", counting_new)
+            patch.setattr(QuadExt, "__post_init__", counting_post_init)
+            assert verify_fundamental(QUINTIC, L, roots).residuals_ok
+        built.append(count[0])
+    assert built[0] == built[1] > 0
