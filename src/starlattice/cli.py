@@ -260,9 +260,10 @@ class _Parser(argparse.ArgumentParser):
 # Largest --length any command accepts: far above every documented use (the
 # largest is bench's default of 512), so a mistyped length is refused at parse time.
 MAX_LENGTH = 10_000
-# solve and fourier run the exact solvers, whose cost grows about 13x per
-# doubling of L here because the numbers grow with L: z' = z^2 from 1/2 took
-# 23 s (solve) and 17 s (fourier) at L = 1600 on one core of a 2-vCPU Xeon VM.
+# solve, fourier and corpus run the exact solvers and residual tables, whose
+# cost grows about 10x per doubling of L here because the numbers grow with L:
+# on one core of a 2-vCPU Xeon VM, z' = z^2 from 1/2 took 23 s (solve) and
+# 17 s (fourier) at L = 1600, and corpus about 40 s.
 MAX_SOLVE_LENGTH = 1600
 
 
@@ -293,7 +294,7 @@ COMMANDS = {
     "solve": (cmd_solve, (_INPUT, _SOLVE_LENGTH, _INIT, _FORMAT, _MODE, _OUT)),
     "fourier": (cmd_fourier, (_INPUT, _SOLVE_LENGTH, _INIT, _FORMAT, _MODE, _OUT)),
     "galois": (cmd_galois, (_INPUT, _LENGTH, _MODE, ("--allow-float-roots", {"action": "store_true"}), _OUT)),
-    "corpus": (cmd_corpus, (_LENGTH, _OUT)),
+    "corpus": (cmd_corpus, (_SOLVE_LENGTH, _OUT)),
     "bench": (
         cmd_bench,
         (

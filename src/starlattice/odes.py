@@ -22,14 +22,13 @@ so every W_k is an integer (the proof is in its docstring) and no index
 builds a `Fraction`. `NewtonSolution` maps W back to Taylor coefficients or
 to lattice values with one division per entry.
 
-Residuals are evaluated online: index n does only the work that index
-needs. A linear term c t^p z^(l) reads the entries n-p..n-p+l through the
-binomial formula for (Delta^l z)_{n-p}, so a linear index costs
-O(terms * order). Both residual evaluators run on the equation scaled once
-to integer coefficients and on the sequence scaled to integer numerators
-over one denominator, and divide once per index. The star powers at n
-need z_0..z_n only, so one `StarPowerStream` fed each entry once keeps them
-current, and a nonlinear index costs O(degree * n). The kernel form of
+Linear residuals are evaluated online: a term c t^p z^(l) reads only the
+entries n-p..n-p+l, through the binomial formula for (Delta^l z)_{n-p}. The
+nonlinear residuals are the Newton-space defect of the recurrence that
+`solve_newton` solves, mapped back to the lattice once by
+`transforms.newton_sums`. Both evaluators run on the equation scaled once to
+integer coefficients and on the sequence scaled to integer numerators over
+one denominator, and divide once per index. The kernel form of
 `lin_residual` keeps the paper's whole-sequence route as its cross-check.
 """
 
@@ -44,8 +43,8 @@ from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
 from .rational import as_rational, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_binomial_powers
-from .star import StarPowerStream, monomial_star
-from .transforms import difference_rows, falling_factorial, lattice_to_newton
+from .star import monomial_star
+from .transforms import difference_rows, falling_factorial, inverse_transform, lattice_to_newton, newton_sums
 
 
 @dataclass(frozen=True)
@@ -235,26 +234,26 @@ def lin_residuals(eq: LinearOde, z: LatticeSeq, form: str = "shift") -> list[Fra
 def _nonlin_scaled_residuals(eq: NonlinearOde, values, count: int) -> tuple[int, list[int]]:
     """(D^N E, that multiple of the residuals at n = 0..count-1).
 
-    D is the common denominator of the values, Z = z * D, N the degree and E
-    the common denominator of the coefficients. Since (z^{*j}) = (Z^{*j}) / D^j,
-    index n is the integer sum
-    E D^(N-1) (Delta^m Z)_n - D^N sum_r G_r (n)_r - sum C_{j,p} D^(N-j) (n)_p (Z^{*j})_{n-p},
-    which reads Z_0..Z_{n+m}.
+    D is the common denominator of the values, N the degree and E that of the
+    coefficients. With w the Newton coefficients of Z = z * D, the residuals
+    have the Newton coefficients rho_k / (D^N E), where the bracket in
+    rho_k = E D^(N-1) w_{k+m} - [D^N k! G_k + sum C_{j,p} D^(N-j) (k)_p (w^(*j))_{k-p}]
+    is `solve_newton`'s right-hand side; `newton_sums` maps rho back.
     """
     form = _IntegerForm.of((PolyCoeff(()), *eq.coeffs[1:]), eq.coeffs[0])
     D, Z = over_common_denominator(values)
     N = eq.degree
     scale = [D ** (N - j) for j in range(N + 1)]
-    stream = StarPowerStream(N)
-    out = []
-    for n in range(count):
-        stream.feed(Z[n])
-        acc = form.E * scale[1] * _difference(Z, eq.m, n) - scale[0] * sum(g * perm(n, r) for r, g in form.c0)
-        for j, p, c in form.terms:
-            if p <= n:
-                acc -= c * perm(n, p) * scale[j] * (Z[n - p] if j == 1 else stream.entry(j, n - p))
-        out.append(acc)
-    return scale[0] * form.E, out
+    gamma = {r: scale[0] * g for r, g in form.c0}
+    terms = [(j, p, c * scale[j]) for j, p, c in form.terms]
+    w = lattice_to_newton(Z)
+    powers: list[list[int]] = [[] for _ in range(N - 1)]  # w^(*2) .. w^(*N)
+    rho, k_factorial = [], 1
+    for k in range(count):
+        extend_binomial_powers(w, powers)
+        rho.append(form.E * scale[1] * w[k + eq.m] - _newton_rhs(gamma, terms, w, powers, k, k_factorial))
+        k_factorial *= k + 1
+    return scale[0] * form.E, newton_sums(rho)
 
 
 def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
@@ -306,7 +305,7 @@ def nonlin_step(eq: NonlinearOde, init, L: int) -> LatticeSeq:
         raise ValueError(f"need exactly {m} initial values, got {len(values)}")
     if L < m - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {m} initial values")
-    zeta = [w / factorial(l) for l, w in enumerate(lattice_to_newton(values))]
+    zeta = inverse_transform(LatticeSeq(values)).coeffs
     return LatticeSeq(tuple(solve_newton(m, eq.coeffs, zeta, L).lattice_values()))
 
 
@@ -395,17 +394,11 @@ class NewtonSolution:
         return out
 
     def lattice_values(self) -> list[Fraction]:
-        """z_n = sum_l C(n,l) w_l = S_n / (c E^n) with S_n = sum_l C(n,l) E^(n-l) W_l.
-
-        S_n is entry 0 of row n of the table T_0 = W,
-        T_{n+1}[l] = E T_n[l] + T_n[l+1] (the Pascal rule), so each row costs
-        additions and multiplications by the small integer E only.
-        """
-        E, row, out, denominator = self.E, list(self.W), [], self.c
-        while row:
-            out.append(Fraction(row[0], denominator))
-            row = [E * a + b for a, b in zip(row, row[1:])]
-            denominator *= E
+        """z_n = sum_l C(n,l) w_l = S_n / (c E^n) with S_n = sum_l C(n,l) E^(n-l) W_l."""
+        out, denominator = [], self.c
+        for s in newton_sums(self.W, self.E):
+            out.append(Fraction(s, denominator))
+            denominator *= self.E
         return out
 
 
@@ -448,10 +441,18 @@ def solve_newton(m: int, coeffs, zeta_init, L: int) -> NewtonSolution:
     k_factorial = 1
     for k in range(L - m + 1):
         extend_binomial_powers(W, powers)
-        acc = k_factorial * gamma.get(k, 0)
-        for j, p, A in terms:
-            if p <= k:
-                acc += A * perm(k, p) * (W if j == 1 else powers[j - 2])[k - p]
-        W.append(acc)
+        W.append(_newton_rhs(gamma, terms, W, powers, k, k_factorial))
         k_factorial *= k + 1
     return NewtonSolution(c, E, tuple(W))
+
+
+def _newton_rhs(gamma: dict, terms, w, powers, k: int, k_factorial: int) -> int:
+    """k! gamma_k + sum A (k)_p (w^(*j))_{k-p} over the terms (j, p, A) with p <= k.
+
+    The Newton-space right-hand side at k: the solver appends it, the residuals subtract it.
+    """
+    acc = k_factorial * gamma.get(k, 0)
+    for j, p, A in terms:
+        if p <= k:
+            acc += A * perm(k, p) * (w if j == 1 else powers[j - 2])[k - p]
+    return acc

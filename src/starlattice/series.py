@@ -7,12 +7,14 @@ adds and multiplies its inputs, so the float route in `floatmode` runs it
 on floats as well; an entry it never accumulates into stays the exact
 `Fraction(0)`.
 
-`extend_binomial_powers` is the one running-power loop of the exact
-solvers. It works on Newton coefficients w_k = k! zeta_k, where the Cauchy
-product of coefficient series becomes the binomial convolution
-sum_i C(k,i) u_i v_{k-i} (the falling-factorial basis is of binomial type).
-Its weights are integers, so `odes.solve_newton` and `star.StarPowerStream`
-keep their powers on integers and never normalise a fraction per index.
+`extend_binomial_powers` is the one exact star-power loop. It works on
+Newton coefficients w_k = k! zeta_k, where the Cauchy product of
+coefficient series becomes the binomial convolution sum_i C(k,i) u_i v_{k-i}
+(the falling-factorial basis is of binomial type). Its weights are
+integers, so its callers (`odes.solve_newton`, the nonlinear residuals and
+`star.star_power`) keep their powers on integers and never normalise a
+fraction per index. `pow_trunc` serves the `fourier.constrained_convolution`
+oracle.
 """
 
 from __future__ import annotations

@@ -29,6 +29,11 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer; true and false are refused although `bool` is an `int`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_rational_at(value, path: str) -> Fraction:
     _require(isinstance(value, str), path, "rationals must be strings like \"p/q\"")
     try:
@@ -45,7 +50,7 @@ def _parse_poly(value, path: str) -> PolyCoeff:
         mpath = f"{path}[{idx}]"
         _require(isinstance(mono, list) and len(mono) == 2, mpath, "monomial must be [power, \"p/q\"]")
         power, coeff = mono
-        _require(isinstance(power, int) and power >= 0, f"{mpath}[0]", "power must be a nonnegative integer")
+        _require(_is_integer(power) and power >= 0, f"{mpath}[0]", "power must be a nonnegative integer")
         _require(power not in seen, f"{mpath}[0]", f"duplicate power {power}")
         seen.add(power)
         pairs.append((power, _parse_rational_at(coeff, f"{mpath}[1]")))
@@ -99,13 +104,13 @@ def parse_spec(document) -> Equation:
 
     if kind == "linear":
         order = document.get("order")
-        _require(isinstance(order, int) and order >= 1, "order", "must be a positive integer")
+        _require(_is_integer(order) and order >= 1, "order", "must be a positive integer")
         _require(order == len(polys) - 1, "order", f"order {order} does not match {len(polys) - 1} from coeffs")
         c0 = _parse_poly(document.get("c0", []), "c0")
         return LinearOde(polys, c0)
 
     m = document.get("m")
-    _require(isinstance(m, int) and m >= 1, "m", "must be a positive integer")
+    _require(_is_integer(m) and m >= 1, "m", "must be a positive integer")
     return NonlinearOde(m, polys)
 
 

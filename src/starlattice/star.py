@@ -9,12 +9,12 @@ the closed-form power kernel
 
 and a literal multi-sum over shift indices serves as its independent oracle.
 Everything is triangular: entry n of any product depends only on entries
-0..n of the factors, so truncation at a common length is exact, and
-`StarPowerStream` extends star powers one entry at a time. The stream runs
-on integers: fed a sequence over one common denominator, it takes Newton
-coefficients with the difference table, forms their binomial powers (the
-star product on Newton coefficients, with integer weights) and maps each
-power back with the Pascal rule, so no index builds a `Fraction`.
+0..n of the factors, so truncation at a common length is exact. The
+convolution route of `star_power` runs on integers: the Newton coefficients
+of D z (D the common denominator of z) take their binomial powers, which
+have integer weights (`series.extend_binomial_powers`), map back through
+`transforms.newton_sums` and divide once by D^p. `star_multiply` keeps the
+`Fraction` Cauchy product through `mul_trunc` as its cross-check at p = 2.
 """
 
 from __future__ import annotations
@@ -24,9 +24,17 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ArityZero, LengthMismatch
+from .rational import over_common_denominator
 from .sequences import FourierSeq, LatticeSeq
-from .series import extend_binomial_powers, mul_trunc, pow_trunc
-from .transforms import falling_factorial, forward_transform, inverse_transform, recip_factorial
+from .series import extend_binomial_powers, mul_trunc
+from .transforms import (
+    falling_factorial,
+    forward_transform,
+    inverse_transform,
+    lattice_to_newton,
+    newton_sums,
+    recip_factorial,
+)
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,13 @@ def star_power(z: LatticeSeq, p: int, path: str = "convolution") -> LatticeSeq:
 
 
 def _star_power_convolution(z: LatticeSeq, p: int) -> LatticeSeq:
-    zeta = list(inverse_transform(z).coeffs)
-    return forward_transform(FourierSeq(tuple(pow_trunc(zeta, p, z.last_index))))
+    D, Z = over_common_denominator(z.values)
+    w = lattice_to_newton(Z)  # w_l = D l! zeta_l
+    powers: list[list[int]] = [[] for _ in range(p - 1)]  # w^(*2) .. w^(*p)
+    for _ in w:
+        extend_binomial_powers(w, powers)
+    scale = D**p
+    return LatticeSeq(tuple(Fraction(s, scale) for s in newton_sums(powers[-1] if powers else w)))
 
 
 def _star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:
@@ -99,46 +112,6 @@ def _star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:
         rec(0, n, Fraction(1))
         out.append(total if n % 2 == 0 else -total)
     return LatticeSeq(tuple(out))
-
-
-class StarPowerStream:
-    """Star powers Z^{*2}..Z^{*degree} of an integer sequence fed one entry at a time.
-
-    The stream keeps the last diagonal (Delta^i Z)_{k-i}, i = 0..k, of the
-    difference table of Z_0..Z_k, so the next Newton coefficient
-    w_k = (Delta^k Z)_0 costs O(k) subtractions, and extends the binomial
-    powers w^(*j) by one coefficient per entry (`extend_binomial_powers`).
-    Each power maps back to the lattice through its own summation diagonal:
-    the table T_0^(l) = P_l, T_{n+1}^(l) = T_n^(l) + T_n^(l+1) has
-    T_n^(0) = sum_l C(n,l) P_l, so one entry costs O(k) additions. All of it
-    stays on integers. After Z_0..Z_k are fed, `entry(j, s)` reads
-    (Z^{*j})_s for every s <= k.
-    """
-
-    def __init__(self, degree: int) -> None:
-        self._diagonal: list[int] = []
-        self._newton: list[int] = []
-        self._powers: list[list[int]] = [[] for _ in range(degree - 1)]  # w^(*2) ..
-        self._sums: list[list[int]] = [[] for _ in range(degree - 1)]
-        self._values: list[list[int]] = [[] for _ in range(degree - 1)]  # Z^{*2} ..
-
-    def feed(self, value: int) -> None:
-        row = [value]
-        for d in self._diagonal:
-            row.append(row[-1] - d)
-        self._diagonal = row
-        self._newton.append(row[-1])
-        extend_binomial_powers(self._newton, self._powers)
-        for j, power in enumerate(self._powers):
-            row = [power[-1]]
-            for d in self._sums[j]:
-                row.append(row[-1] + d)
-            self._sums[j] = row
-            self._values[j].append(row[-1])
-
-    def entry(self, j: int, s: int) -> int:
-        """(Z^{*j})_s for 2 <= j <= degree."""
-        return self._values[j - 2][s]
 
 
 def star_kernel_closed(args: StarKernelArgs) -> Fraction:

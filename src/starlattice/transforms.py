@@ -13,12 +13,13 @@ are the leading entries (Delta^l z)_0 of the forward-difference table, so
 z_n = sum_l C(n,l) w_l. The table and the Newton map below are written once
 for any scalar with + - * / (Fraction, quadratic surds, complex, float).
 
-The exact forward map runs on integers instead: the falling-factorial basis
-is of binomial type, so (n)_k is an integer and a rational prefix needs one
-common denominator D. `taylor_to_lattice` multiplies the prefix by D, runs
-the nested product on integer numerators and divides by D once per entry.
-The Newton map `newton_to_lattice` serves the float route and is the
-forward map's test oracle.
+The exact maps run on integers instead: the falling-factorial basis is of
+binomial type, so (n)_k is an integer and a rational sequence needs one
+common denominator D. `taylor_to_lattice` runs the nested product on the
+integers D b_k, `inverse_transform` the difference table on D z_n, and each
+divides once per entry. `newton_sums`, the Pascal rule on integers, is the
+one exact Newton-to-lattice map. The Newton map `newton_to_lattice` serves
+the float route and is the forward map's test oracle.
 """
 
 from __future__ import annotations
@@ -81,15 +82,31 @@ def newton_to_lattice(w) -> list:
     return out
 
 
+def newton_sums(W: list[int], E: int = 1) -> list[int]:
+    """S_n = sum_l C(n,l) E^(n-l) W_l for n < len(W), on integers.
+
+    S_n is entry 0 of row n of the table T_0 = W, T_{n+1}[l] = E T_n[l] + T_n[l+1].
+    """
+    row, out = list(W), []
+    while row:
+        out.append(row[0])
+        row = [E * a + b for a, b in zip(row, row[1:])]
+    return out
+
+
 def forward_transform(zeta: FourierSeq) -> LatticeSeq:
     """z_n = sum_{l<=n} zeta_l (n)_l; entry n depends on zeta_0..zeta_n only."""
     return taylor_to_lattice(zeta.coeffs, zeta.last_index)
 
 
 def inverse_transform(z: LatticeSeq) -> FourierSeq:
-    """zeta_l = (Delta^l z)_0 / l!; exact inverse of the forward map."""
-    w = lattice_to_newton(z.values)
-    return FourierSeq(tuple(w_l / factorial(l) for l, w_l in enumerate(w)))
+    """zeta_l = (Delta^l z)_0 / l!, the exact inverse of the forward map, run on the integers D z."""
+    denominator, Z = over_common_denominator(z.values)
+    out = []
+    for l, w_l in enumerate(lattice_to_newton(Z)):
+        out.append(Fraction(w_l, denominator))
+        denominator *= l + 1
+    return FourierSeq(tuple(out))
 
 
 def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:

@@ -161,6 +161,23 @@ def test_cli_discretize_harmonic(tmp_path):
     assert parse_spec(payload["equation"]) == parse_spec(HARMONIC_DOC)
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"type": "nonlinear", "m": True, "coeffs": [[], [], [[0, "1"]]]}, "m"),
+        (dict(HARMONIC_DOC, order=True), "order"),
+        ({"type": "nonlinear", "m": 1, "coeffs": [[], [], [[True, "1"]]]}, "coeffs[2][0][0]"),
+        (dict(HARMONIC_DOC, coeffs=[[[0, "1"]], [[False, "1"]], [[0, "1"]]]), "coeffs[1][0][0]"),
+    ],
+)
+def test_cli_refuses_json_booleans_where_the_schema_wants_an_integer(tmp_path, capsys, doc, path):
+    # bool is an int in Python; echoing "m": true back would break parse -> serialize -> parse.
+    code = run(["discretize", "--input", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_cli_discretize_gaussian_nonlocal(tmp_path):
     path = write_doc(tmp_path, GAUSSIAN_DOC)
     out_path = tmp_path / "d.json"
@@ -296,6 +313,7 @@ def test_cli_rejects_zero_arity(capsys):
         # the exact solvers have their own, lower bound
         ["solve", "--input", "{doc}", "--init", "1/2", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
         ["fourier", "--input", "{doc}", "--init", "1/2", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
+        ["corpus", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
     ],
 )
 def test_cli_refuses_bad_option_in_one_line(tmp_path, capsys, argv):
@@ -309,7 +327,7 @@ def test_cli_accepts_length_at_the_bound():
         (["solve", "--input", "eq.json"], cli.MAX_SOLVE_LENGTH),
         (["fourier", "--input", "eq.json"], cli.MAX_SOLVE_LENGTH),
         (["residual", "--input", "eq.json"], cli.MAX_LENGTH),
-        (["corpus"], cli.MAX_LENGTH),
+        (["corpus"], cli.MAX_SOLVE_LENGTH),
     ):
         assert cli._parser().parse_args(argv + ["--length", str(bound)]).length == bound
 

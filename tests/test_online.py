@@ -5,8 +5,9 @@ checks that the per-index residual evaluators equal the paper's
 whole-sequence route (delta_power, kernel star powers, monomial images),
 that lattice stepping reproduces the lattice image of the Taylor solution,
 and that the Fourier stream reproduces the Taylor coefficients. A second
-sweep checks the integer Newton-space solver and the integer residuals
-against the `Fraction` streams written out below as the reference.
+sweep checks the integer Newton-space solver, the integer residuals and the
+integer star powers against the `Fraction` routes written out below as the
+reference.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from math import comb, factorial, perm
 
 import pytest
 
-from starlattice import IndexOutOfRange, LatticeSeq, TaylorCoeffs, inverse_transform, taylor_to_lattice
+from starlattice import (
+    FourierSeq,
+    IndexOutOfRange,
+    LatticeSeq,
+    TaylorCoeffs,
+    forward_transform,
+    inverse_transform,
+    taylor_to_lattice,
+)
 from starlattice.cli import run
 from starlattice.fourier import ConstNonlinearOde, constrained_convolution, fourier_step
 from starlattice.galois import ConstLinearEq, FundamentalSystem, apply_operator, modified_wronskian
@@ -39,8 +48,8 @@ from starlattice.odes import (
     taylor_solution_nonlinear,
 )
 from starlattice.series import extend_binomial_powers, pow_trunc
-from starlattice.star import monomial_star, star_power
-from starlattice.transforms import falling_factorial
+from starlattice.star import monomial_star, star_multiply, star_power
+from starlattice.transforms import falling_factorial, lattice_to_newton
 
 
 def extend_powers(a: list[Fraction], powers: list[list[Fraction]]) -> None:
@@ -319,6 +328,60 @@ def test_sweep_integer_solver_matches_fraction_streams():
         feq = ConstNonlinearOde(m, a, rat(rng))
         coeffs = [PolyCoeff.constant(c) for c in (feq.b0, *feq.a)]
         assert fourier_step(feq, init, max(L, m - 1)).coeffs == tuple(reference_taylor(m, coeffs, init, max(L, m - 1)))
+
+
+def test_sweep_integer_star_powers_match_the_fraction_route():
+    rng = random.Random(30)
+    for i in range(120):
+        length = rng.randrange(1, 31)
+        z = [Fraction(0) if i % 6 == 0 else wide_rat(rng) for _ in range(length)]
+        if i % 6 == 1:
+            z[0] = Fraction(0)
+        seq = LatticeSeq(tuple(z))
+        # The Fraction route: zeta_l = w_l / l! from the difference table, Cauchy power, forward map.
+        zeta = [w / factorial(l) for l, w in enumerate(lattice_to_newton(z))]
+        coeffs = inverse_transform(seq).coeffs
+        assert coeffs == tuple(zeta) and all(type(c) is Fraction for c in coeffs)
+        p = i % 5 + 1  # with i % 6 above, every arity meets every kind of sequence
+        power = star_power(seq, p).values
+        assert power == forward_transform(FourierSeq(tuple(pow_trunc(zeta, p, length - 1)))).values
+        assert all(type(v) is Fraction for v in power)
+        assert star_power(seq, 2) == star_multiply(seq, seq)
+
+
+FAULT_EQUATIONS = {
+    "square": (NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), PolyCoeff.constant(1))), [Fraction(1, 2)]),
+    "riccati": (
+        NonlinearOde(1, tuple(PolyCoeff.constant(c) for c in (Fraction(2, 5), Fraction(1, 3), Fraction(-2, 3)))),
+        [Fraction(-1, 7)],
+    ),
+    "forced m=2": (
+        NonlinearOde(
+            2,
+            (
+                PolyCoeff.from_pairs([(0, 1), (1, Fraction(1, 3))]),
+                PolyCoeff.constant(-1),
+                PolyCoeff.from_pairs([(0, Fraction(1, 2)), (1, 2)]),
+            ),
+        ),
+        [Fraction(1, 3), Fraction(-2, 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAULT_EQUATIONS)
+def test_nonlinear_residuals_place_a_fault_at_its_first_index(name):
+    # A defect at z_s enters (Delta^m z)_{s-m} with weight 1 and no earlier index,
+    # so the one Newton back-map must neither smear it earlier nor drop it.
+    eq, init = FAULT_EQUATIONS[name]
+    m, L = eq.m, 14
+    z = nonlin_step(eq, init, L).values
+    assert nonlin_residuals(eq, LatticeSeq(z)) == [0] * (L - m + 1)
+    delta = Fraction(3, 11)
+    for s in range(m, L + 1):
+        table = nonlin_residuals(eq, LatticeSeq(z[:s] + (z[s] + delta,) + z[s + 1 :]))
+        assert table[: s - m] == [0] * (s - m)
+        assert table[s - m] == delta
 
 
 def test_lattice_solution_is_the_image_of_the_taylor_solution():

@@ -18,7 +18,7 @@ from starlattice import (
 )
 from starlattice.galois import QuadExt
 from starlattice.odes import delta_power
-from starlattice.transforms import lattice_to_newton, newton_to_lattice
+from starlattice.transforms import lattice_to_newton, newton_sums, newton_to_lattice
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
@@ -153,6 +153,18 @@ def test_newton_core_matches_closed_formulas_on_every_scalar():
         # Small integers difference exactly in floats.
         ints = [rng.randrange(-50, 51) for _ in range(length)]
         assert lattice_to_newton([float(v) for v in ints]) == [float(v) for v in lattice_to_newton(ints)]
+
+
+def test_newton_sums_is_the_weighted_binomial_sum():
+    rng = random.Random(2027)
+    assert newton_sums([]) == []
+    for E in (1, 1, 2, 3, 10, 2**20 + 7):
+        W = [rng.randrange(-10**9, 10**9) for _ in range(rng.randrange(1, 25))]
+        sums = newton_sums(W, E)
+        assert sums == [sum(comb(n, l) * E ** (n - l) * W[l] for l in range(n + 1)) for n in range(len(W))]
+        assert all(type(s) is int for s in sums)
+    W = [rng.randrange(-10**9, 10**9) for _ in range(12)]
+    assert newton_sums(lattice_to_newton(W)) == W
 
 
 def rand_height(rng: random.Random) -> Fraction:
