@@ -10,7 +10,13 @@ exactly, which is what the residual evaluators check.
 
 Linear forward stepping solves the recurrence for z_{n+N}; this needs
 a_N(0) != 0, since every nonlocal term reaches at most index n+N-1 while
-the local one contributes a_N(0) * z_{n+N}.
+the local one contributes a_N(0) * z_{n+N}. It runs on integers: the
+window z_{n-P}..z_{n+N-1} (P the largest power of t) is put over its common
+denominator D, the stencil with the slot of z_{n+N} dropped gives D E times
+the residual with that slot at zero, and one division by D E a_N(0) makes
+the only `Fraction` of the index. Scaling the whole sequence by a fixed
+power of E a_N(0) instead would grow every numerator by that factor's bits
+per index even where the reduced values stay small.
 
 The nonlinear recurrence is solved once, in Newton space. The transform
 coefficients zeta of the lattice solution obey the same recurrence as the
@@ -23,21 +29,25 @@ builds a `Fraction`. `NewtonSolution` maps W back to Taylor coefficients or
 to lattice values with one division per entry.
 
 Linear residuals are evaluated online: a term c t^p z^(l) reads only the
-entries n-p..n-p+l, through the binomial formula for (Delta^l z)_{n-p}. The
-nonlinear residuals are the Newton-space defect of the recurrence that
-`solve_newton` solves, mapped back to the lattice once by
-`transforms.newton_sums`. Both evaluators run on the equation scaled once to
-integer coefficients and on the sequence scaled to integer numerators over
-one denominator, and divide once per index. The kernel form of
+entries n-p..n-p+l, through the binomial formula for (Delta^l z)_{n-p}.
+`_LinearStencil` collects those binomial weights once per equation, scaled
+to integers and summed per power of t, so index n costs one integer dot
+product per power; `lin_step`, `lin_residual` and `lin_residuals` all
+evaluate through it. The nonlinear residuals are the Newton-space defect of
+the recurrence that `solve_newton` solves, mapped back to the lattice once
+by `transforms.newton_sums`. Both evaluators run on the equation scaled once
+to integer coefficients and on the sequence scaled to integer numerators
+over one denominator, and divide once per index. The kernel form of
 `lin_residual` keeps the paper's whole-sequence route as its cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm, perm
+from operator import mul
 
 from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
 from .rational import as_rational, over_common_denominator
@@ -145,15 +155,6 @@ def delta_power(z: LatticeSeq, l: int) -> LatticeSeq:
     return LatticeSeq(tuple(next(islice(difference_rows(z.values), l, None))))
 
 
-def _difference(values, l: int, s: int) -> Fraction:
-    """(Delta^l z)_s = sum_i (-1)^(l-i) C(l,i) z_{s+i}; reads z_s..z_{s+l} only."""
-    acc = values[s + l]
-    for i in range(l):
-        term = comb(l, i) * values[s + i]
-        acc = acc - term if (l - i) % 2 else acc + term
-    return acc
-
-
 @dataclass(frozen=True)
 class _IntegerForm:
     """sum_l a_l(t) X_l + c_0(t) times E, the common denominator of its coefficients.
@@ -176,18 +177,45 @@ class _IntegerForm:
         return cls(E, terms, tuple((r, G) for (r, _), G in zip(c0.monomials, scaled[len(lhs) :])))
 
 
-def _lin_residual_at(form: _IntegerForm, values, n: int, D: int = 1):
-    """D * E times the residual at n of z = values / D, in the shift form.
+@dataclass(frozen=True)
+class _LinearStencil:
+    """E times the linear residual at n as integer weights on z, one row per power of t.
 
-    Each term C t^p z^(l) contributes C (n)_p (Delta^l values)_{n-p}, and the
-    inhomogeneity D * G (n)_r. Integer values give an integer, rational
-    values a rational.
+    A term C t^p z^(l) of `_IntegerForm` contributes C (n)_p (Delta^l z)_{n-p}
+    = (n)_p sum_i C (-1)^(l-i) C(l,i) z_{n-p+i}, so ``rows`` holds
+    (p, weights) with weights[i] the sum of C (-1)^(l-i) C(l,i) over the
+    terms with that p. ``reach`` is the largest p: the residual at n reads
+    only z_{n-reach}..z_{n+N}.
     """
-    acc = D * sum(g * perm(n, r) for r, g in form.c0)
-    for l, p, c in form.terms:
-        if p <= n:
-            acc += c * perm(n, p) * _difference(values, l, n - p)
-    return acc
+
+    E: int
+    reach: int
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
+    c0: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, eq: LinearOde) -> "_LinearStencil":
+        form = _IntegerForm.of(eq.coeffs, eq.c0)
+        rows: dict[int, list[int]] = {}
+        for l, p, c in form.terms:
+            row = rows.setdefault(p, [])
+            row.extend([0] * (l + 1 - len(row)))
+            for i in range(l + 1):
+                row[i] += (-1) ** (l - i) * comb(l, i) * c
+        return cls(form.E, max(rows), tuple((p, tuple(w)) for p, w in sorted(rows.items())), form.c0)
+
+    def scaled_residual(self, Z, start: int, n: int, D: int) -> int:
+        """D E times the residual at n of z, where Z[k - start] = D z_k are integers.
+
+        A row reads as many entries as it has weights, so a row cut short
+        leaves the slots past its end out of the sum.
+        """
+        acc = D * sum(g * perm(n, r) for r, g in self.c0)
+        for p, weights in self.rows:
+            if p <= n:
+                i = n - p - start
+                acc += perm(n, p) * sum(map(mul, weights, Z[i : i + len(weights)]))
+        return acc
 
 
 def lin_residual(eq: LinearOde, z: LatticeSeq, n: int, form: str = "shift") -> Fraction:
@@ -203,8 +231,10 @@ def lin_residual(eq: LinearOde, z: LatticeSeq, n: int, form: str = "shift") -> F
     if n < 0 or n + N > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + N}, stored 0..{z.last_index}")
     if form == "shift":
-        integer = _IntegerForm.of(eq.coeffs, eq.c0)
-        return Fraction(_lin_residual_at(integer, z.values, n), integer.E)
+        stencil = _LinearStencil.of(eq)
+        start = max(0, n - stencil.reach)
+        D, Z = over_common_denominator(z.values[start : n + N + 1])
+        return Fraction(stencil.scaled_residual(Z, start, n, D), D * stencil.E)
     if form != "kernel":
         raise ValueError(f"unknown form {form!r}")
     acc = Fraction(0)
@@ -226,9 +256,9 @@ def lin_residuals(eq: LinearOde, z: LatticeSeq, form: str = "shift") -> list[Fra
     count = z.last_index - eq.order + 1
     if form != "shift":
         return [lin_residual(eq, z, n, form) for n in range(count)]
-    integer = _IntegerForm.of(eq.coeffs, eq.c0)
+    stencil = _LinearStencil.of(eq)
     D, Z = over_common_denominator(z.values)
-    return [Fraction(_lin_residual_at(integer, Z, n, D), D * integer.E) for n in range(count)]
+    return [Fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(count)]
 
 
 def _nonlin_scaled_residuals(eq: NonlinearOde, values, count: int) -> tuple[int, list[int]]:
@@ -273,22 +303,27 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
     """Unique sequence with the given first N values and zero residual up to L-N.
 
     The recurrence isolates z_{n+N} with coefficient a_N(0), so that constant
-    term must be nonzero: every other term reads at most z_{n+N-1}.
+    term must be nonzero: every other term reads at most z_{n+N-1}. Index n
+    puts the window z_{n-P}..z_{n+N-1} over its common denominator D, forms
+    X = D E (residual at n with z_{n+N} = 0) by the stencil with that slot
+    dropped, and appends -X / (D s) with s = E a_N(0).
     """
     N = eq.order
-    lead = eq.coeffs[-1].constant_term
-    if lead == 0:
+    if eq.coeffs[-1].constant_term == 0:
         raise NotForwardSolvable("a_N(0) = 0: the recurrence does not determine z_{n+N}")
     values = [as_rational(v) for v in init]
     if len(values) != N:
         raise ValueError(f"need exactly {N} initial values, got {len(values)}")
     if L < N - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {N} initial values")
-    integer = _IntegerForm.of(eq.coeffs, eq.c0)
-    scaled_lead = lead.numerator * (integer.E // lead.denominator)
+    stencil = _LinearStencil.of(eq)
+    (p, local), *rest = stencil.rows  # p = 0, since a_N(0) != 0
+    s = local[N]  # E a_N(0), the weight of the unknown z_{n+N}
+    stencil = replace(stencil, rows=((p, local[:N]), *rest))
     for n in range(L - N + 1):
-        values.append(Fraction(0))
-        values[-1] = Fraction(-_lin_residual_at(integer, values, n), scaled_lead)
+        start = max(0, n - stencil.reach)
+        D, Z = over_common_denominator(values[start : n + N])
+        values.append(Fraction(-stencil.scaled_residual(Z, start, n, D), D * s))
     return LatticeSeq(tuple(values))
 
 
@@ -313,21 +348,14 @@ def local_stencil(eq: LinearOde) -> tuple[Fraction, ...] | None:
     """Coefficients of z_{n+N}..z_n when every a_l is constant, else None.
 
     For constant coefficients the discrete equation collapses to the local
-    recurrence sum_l a_l Delta^l z_n = 0; the returned tuple is descending in
-    the shift.
+    recurrence sum_l a_l Delta^l z_n = 0, the one row of `_LinearStencil`
+    over E; the returned tuple is descending in the shift.
     """
     if any(p != 0 for a in eq.coeffs for p, _ in a.monomials):
         return None
-    N = eq.order
-    out = [Fraction(0)] * (N + 1)  # out[j] multiplies z_{n+j}
-    for l, a_l in enumerate(eq.coeffs):
-        c = a_l.constant_term
-        if c == 0:
-            continue
-        for j in range(l + 1):
-            term = c * comb(l, j)
-            out[j] += term if (l - j) % 2 == 0 else -term
-    return tuple(reversed(out))
+    stencil = _LinearStencil.of(eq)
+    ((_, weights),) = stencil.rows  # weights[j] multiplies z_{n+j}
+    return tuple(Fraction(w, stencil.E) for w in reversed(weights))
 
 
 def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:

@@ -10,7 +10,10 @@ the code before the CLI's command table, and the `forced` and `cubic-m2`
 cases (polynomial a_j(t) with an a_0(t), and a second-order Fourier
 stream) by the code before the integer Newton-space solver, and the
 `quintic` cases ((x - 1/3)^2 (x - 2) (x^2 + x + 2): a double root next to a
-complex surd pair) by the code before the stencil residuals of `galois`.
+complex surd pair) by the code before the stencil residuals of `galois`, and
+the `jacobi` cases ((7/3 - t^2) z'' + (1/2 - 3/2 t) z' + 5/4 z + 1/3 - 2/5 t = 0:
+a non-unit leading coefficient with a t^2 term, a t-term on z' and an
+inhomogeneity) by the code before the integer stencil of `lin_step`.
 They are never rewritten to make a failing case pass.
 """
 
@@ -63,6 +66,13 @@ CASES = [
     ("cubic-m2-fourier", ["fourier", "--input", "{doc}", "--length", "20", "--init", "1/2,-1/3"], "cubic-m2", 0),
     ("quintic-galois", ["galois", "--input", "{doc}", "--length", "40"], "quintic", 0),
     ("quintic-galois-float", ["galois", "--input", "{doc}", "--length", "40", "--mode", "float"], "quintic", 0),
+    ("jacobi-solve", ["solve", "--input", "{doc}", "--length", "60", "--init", "1/2,-1/3"], "jacobi", 0),
+    (
+        "jacobi-solve-json",
+        ["solve", "--input", "{doc}", "--length", "60", "--init", "1/2,-1/3", "--format", "json"],
+        "jacobi",
+        0,
+    ),
 ]
 
 

@@ -7,7 +7,8 @@ that lattice stepping reproduces the lattice image of the Taylor solution,
 and that the Fourier stream reproduces the Taylor coefficients. A second
 sweep checks the integer Newton-space solver, the integer residuals and the
 integer star powers against the `Fraction` routes written out below as the
-reference.
+reference, and a third checks the integer linear stencil of `lin_step`,
+`lin_residual` and `lin_residuals` against the `Fraction` stepping loop.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from starlattice import (
     TaylorCoeffs,
     forward_transform,
     inverse_transform,
+    odes,
     taylor_to_lattice,
 )
 from starlattice.cli import run
@@ -140,6 +142,30 @@ def reference_taylor(m: int, coeffs, init, L: int) -> list[Fraction]:
             rhs += sum((c * bj[s - p] for p, c in a_j.monomials if p <= s), Fraction(0))
         b.append(rhs / perm(s + m, m))
     return b[: L + 1]
+
+
+def reference_lin_residual(eq: LinearOde, values, n: int) -> Fraction:
+    """Residual at n term by term: c (n)_p (Delta^l z)_{n-p} by the binomial formula, plus c_0's image."""
+    acc = eq.c0.image_at(n)
+    for l, a_l in enumerate(eq.coeffs):
+        for p, c in a_l.monomials:
+            if p <= n:
+                diff = sum(((-1) ** (l - i) * comb(l, i) * values[n - p + i] for i in range(l + 1)), Fraction(0))
+                acc += c * perm(n, p) * diff
+    return acc
+
+
+def reference_lin_step(eq: LinearOde, init, L: int) -> list[Fraction]:
+    """The `Fraction` stepping loop: the residual at n with z_{n+N} = 0, divided by -a_N(0).
+
+    This is the loop `lin_step` ran before its integer stencil.
+    """
+    N, values = eq.order, [Fraction(v) for v in init]
+    lead = eq.coeffs[-1].constant_term
+    for n in range(L - N + 1):
+        values.append(Fraction(0))
+        values[-1] = -reference_lin_residual(eq, values, n) / lead
+    return values
 
 
 def rand_rat(rng: random.Random) -> Fraction:
@@ -347,6 +373,71 @@ def test_sweep_integer_star_powers_match_the_fraction_route():
         assert power == forward_transform(FourierSeq(tuple(pow_trunc(zeta, p, length - 1)))).values
         assert all(type(v) is Fraction for v in power)
         assert star_power(seq, 2) == star_multiply(seq, seq)
+
+
+def sweep_linear(rng: random.Random) -> LinearOde:
+    """N <= 4, powers of t up to 3, a lead a_N(t) with t-monomials and any nonzero a_N(0), a c_0."""
+    N = rng.randrange(1, 5)
+    rat = wide_rat if rng.random() < 0.3 else rand_rat
+
+    def poly(powers) -> PolyCoeff:
+        return PolyCoeff.from_pairs((p, rat(rng)) for p in rng.sample(powers, rng.randrange(0, len(powers) + 1)))
+
+    lead = rng.choice((1, -1, Fraction(-7, 3), Fraction(7, 3), 2, Fraction(1, 5), rat(rng) or 3))
+    a_N = PolyCoeff.from_pairs([(0, lead), *((p, rat(rng)) for p in rng.sample((1, 2), rng.randrange(0, 3)))])
+    if rng.random() < 0.2:
+        a_N = PolyCoeff.from_pairs([(0, lead), (2, -lead)])  # Jacobi-type lead a_N(0) (1 - t^2)
+    c0 = poly([0, 1, 2]) if rng.random() < 0.7 else PolyCoeff(())
+    return LinearOde(tuple(poly([0, 1, 2, 3]) for _ in range(N)) + (a_N,), c0=c0)
+
+
+def test_sweep_integer_linear_stencil_matches_the_fraction_loop():
+    rng = random.Random(31)
+    Ns, leads_with_t, c0s, longest = set(), 0, 0, 0
+    for i in range(220):
+        eq = sweep_linear(rng)
+        N = eq.order
+        L = rng.randrange(N - 1, 81) if i % 4 == 0 else rng.randrange(N - 1, 25)
+        init = [Fraction(rng.randrange(-10**6, 10**6), rng.choice((1, 3, 2**20 + 7))) for _ in range(N)]
+        z = lin_step(eq, init, L).values
+        assert z == tuple(reference_lin_step(eq, init, L))
+        assert all(type(v) is Fraction for v in z)
+        w = LatticeSeq(tuple(wide_rat(rng) for _ in range(N + rng.randrange(1, 12))))
+        table = lin_residuals(eq, w)
+        assert table == [reference_lin_residual(eq, w.values, n) for n in range(len(table))]
+        assert all(type(r) is Fraction for r in table)
+        n = rng.randrange(len(table))
+        one = lin_residual(eq, w, n)
+        assert one == table[n] and type(one) is Fraction
+        Ns.add(N)
+        leads_with_t += len(eq.coeffs[-1].monomials) > 1
+        c0s += not eq.c0.is_zero
+        longest = max(longest, L)
+    assert Ns == {1, 2, 3, 4} and leads_with_t > 50 and c0s > 100 and longest > 70
+
+
+def test_lin_step_builds_one_fraction_per_stepped_index(monkeypatch):
+    built = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    eq = LinearOde(
+        (
+            PolyCoeff.constant(Fraction(5, 4)),
+            PolyCoeff.from_pairs([(0, Fraction(1, 2)), (1, Fraction(-3, 2))]),
+            PolyCoeff.from_pairs([(0, Fraction(7, 3)), (2, -1)]),
+        ),
+        c0=PolyCoeff.from_pairs([(0, Fraction(1, 3)), (1, Fraction(-2, 5))]),
+    )
+    init, L = (Fraction(1, 2), Fraction(-1, 3)), 40
+    monkeypatch.setattr(odes, "Fraction", CountedFraction)
+    z = lin_step(eq, init, L).values
+    assert 0 < len(built) <= L - eq.order + 1
+    monkeypatch.undo()
+    assert z == tuple(reference_lin_step(eq, init, L))
 
 
 FAULT_EQUATIONS = {
