@@ -26,7 +26,6 @@ from .galois import ConstLinearEq, QuadExt, verify_fundamental
 from .odes import (
     LinearOde,
     NonlinearOde,
-    PolyCoeff,
     lin_residuals,
     lin_step,
     local_stencil,
@@ -100,13 +99,12 @@ def _series_table(name: str, values, args) -> str:
 def cmd_discretize(args) -> int:
     eq = parse_spec(_load_document(args.input))
     if isinstance(eq, ConstLinearEq):
-        monic = LinearOde(tuple(PolyCoeff.constant(c) for c in (*eq.a, Fraction(1))))
         payload = {
             "command": "discretize",
             "equation": to_document(eq),
             "kind": "const_linear",
             "order": eq.order,
-            "local_stencil": [format_rational(c) for c in local_stencil(monic)],
+            "local_stencil": [format_rational(c) for c in local_stencil(eq.as_linear_ode())],
             "nonlocal": False,
         }
     elif isinstance(eq, LinearOde):
@@ -153,9 +151,8 @@ def cmd_residual(args) -> int:
             f"lattice solution has {len(values)} entries; residuals up to n={args.length} need {needed}"
         )
     else:
-        z = LatticeSeq(values)
+        z = LatticeSeq(values[:needed])  # residual n reads only z_0..z_{n+order}
     residuals = lin_residuals(eq, z) if isinstance(eq, LinearOde) else nonlin_residuals(eq, z)
-    residuals = residuals[: args.length + 1]
     text = _series_table("residual", residuals, args)
     _emit(text, args.out)
     return 0 if all(r == 0 for r in residuals) else 1

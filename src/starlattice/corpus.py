@@ -6,16 +6,19 @@ families cover oscillators (plain and damped), the bell-curve equation,
 the hypergeometric equation at its regular point, a first-order quadratic
 equation with a two-parameter solution family, and the Hermite and Jacobi
 polynomial equations.
+
+The residual tables and the termwise image in the Jacobi extras go through
+the one forward map, `transforms.taylor_to_lattice`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import GammaPole, PochhammerPole, SingularAtOrigin
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, over_common_denominator
 from .sequences import TaylorCoeffs
 from .series import mul_trunc, reciprocal_trunc
 from .odes import (
@@ -62,26 +65,17 @@ def _checked(case: CorpusCase) -> CorpusCase:
     return case
 
 
-def _sin_coeffs(omega: Fraction, L: int) -> TaylorCoeffs:
-    out = []
-    for k in range(L + 1):
-        if k % 2 == 0:
-            out.append(Fraction(0))
-        else:
-            sign = -1 if ((k - 1) // 2) % 2 else 1
-            out.append(sign * omega**k / factorial(k))
-    return TaylorCoeffs(tuple(out))
+def _trig_coeffs(omega: Fraction, L: int, parity: int) -> TaylorCoeffs:
+    """Series of sin(omega t) (parity 1) or cos(omega t) (parity 0) to t^L.
 
-
-def _cos_coeffs(omega: Fraction, L: int) -> TaylorCoeffs:
-    out = []
-    for k in range(L + 1):
-        if k % 2:
-            out.append(Fraction(0))
-        else:
-            sign = -1 if (k // 2) % 2 else 1
-            out.append(sign * omega**k / factorial(k))
-    return TaylorCoeffs(tuple(out))
+    Entry k is (-1)^(k//2) omega^k / k! where k % 2 equals the parity, and 0 elsewhere.
+    """
+    return TaylorCoeffs(
+        tuple(
+            (-1) ** (k // 2) * omega**k / factorial(k) if k % 2 == parity else Fraction(0)
+            for k in range(L + 1)
+        )
+    )
 
 
 def harmonic_case(omega=Fraction(1), length: int = 20) -> CorpusCase:
@@ -93,7 +87,7 @@ def harmonic_case(omega=Fraction(1), length: int = 20) -> CorpusCase:
         CorpusCase(
             name="harmonic",
             equation=eq,
-            solutions=(_sin_coeffs(omega, L), _cos_coeffs(omega, L)),
+            solutions=(_trig_coeffs(omega, L, 1), _trig_coeffs(omega, L, 0)),
             parameters=(("omega", omega),),
         )
     )
@@ -293,24 +287,33 @@ def jacobi_polynomial(m: int, alpha: Fraction, beta: Fraction) -> list[Fraction]
     return total
 
 
-def jacobi_shifted_form(m: int, alpha: Fraction, beta: Fraction, n: int) -> Fraction:
-    """Alternate lattice polynomial built from shifted falling factorials:
+def jacobi_shifted_values(m: int, alpha: Fraction, beta: Fraction, length: int) -> list[Fraction]:
+    """Alternate lattice polynomial built from shifted falling factorials, n = 0..length:
 
         (1/m!) sum_k C(m,k) (alpha+beta+m+1)_k (1/2)^k (n-1)(n-2)...(n-k).
 
-    Kept for side-by-side comparison with the termwise image; the two do not
-    agree in general and only the residual test is authoritative.
+    The weights do not depend on n: they are formed once, over one common
+    denominator, and index n is one integer running product and sum. Kept for
+    side-by-side comparison with the termwise image; the two do not agree in
+    general and only the residual test is authoritative.
     """
     x = alpha + beta + m + 1
-    acc = Fraction(0)
+    weights = []
     rising = Fraction(1)  # (x)_k
-    shifted = 1  # (n-1)(n-2)...(n-k)
     for k in range(m + 1):
         if k:
             rising *= x + k - 1
-            shifted *= n - k
-        acc += _binomial_general(Fraction(m), k) * rising * Fraction(shifted, 2**k)
-    return acc / factorial(m)
+        weights.append(comb(m, k) * rising / (2**k * factorial(m)))
+    D, W = over_common_denominator(weights)
+    out = []
+    for n in range(length + 1):
+        acc, shifted = 0, 1  # shifted = (n-1)(n-2)...(n-k)
+        for k, w in enumerate(W):
+            if k:
+                shifted *= n - k
+            acc += w * shifted
+        out.append(Fraction(acc, D))
+    return out
 
 
 def jacobi_case(
@@ -332,13 +335,9 @@ def jacobi_case(
             PolyCoeff(((0, Fraction(1)), (2, Fraction(-1)))),
         )
     )
-    poly = jacobi_polynomial(m, alpha, beta)
-    coeffs = TaylorCoeffs(tuple(poly))
-    termwise = [
-        sum((poly[k] * falling_factorial(n, k) for k in range(len(poly))), Fraction(0))
-        for n in range(length + 1)
-    ]
-    shifted = [jacobi_shifted_form(m, alpha, beta, n) for n in range(length + 1)]
+    coeffs = TaylorCoeffs(tuple(jacobi_polynomial(m, alpha, beta)))
+    termwise = list(taylor_to_lattice(coeffs, length).values)
+    shifted = jacobi_shifted_values(m, alpha, beta, length)
     extras = {
         "termwise_values": [format_rational(v) for v in termwise],
         "shifted_form_values": [format_rational(v) for v in shifted],

@@ -147,6 +147,10 @@ class ConstLinearEq:
     def char_poly(self) -> list[Fraction]:
         return [*self.a, Fraction(1)]
 
+    def as_linear_ode(self) -> LinearOde:
+        """The operator as a `LinearOde` with constant coefficients a_0..a_{N-1}, 1."""
+        return LinearOde(tuple(PolyCoeff.constant(c) for c in self.char_poly()))
+
 
 @dataclass(frozen=True)
 class RootDatum:
@@ -222,7 +226,12 @@ def _rational_roots(poly: list[Fraction]) -> tuple[list[Fraction], list[Fraction
 
 
 def _squarefree_factors(poly: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun decomposition: pairs (squarefree factor, multiplicity)."""
+    """Yun decomposition: pairs (squarefree factor, multiplicity).
+
+    For a = prod f_i^i over the rationals, g = gcd(a, a') = prod f_i^(i-1) and
+    w = a/g = prod f_i; pass i splits off f_i and divides g by prod_{j>i} f_j,
+    so g reaches 1 together with w and nothing is left after the loop.
+    """
     out = []
     a = poly_trim(poly)
     g = poly_gcd(a, poly_derivative(a))
@@ -238,10 +247,6 @@ def _squarefree_factors(poly: list[Fraction]) -> list[tuple[list[Fraction], int]
         w = y
         g, _ = poly_divmod(g, y)
         mult += 1
-    if len(g) > 1:
-        # remaining part is a perfect power beyond the loop; recurse
-        for sub, m in _squarefree_factors(g):
-            out.append((sub, m * mult))
     return out
 
 
@@ -274,7 +279,7 @@ def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
         approx = np.roots([float(c) for c in reversed(monic)])
         for r in approx:
             value = complex(r)
-            residual = abs(_eval_scalar_poly(monic, value))
+            residual = abs(poly_eval(monic, value))
             if residual >= FLOAT_ROOT_RESIDUAL_BOUND:
                 raise RootCertificationError(
                     f"float root {value} fails certification: residual {residual:.3e}"
@@ -282,13 +287,6 @@ def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
             out.append(RootDatum(value, mult, exact=False, residual=residual))
     out.sort(key=_root_sort_key)
     return out
-
-
-def _eval_scalar_poly(poly, x):
-    acc = 0 * x
-    for c in reversed(poly):
-        acc = acc * x + (complex(c) if isinstance(x, complex) else c)
-    return acc
 
 
 def _root_sort_key(r: RootDatum):
@@ -496,8 +494,7 @@ def verify_fundamental(eq: ConstLinearEq, L: int, roots: list[RootDatum] | None 
         roots = char_roots(eq)
     system = _map_roots(roots, L)
     exact = [root.exact for root in roots for _ in range(root.multiplicity)]
-    monic = LinearOde(tuple(PolyCoeff.constant(c) for c in eq.char_poly()))
-    stencil = local_stencil(monic)[::-1]  # stencil[k] goes with z_{n+k}
+    stencil = local_stencil(eq.as_linear_ode())[::-1]  # stencil[k] goes with z_{n+k}
     _, stencil_ints = over_common_denominator(stencil)
     residuals_ok = True
     max_float = 0.0

@@ -94,12 +94,16 @@ class PolyCoeff:
     def is_zero(self) -> bool:
         return not self.monomials
 
-    @property
-    def constant_term(self) -> Fraction:
-        for power, coeff in self.monomials:
-            if power == 0:
+    def coefficient(self, power: int) -> Fraction:
+        """Coefficient of t^power; a zero is built only when the power is absent."""
+        for p, coeff in self.monomials:
+            if p == power:
                 return coeff
         return Fraction(0)
+
+    @property
+    def constant_term(self) -> Fraction:
+        return self.coefficient(0)
 
     def image_at(self, n: int) -> Fraction:
         """Termwise lattice image sum_r gamma_r (n)_r evaluated at n."""
@@ -372,7 +376,7 @@ def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
     if len(b) != N:
         raise ValueError(f"need exactly {N} initial Taylor coefficients, got {len(b)}")
     for s in range(L - N + 1):
-        acc = _poly_coefficient(eq.c0, s)
+        acc = eq.c0.coefficient(s)
         for l, a_l in enumerate(eq.coeffs):
             for power, coeff in a_l.monomials:
                 if l == N and power == 0:
@@ -384,13 +388,6 @@ def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
         unknown_weight = lead * falling_factorial(s + N, N)
         b.append(-acc / unknown_weight)
     return TaylorCoeffs(tuple(b[: L + 1]))
-
-
-def _poly_coefficient(poly: PolyCoeff, power: int) -> Fraction:
-    for p, c in poly.monomials:
-        if p == power:
-            return c
-    return Fraction(0)
 
 
 def taylor_solution_nonlinear(eq: NonlinearOde, init, L: int) -> TaylorCoeffs:

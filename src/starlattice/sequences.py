@@ -52,6 +52,13 @@ class _Entries:
         """L, the largest stored index."""
         return len(self._items()) - 1
 
+    def truncate(self, length: int):
+        """The first ``length`` entries, as the same kind of sequence."""
+        items = self._items()
+        if not 1 <= length <= len(items):
+            raise ValueError(f"cannot truncate length {len(items)} to {length}")
+        return type(self)(items[:length])
+
 
 @dataclass(frozen=True)
 class LatticeSeq(_Entries):
@@ -61,11 +68,6 @@ class LatticeSeq(_Entries):
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _coerce(self.values))
 
-    def truncate(self, length: int) -> "LatticeSeq":
-        if not 1 <= length <= len(self.values):
-            raise ValueError(f"cannot truncate length {len(self.values)} to {length}")
-        return LatticeSeq(self.values[:length])
-
 
 @dataclass(frozen=True)
 class FourierSeq(_Entries):
@@ -74,11 +76,6 @@ class FourierSeq(_Entries):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _coerce(self.coeffs))
-
-    def truncate(self, length: int) -> "FourierSeq":
-        if not 1 <= length <= len(self.coeffs):
-            raise ValueError(f"cannot truncate length {len(self.coeffs)} to {length}")
-        return FourierSeq(self.coeffs[:length])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from starlattice import cli, galois
 from starlattice.cli import run
 from starlattice.fourier import ConstNonlinearOde
 from starlattice.galois import ConstLinearEq, verify_fundamental
-from starlattice.odes import LinearOde, NonlinearOde
+from starlattice.odes import LinearOde, NonlinearOde, lin_step, nonlin_step
 from starlattice.specio import as_const_nonlinear, parse_solution, parse_spec, to_document
 
 GAUSSIAN_DOC = {"type": "linear", "order": 1, "coeffs": [[[1, "1"]], [[0, "1"]]], "c0": []}
@@ -430,3 +430,36 @@ def test_cli_galois_refuses_float_roots_before_verifying(tmp_path, monkeypatch, 
     assert captured.err == (
         "error: --mode: equation has non-exact roots; rerun with --mode float or --allow-float-roots\n"
     )
+
+
+def test_cli_residual_reads_only_the_entries_it_reports(tmp_path, monkeypatch, capsys):
+    # Residual n reads z_0..z_{n+order}, so --length L needs the first L+order+1
+    # entries of a lattice solution however many the document stores.
+    seen = []
+
+    def recording(original):
+        def wrapper(eq, z):
+            seen.append(len(z))
+            return original(eq, z)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "lin_residuals", recording(cli.lin_residuals))
+    monkeypatch.setattr(cli, "nonlin_residuals", recording(cli.nonlin_residuals))
+    harmonic = [str(v) for v in lin_step(parse_spec(HARMONIC_DOC), (0, 1), 60).values]
+    square = [str(v) for v in nonlin_step(parse_spec(SQUARE_DOC), (Fraction(1, 2),), 60).values]
+    cases = [
+        (dict(HARMONIC_DOC, solution={"lattice": harmonic}), 2),
+        (dict(SQUARE_DOC, solution={"lattice": square}), 1),
+        (dict(SQUARE_DOC, solution={"lattice": square[:7] + ["1"] * 54}), 1),
+        (dict(SQUARE_DOC, solution={"taylor": ["1"] * 61}), 1),
+    ]
+    for doc, order in cases:
+        path = write_doc(tmp_path, doc)
+        for length in (0, 5):
+            seen.clear()
+            code = run(["residual", "--input", path, "--length", str(length)])
+            lines = capsys.readouterr().out.splitlines()
+            assert seen == [length + order + 1]
+            assert code == 0 and len(lines) == length + 2
+            assert all(line.endswith(",0") for line in lines[1:])

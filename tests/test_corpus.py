@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -9,6 +10,7 @@ from starlattice import (
     LatticeSeq,
     PochhammerPole,
     SingularAtOrigin,
+    falling_factorial,
     inverse_transform,
     taylor_to_lattice,
 )
@@ -22,12 +24,38 @@ from starlattice.corpus import (
     hypergeometric_case,
     jacobi_case,
     jacobi_polynomial,
+    jacobi_shifted_values,
     riccati_case,
     run_corpus,
     standard_cases,
 )
 from starlattice.errors import GammaPole
 from starlattice.odes import LinearOde, lin_residual, lin_step, local_stencil, nonlin_step
+from starlattice.rational import format_rational
+
+
+def reference_binomial(x: Fraction, j: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(j):
+        out *= (x - i) / (i + 1)
+    return out
+
+
+def reference_jacobi_shifted_form(m: int, alpha: Fraction, beta: Fraction, n: int) -> Fraction:
+    """(1/m!) sum_k C(m,k) (alpha+beta+m+1)_k (1/2)^k (n-1)(n-2)...(n-k), one index at a time.
+
+    The per-index `Fraction` form that `jacobi_shifted_values` replaced, kept as its oracle.
+    """
+    x = alpha + beta + m + 1
+    acc = Fraction(0)
+    rising = Fraction(1)  # (x)_k
+    shifted = 1  # (n-1)(n-2)...(n-k)
+    for k in range(m + 1):
+        if k:
+            rising *= x + k - 1
+            shifted *= n - k
+        acc += reference_binomial(Fraction(m), k) * rising * Fraction(shifted, 2**k)
+    return acc / factorial(m)
 
 
 def test_every_standard_case_verifies():
@@ -147,6 +175,28 @@ def test_jacobi_case_residuals_and_comparison():
         jacobi_case(2, Fraction(-4), Fraction(1))
 
 
+def test_jacobi_extras_match_the_per_index_forms():
+    # n = 0 makes every running product (n-1)...(n-k) nonzero with sign (-1)^k.
+    rng = random.Random(10)
+    checked = 0
+    while checked < 60:
+        m = checked % 6
+        alpha = Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
+        beta = Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
+        try:
+            case = jacobi_case(m, alpha, beta, length=30)
+        except GammaPole:
+            continue
+        values = jacobi_shifted_values(m, alpha, beta, 30)
+        assert values == [reference_jacobi_shifted_form(m, alpha, beta, n) for n in range(31)]
+        assert all(type(v) is Fraction for v in values)
+        assert case.extras["shifted_form_values"] == [format_rational(v) for v in values]
+        poly = case.solutions[0]
+        termwise = [sum(c * falling_factorial(n, k) for k, c in enumerate(poly)) for n in range(31)]
+        assert case.extras["termwise_values"] == [format_rational(v) for v in termwise]
+        checked += 1
+
+
 def test_jacobi_polynomial_known_value():
     # P_1^(a,b)(t) = (a - b)/2 + (a + b + 2)/2 * t
     a, b = Fraction(1, 2), Fraction(1, 3)
@@ -157,6 +207,7 @@ def test_jacobi_degree_zero_is_constant():
     case = jacobi_case(0, Fraction(1, 2), Fraction(1, 3))
     assert case.solutions[0].coeffs == (1,)
     assert case.verify(12)
+    assert case.extras["shifted_form_agrees"] is True
 
 
 def test_run_corpus_report():

@@ -9,7 +9,7 @@ import pytest
 
 from starlattice import LatticeSeq, SingularSystem, TaylorCoeffs, taylor_to_lattice
 from starlattice.deltaops import SYMMETRIC_DIFFERENCE, apply_stencil
-from starlattice import galois
+from starlattice import galois, series
 from starlattice.galois import (
     ConstLinearEq,
     QuadExt,
@@ -350,3 +350,70 @@ def test_stencil_residual_loop_builds_no_exact_scalars(monkeypatch):
             assert verify_fundamental(QUINTIC, L, roots).residuals_ok
         built.append(count[0])
     assert built[0] == built[1] > 0
+
+
+# ---------------------------------------------------------------- square-free split
+
+
+def _monic(p):
+    return [c / p[-1] for c in p]
+
+
+def _power(p, e):
+    out = [Fraction(1)]
+    for _ in range(e):
+        out = _poly_mul(out, p)
+    return out
+
+
+def _coprime(p, q) -> bool:
+    return len(series.poly_gcd(p, q)) == 1
+
+
+def _random_squarefree(rng: random.Random):
+    while True:
+        p = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(rng.randint(2, 4))]
+        if p[-1] and _coprime(p, series.poly_derivative(p)):
+            return p
+
+
+def _check_squarefree_split(parts, lead):
+    """_squarefree_factors of lead * prod p^e over (p, e) in parts, p squarefree and pairwise coprime."""
+    poly = [lead]
+    for p, e in parts:
+        poly = _poly_mul(poly, _power(p, e))
+    expected = {}
+    for p, e in parts:
+        if e:
+            expected[e] = _poly_mul(expected.get(e, [Fraction(1)]), p)
+    factors = galois._squarefree_factors(poly)
+    assert sorted(m for _, m in factors) == sorted(expected)
+    product = [Fraction(1)]
+    for factor, m in factors:
+        assert len(factor) > 1 and _monic(factor) == _monic(expected[m])
+        product = _poly_mul(product, _power(factor, m))
+    assert _monic(product) == _monic(poly)
+
+
+def test_squarefree_split_pure_powers():
+    f, g = [Fraction(-2), Fraction(0), Fraction(1)], [Fraction(1), Fraction(3), Fraction(1)]
+    _check_squarefree_split([(f, 4)], Fraction(1))
+    _check_squarefree_split([(_poly_mul(f, g), 3)], Fraction(-5, 2))
+    assert galois._squarefree_factors(_power(f, 4)) == [(f, 4)]
+
+
+def test_seeded_sweep_squarefree_split_multiplies_back():
+    # Products f^a g^b h^c of pairwise coprime squarefree factors, multiplicities
+    # up to 4, each factor found once with its multiplicity.
+    rng = random.Random(1976)
+    checked = 0
+    while checked < 200:
+        f, g, h = (_random_squarefree(rng) for _ in range(3))
+        if not (_coprime(f, g) and _coprime(f, h) and _coprime(g, h)):
+            continue
+        exponents = [rng.randint(0, 4) for _ in range(3)]
+        if not any(exponents):
+            continue
+        lead = Fraction(rng.choice((-3, -1, 1, 2, 7)), rng.choice((1, 4)))
+        _check_squarefree_split(list(zip((f, g, h), exponents)), lead)
+        checked += 1

@@ -1,0 +1,59 @@
+"""Dead-code checks on the package source, read as syntax trees.
+
+Every `src/starlattice` module except `__init__.py` (whose imports are the
+public re-exports) must use each name it imports, and every module-level
+private function or class must be referenced somewhere in the package
+outside its own definition. Neither check imports the modules.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starlattice"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Bare names read anywhere in node."""
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Bare and attribute names read anywhere in node."""
+    return _names(node) | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    used = _names(tree)
+    assert [name for name in _imported(tree) if name not in used] == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    statements = [(path.name, stmt) for path in MODULES + [PACKAGE / "__init__.py"] for stmt in _tree(path).body]
+    references = [_referenced(stmt) for _, stmt in statements]
+    unreferenced = []
+    for i, (module, stmt) in enumerate(statements):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+            if not any(stmt.name in refs for j, refs in enumerate(references) if j != i):
+                unreferenced.append(f"{module}:{stmt.name}")
+    assert unreferenced == []
