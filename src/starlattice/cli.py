@@ -10,16 +10,18 @@ an option a subcommand does not read is a usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
 import json
 import sys
 from fractions import Fraction
+from math import inf
 
 from . import galois
 from .corpus import run_corpus
-from .errors import IndexOutOfRange, SchemaError, StarLatticeError
+from .errors import FloatOverflow, IndexOutOfRange, SchemaError, StarLatticeError
 from .floatmode import bench_star_power
 from .fourier import fourier_step
 from .galois import ConstLinearEq, QuadExt, verify_fundamental
@@ -37,15 +39,26 @@ from .sequences import LatticeSeq, TaylorCoeffs
 from .specio import as_const_nonlinear, parse_solution, parse_spec, to_document
 from .transforms import taylor_to_lattice
 
-def _render(value, mode: str):
+def _as_float(value, where: str) -> float | complex:
+    """An exact value in doubles for --mode float; one beyond the double range raises FloatOverflow."""
+    try:
+        x = float(value) if isinstance(value, Fraction) else complex(value)
+    except OverflowError:
+        x = inf
+    if not cmath.isfinite(x):
+        raise FloatOverflow(f"{where} leaves the double range; --mode float cannot print it")
+    return x
+
+
+def _render(value, mode: str, name: str, n: int | None = None):
+    """The JSON/CSV form of one entry; ``name`` and index ``n`` label it in a float-range error."""
     if value is None:
         return None
+    if mode == "float" and isinstance(value, (Fraction, QuadExt)):
+        value = _as_float(value, name if n is None else f"{name}[{n}]")
     if isinstance(value, Fraction):
-        return format_float(float(value)) if mode == "float" else format_rational(value)
+        return format_rational(value)
     if isinstance(value, QuadExt):
-        if mode == "float":
-            c = complex(value)
-            return [format_float(c.real), format_float(c.imag)]
         return str(value)
     if isinstance(value, complex):
         return [format_float(value.real), format_float(value.imag)]
@@ -90,9 +103,9 @@ def _parse_init(text: str | None, count: int, what: str) -> tuple[Fraction, ...]
 
 def _series_table(name: str, values, args) -> str:
     if args.format == "csv":
-        return _csv_text(["n", name], [[n, _render(v, args.mode)] for n, v in enumerate(values)])
+        return _csv_text(["n", name], [[n, _render(v, args.mode, name, n)] for n, v in enumerate(values)])
     return _json_text(
-        {"command": args.command, name: [_render(v, args.mode) for v in values]}
+        {"command": args.command, name: [_render(v, args.mode, name, n) for n, v in enumerate(values)]}
     )
 
 
@@ -201,14 +214,17 @@ def cmd_galois(args) -> int:
         "dimension": report.dimension,
         "roots": [
             {
-                "value": _render(r.value, args.mode),
+                "value": _render(r.value, args.mode, "roots", i),
                 "multiplicity": r.multiplicity,
                 "exact": r.exact,
             }
-            for r in report.roots
+            for i, r in enumerate(report.roots)
         ],
-        "solutions": [[_render(v, args.mode) for v in sol] for sol in report.system.solutions],
-        "wronskian": _render(report.wronskian, args.mode),
+        "solutions": [
+            [_render(v, args.mode, f"solutions[{j}]", n) for n, v in enumerate(sol)]
+            for j, sol in enumerate(report.system.solutions)
+        ],
+        "wronskian": _render(report.wronskian, args.mode, "wronskian"),
         "wronskian_nonzero": report.wronskian_nonzero,
         "residuals_ok": report.residuals_ok,
         "ok": report.ok,

@@ -44,7 +44,7 @@ class NotForwardSolvable(StarLatticeError):
 
 
 class RootCertificationError(StarLatticeError, ArithmeticError):
-    """A float fallback root leaves a characteristic-polynomial residual above the bound."""
+    """Float roots of a factor cannot be proved: their Smith inclusion discs are not pairwise disjoint."""
 
 
 class FloatOverflow(StarLatticeError, ArithmeticError):

@@ -5,7 +5,9 @@ the differential form maps to the lattice generator z_n = (n)_j (1+l)^(n-j),
 which satisfies the difference form T[Delta] z = 0 with the same
 coefficients. Roots are kept exact whenever possible (rational roots by the
 rational root theorem, conjugate pairs as quadratic surds); factors of
-degree >= 3 without rational roots fall back to certified float roots.
+degree >= 3 without rational roots get float roots, found in pure Python by
+Aberth-Ehrlich sweeps and each proved, on integers, to be the centre of a
+Smith inclusion disc that holds exactly one root (`char_roots`).
 
 Generators are running products: each index costs one field product of
 the previous power by 1+l. `verify_fundamental` checks every index with one
@@ -24,7 +26,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt
+from math import hypot, inf, isqrt, perm, pi
 from operator import mul
 
 from .errors import FloatOverflow, IndexOutOfRange, RootCertificationError, SingularSystem
@@ -33,7 +35,16 @@ from .rational import as_rational, format_rational, over_common_denominator
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
 from .transforms import falling_factorial, lattice_to_newton
 
-FLOAT_ROOT_RESIDUAL_BOUND = 1e-12
+# Aberth-Ehrlich converges cubically once near the roots: on the perfbench
+# const factors and at degree 64 each root settles within 4-7 sweeps.
+# Approximations that never settle, as for two roots closer together than the
+# doubles near them, stop after this many, and the certificate refuses them.
+_ABERTH_SWEEPS = 100
+_START_ANGLE = 0.4  # keeps the starting circle off the real axis, where a real polynomial's iteration would stay
+_EPSILON = 2.0**-52
+# Smith radii squared are rounded up to multiples of 2^-64 grid units, so the
+# pair tests run on numbers of about the grid's size.
+_RADIUS_BITS = 64
 # Relative: a float column fails at n when |T[Delta] z_n| exceeds this times
 # sum_k |s_k| |z_{n+k}| over the local stencil s, the running error bound of
 # that dot product (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -157,7 +168,7 @@ class RootDatum:
     value: Scalar
     multiplicity: int
     exact: bool
-    residual: float = 0.0  # |charpoly(value)| for float roots, 0 for exact ones
+    residual: float = 0.0  # |f(value)| for the monic factor f of a float root, evaluated exactly; 0 for exact roots
 
 
 @dataclass(frozen=True)
@@ -250,8 +261,148 @@ def _squarefree_factors(poly: list[Fraction]) -> list[tuple[list[Fraction], int]
     return out
 
 
+def _exact_ratio(ints: list[int], z: complex) -> tuple[complex, bool]:
+    """p(z)/p'(z) for integer p, evaluated exactly and rounded once, and whether it is below one ulp of z."""
+    s, ((x, y),) = _dyadic_grid([z])
+    re, im, dre, dim = _scaled_horner(ints, s, x, y)
+    den = (dre * dre + dim * dim) << s  # |2^(s (n-1)) p'(z)|^2 2^s
+    try:
+        ratio = complex((re * dre + im * dim) / den, (im * dre - re * dim) / den)
+    except (ZeroDivisionError, OverflowError):  # p'(z) = 0, or p/p' beyond the double range
+        raise RootCertificationError(f"no Newton step from the float root approximation {z}") from None
+    return ratio, abs(ratio) <= _EPSILON * abs(z)
+
+
+def _aberth(ints: list[int]) -> list[complex]:
+    """Approximate roots of a square-free integer polynomial by Aberth-Ehrlich sweeps.
+
+    O. Aberth, Math. Comp. 27 (1973). The approximations are complex
+    doubles, and each Newton ratio p/p' is evaluated exactly, so no power of
+    z overflows and roots closer together than the rounding error of a
+    double evaluation are still pulled apart. The start is a circle of half
+    Fujiwara's bound 2 max(|a_(n-k)|^(1/k), |a_0/2|^(1/n)) on the root
+    moduli of the monic form, which cannot overflow, turned off the real
+    axis (a start on the bound itself took 2.7 times as long at degree 64).
+    Gauss-Seidel sweeps move each approximation until its correction is
+    below one ulp. The result is only a guess: `_smith_certificate` decides.
+    """
+    try:
+        moduli = [abs(c / ints[-1]) for c in ints]
+    except OverflowError:
+        raise RootCertificationError("a coefficient of a float-root factor leaves the double range") from None
+    n = len(ints) - 1
+    radius = max([moduli[n - k] ** (1 / k) for k in range(1, n)] + [(moduli[0] / 2) ** (1 / n)])
+    z = [cmath.rect(radius, 2 * pi * k / n + _START_ANGLE) for k in range(n)]
+    settled = [False] * n
+    for _ in range(_ABERTH_SWEEPS):
+        for i, zi in enumerate(z):
+            if settled[i]:
+                continue
+            try:
+                ratio, settled[i] = _exact_ratio(ints, zi)
+                repulsion = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                z[i] = zi - ratio / (1 - ratio * repulsion)
+            except (ZeroDivisionError, OverflowError):
+                raise RootCertificationError(f"Aberth iteration broke down at {zi}") from None
+        if all(settled):
+            break
+    return z
+
+
+def _conjugate_centres(approx: list[complex]) -> list[complex]:
+    """The approximations made symmetric under conjugation, as the roots of a real factor are.
+
+    Each approximation is matched with the one nearest its conjugate. One
+    that is its own match becomes real (imaginary part 0.0); a matched pair
+    becomes an exact conjugate pair. Anything else is refused.
+    """
+    mates = [min(range(len(approx)), key=lambda j: abs(approx[j] - z.conjugate())) for z in approx]
+    centres = []
+    for i, j in enumerate(mates):
+        if mates[j] != i:
+            raise RootCertificationError(f"float root {approx[i]} has no conjugate partner")
+        if i == j:
+            centres.append(complex(approx[i].real, 0.0))
+        elif i < j:
+            a, b = approx[i], approx[j]
+            upper = complex((a.real + b.real) / 2, (abs(a.imag) + abs(b.imag)) / 2)
+            centres += [upper, upper.conjugate()]
+    return centres
+
+
+def _dyadic_grid(centres: list[complex]) -> tuple[int, list[tuple[int, int]]]:
+    """(s, [(X, Y), ...]) with every centre exactly (X + iY) / 2^s: doubles are dyadic."""
+    if not all(cmath.isfinite(c) for c in centres):
+        raise RootCertificationError("the float root iteration left the double range")
+    ratios = [x.as_integer_ratio() for c in centres for x in (c.real, c.imag)]
+    s = max(den.bit_length() - 1 for _, den in ratios)
+    grid = [num << (s - den.bit_length() + 1) for num, den in ratios]
+    return s, list(zip(grid[::2], grid[1::2]))
+
+
+def _scaled_horner(ints: list[int], s: int, x: int, y: int) -> tuple[int, int, int, int]:
+    """2^(s n) P and 2^(s (n-1)) P' at (x + iy) / 2^s for integer P of degree n, as Gaussian integers."""
+    n = len(ints) - 1
+    re, im, dre, dim = ints[n], 0, 0, 0
+    for k in range(n - 1, -1, -1):
+        dre, dim = dre * x - dim * y + re, dre * y + dim * x + im
+        re, im = re * x - im * y + (ints[k] << (s * (n - k))), re * y + im * x
+    return re, im, dre, dim
+
+
+def _smith_certificate(ints: list[int], centres: list[complex]) -> list[float]:
+    """Prove that each centre lies in a disc holding exactly one root of p; return |p| at the centres.
+
+    p is sum ints[k] x^k made monic. B. T. Smith, J. ACM 17 (1970): for
+    monic p of degree n and distinct z_1..z_n, the discs |x - z_i| <= r_i =
+    n |p(z_i)| / prod_(j != i) |z_i - z_j| cover every root, and a disc
+    disjoint from all others holds exactly one. Everything runs on
+    integers: the centres, as Gaussian integers on one dyadic grid, and p,
+    evaluated there exactly. r_i^2 is rounded up to a multiple of
+    2^-_RADIUS_BITS grid units, so the test of each pair,
+    d^2 - r_i^2 - r_j^2 > 0 and its square > 4 r_i^2 r_j^2, needs no square
+    root. A real factor's disc centred on the axis that holds one root holds
+    a real root, since the conjugate of that root lies in the same disc.
+    Raises ``RootCertificationError`` unless the discs are pairwise
+    disjoint.
+    """
+    n = len(centres)
+    s, points = _dyadic_grid(centres)
+    values = [_scaled_horner(ints, s, x, y)[:2] for x, y in points]
+    squared = [[(xi - xj) ** 2 + (yi - yj) ** 2 for xj, yj in points] for xi, yi in points]
+    bounds = []  # r_i^2 in grid units is at most bounds[i] / 2^_RADIUS_BITS
+    for i, (re, im) in enumerate(values):
+        den = ints[n] ** 2
+        for j, d in enumerate(squared[i]):
+            if j != i:
+                den *= d
+        if den == 0:
+            raise RootCertificationError(f"float root {centres[i]} is repeated")
+        bounds.append(-(-((n * n * (re * re + im * im)) << _RADIUS_BITS) // den))
+    for i in range(n):
+        for j in range(i):
+            gap = (squared[i][j] << _RADIUS_BITS) - bounds[i] - bounds[j]
+            if gap <= 0 or gap * gap <= 4 * bounds[i] * bounds[j]:
+                raise RootCertificationError(
+                    f"float roots {centres[j]} and {centres[i]} have overlapping Smith discs"
+                )
+    den = abs(ints[n]) << (s * n)
+    try:
+        return [hypot(re / den, im / den) for re, im in values]
+    except OverflowError:
+        return [inf] * n
+
+
 def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
-    """Exact roots where possible, certified float roots otherwise."""
+    """Exact roots where possible, certified float roots otherwise.
+
+    Rational roots come from the rational root theorem and a square-free
+    quadratic remainder gives a rational or quadratic-surd pair. A remainder
+    of degree >= 3 gets float roots: Aberth-Ehrlich approximations, paired
+    into exact conjugates and real values, each proved to be the centre of a
+    Smith disc that holds exactly one root (`_smith_certificate`); a factor
+    whose discs cannot be separated raises ``RootCertificationError``.
+    """
     out: list[RootDatum] = []
     for factor, mult in _squarefree_factors(eq.char_poly()):
         rational, rest = _rational_roots(factor)
@@ -273,18 +424,13 @@ def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
                 for sign in (half_b, -half_b):
                     out.append(RootDatum(QuadExt(-beta / 2, sign, disc), mult, exact=True))
             continue
-        monic = [c / rest[-1] for c in rest]
-        import numpy as np
-
-        approx = np.roots([float(c) for c in reversed(monic)])
-        for r in approx:
-            value = complex(r)
-            residual = abs(poly_eval(monic, value))
-            if residual >= FLOAT_ROOT_RESIDUAL_BOUND:
-                raise RootCertificationError(
-                    f"float root {value} fails certification: residual {residual:.3e}"
-                )
-            out.append(RootDatum(value, mult, exact=False, residual=residual))
+        _, ints = over_common_denominator(rest)
+        # One more Newton step with p/p' evaluated exactly makes each coordinate
+        # (all but always) the double nearest its root; it commutes with
+        # conjugation, so pairs stay exact conjugates and real centres real.
+        centres = [c - _exact_ratio(ints, c)[0] for c in _conjugate_centres(_aberth(ints))]
+        residuals = _smith_certificate(ints, centres)
+        out += [RootDatum(c, mult, exact=False, residual=r) for c, r in zip(centres, residuals)]
     out.sort(key=_root_sort_key)
     return out
 
@@ -313,7 +459,7 @@ def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
     if isinstance(one_plus, complex):
         for n in range(j, L + 1):
             try:
-                value = falling_factorial(n, j) * one_plus ** (n - j)
+                value = perm(n, j) * one_plus ** (n - j)
             except OverflowError:
                 value = complex(inf)
             if not cmath.isfinite(value):

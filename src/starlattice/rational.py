@@ -11,6 +11,7 @@ numerators, dividing once at the end.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -19,6 +20,22 @@ from .errors import RationalParseError
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# Longest digit string a literal may hold. CPython 3.11 refuses int(str) past
+# 4300 digits; `decimal` converts past that, at a cost that grows like the
+# square of the length: 0.5 s for 10^5 digits and 49 s for 10^6 on one core
+# of a 2-vCPU Xeon VM. Refusing longer strings keeps each literal's cost
+# bounded.
+MAX_LITERAL_DIGITS = 100_000
+
+
+def _parse_int(digits: str, text: str) -> int:
+    """int(digits), also past the interpreter's int/str digit limit, which `decimal` does not have."""
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise RationalParseError(f"literal with more than {MAX_LITERAL_DIGITS} digits: {text[:40]!r}...")
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -26,19 +43,24 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise RationalParseError(f"not a rational literal: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise RationalParseError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    if not den:
+        return Fraction(_parse_int(num, text))
+    q = _parse_int(den, text)
+    if q == 0:
+        raise RationalParseError(f"zero denominator: {text!r}")
+    return Fraction(_parse_int(num, text), q)
 
 
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "p/q", or "p" alone when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the int/str digit limit: decimal writes the same digits
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def as_rational(value) -> Fraction:

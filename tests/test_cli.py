@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,14 +249,34 @@ def assert_one_line_usage_error(code, capsys):
 
 
 def test_cli_galois_failed_root_certification(tmp_path, capsys):
-    # x^64 - 10^6 x - 10^6: the float roots miss the residual bound by far
-    doc = {"type": "const_linear", "coeffs": ["-1000000", "-1000000"] + ["0"] * 62}
+    # x^20 - 20000x^2 + 400x - 2 = x^20 - 2(100x - 1)^2 (Mignotte): two simple
+    # roots 1/100 +- 7e-23 lie far closer together than the doubles there,
+    # 1.7e-18 apart, so no two centres have disjoint Smith discs. (At degree 12
+    # the pair lies 1.4e-14 apart, and the exact refinement separates it.)
+    doc = {"type": "const_linear", "coeffs": ["-2", "400", "-20000"] + ["0"] * 17}
     path = write_doc(tmp_path, doc)
     with pytest.raises(RootCertificationError) as err:
         galois.char_roots(parse_spec(doc))
     assert isinstance(err.value, StarLatticeError)
     code = run(["galois", "--input", path, "--length", "70", "--allow-float-roots"])
     assert_one_line_usage_error(code, capsys)
+
+
+def test_cli_galois_certifies_a_degree_64_operator(tmp_path):
+    # x^64 - 10^6 x - 10^6: 64 well-separated simple roots, 62 of them near
+    # |x| = 1.25, where |p'| is about 5e7, so |p| at the nearest doubles reaches
+    # 1e-8 and no absolute residual bound near 1e-12 holds; the Smith discs
+    # prove one root each.
+    doc = {"type": "const_linear", "coeffs": ["-1000000", "-1000000"] + ["0"] * 62}
+    start = time.perf_counter()
+    roots = galois.char_roots(parse_spec(doc))
+    assert time.perf_counter() - start < 1.0
+    assert len(roots) == 64 and not any(r.exact for r in roots)
+    assert sum(r.value.imag == 0 for r in roots) == 2  # a convex x^64 meets the line 10^6 (x + 1) twice
+    path = write_doc(tmp_path, doc)
+    out_path = tmp_path / "g.json"
+    assert run(["galois", "--input", path, "--length", "70", "--mode", "float", "--out", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["ok"] is True
 
 
 def test_cli_rejects_negative_length(tmp_path, capsys):
@@ -463,3 +485,76 @@ def test_cli_residual_reads_only_the_entries_it_reports(tmp_path, monkeypatch, c
             assert seen == [length + order + 1]
             assert code == 0 and len(lines) == length + 2
             assert all(line.endswith(",0") for line in lines[1:])
+
+
+# ---------------------------------------------------------------- the output boundary
+
+ROOT_3_DOC = {"type": "const_linear", "coeffs": ["-3"]}  # root 3: the entries are 4^n
+
+
+def _digits(text: str) -> int:
+    return len(text.lstrip("-").partition("/")[0])
+
+
+def test_cli_galois_prints_entries_past_the_int_digit_limit(tmp_path):
+    # 4^n has more than 4300 digits from n = 7143 on, where str(int) refuses;
+    # 10000 is the cap.
+    limit = sys.get_int_max_str_digits()
+    out_path = tmp_path / "g.json"
+    assert run(["galois", "--input", write_doc(tmp_path, ROOT_3_DOC), "--length", "10000", "--out", str(out_path)]) == 0
+    column = json.loads(out_path.read_text())["solutions"][0]
+    assert len(column) == 10001 and _digits(column[7200]) > 4300
+    assert all(int(Decimal(column[n])) == 4**n for n in (0, 7142, 7143, 7200, 10000))
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_cli_solve_prints_entries_past_the_int_digit_limit(tmp_path, capsys):
+    # z' = 1048583 z^2 from 1/2: entry 537 passes 4300 digits, below the cap of 1600.
+    doc = {"type": "nonlinear", "m": 1, "coeffs": [[], [], [[0, "1048583"]]]}
+    assert run(["solve", "--input", write_doc(tmp_path, doc), "--init", "1/2", "--length", "700"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(n) for n, _ in rows] == list(range(701))
+    assert max(_digits(z) for _, z in rows) > 4300
+
+
+def test_cli_solution_past_the_int_digit_limit_reads_back(tmp_path, capsys):
+    # A 151-digit coefficient makes entries of about 6000 digits by n = 40;
+    # residual parses them and finds every residual zero.
+    doc = {"type": "nonlinear", "m": 1, "coeffs": [[], [], [[0, "1" + "0" * 149 + "7"]]]}
+    assert run(["solve", "--input", write_doc(tmp_path, doc), "--init", "1/2", "--length", "40", "--format", "json"]) == 0
+    values = json.loads(capsys.readouterr().out)["z"]
+    assert max(_digits(v) for v in values) > 4300
+    path = write_doc(tmp_path, dict(doc, solution={"lattice": values}), "solution.json")
+    assert run(["residual", "--input", path, "--length", "39"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 41 and all(line.endswith(",0") for line in lines[1:])
+
+
+def test_cli_refuses_a_literal_beyond_the_digit_cap(tmp_path, capsys):
+    digits = "7" * starlattice.rational.MAX_LITERAL_DIGITS
+    for coeff, code in ((digits, 0), (digits + "1", 2), ("1/" + digits + "1", 2)):
+        path = write_doc(tmp_path, {"type": "const_linear", "coeffs": [coeff]})
+        assert run(["discretize", "--input", path, "--out", str(tmp_path / "d.json")]) == code
+        if code == 2:
+            assert_one_line_usage_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "doc, argv, last_length, message",
+    [
+        # z' = z^2 from 1/2: z_197 passes the double range, where float() raises OverflowError
+        (SQUARE_DOC, ["solve", "--init", "1/2"], 196, "error: z[197] leaves the double range"),
+        # 4^n passes the double range at n = 512
+        (ROOT_3_DOC, ["galois"], 511, "error: solutions[0][512] leaves the double range"),
+    ],
+)
+def test_cli_float_mode_refuses_entries_beyond_the_double_range(tmp_path, capsys, doc, argv, last_length, message):
+    argv = [argv[0], "--input", write_doc(tmp_path, doc), *argv[1:], "--mode", "float", "--length"]
+    for length in (last_length + 4, 600):
+        code = run(argv + [str(length)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(message)
+    assert run(argv + [str(last_length)]) == 0
+    out = capsys.readouterr().out.lower()
+    assert "inf" not in out and "nan" not in out

@@ -3,11 +3,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import copysign, factorial
 
 import pytest
 
-from starlattice import LatticeSeq, SingularSystem, TaylorCoeffs, taylor_to_lattice
+from starlattice import LatticeSeq, RootCertificationError, SingularSystem, TaylorCoeffs, taylor_to_lattice
 from starlattice.deltaops import SYMMETRIC_DIFFERENCE, apply_stencil
 from starlattice import galois, series
 from starlattice.galois import (
@@ -22,6 +22,7 @@ from starlattice.galois import (
     system_from_sequences,
     verify_fundamental,
 )
+from starlattice.rational import over_common_denominator
 from starlattice.transforms import falling_factorial
 
 
@@ -417,3 +418,110 @@ def test_seeded_sweep_squarefree_split_multiplies_back():
         lead = Fraction(rng.choice((-3, -1, 1, 2, 7)), rng.choice((1, 4)))
         _check_squarefree_split(list(zip((f, g, h), exponents)), lead)
         checked += 1
+
+
+# ---------------------------------------------------------------- certified float roots
+
+
+def _irreducible_quadratic(rng):
+    """x^2 + p x + q with rational p, q and no rational root; its number of real roots."""
+    while True:
+        p, q = (Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(2))
+        disc = p * p - 4 * q
+        if galois._rational_sqrt(disc) is None:
+            return [q, p, Fraction(1)], 2 if disc > 0 else 0
+
+
+def _cubic_without_rational_root(rng):
+    """Monic rational cubic with no rational root, and its number of real roots by the discriminant's sign."""
+    while True:
+        c = [Fraction(rng.randint(-7, 7), rng.choice((1, 2))) for _ in range(3)] + [Fraction(1)]
+        if not galois._rational_roots(c)[0]:
+            d, cc, b, _ = c
+            disc = 18 * b * cc * d - 4 * b**3 * d + b * b * cc * cc - 4 * cc**3 - 27 * d * d
+            return c, 3 if disc > 0 else 1
+
+
+def _random_float_factor(rng):
+    """A monic factor of degree 3..8 that char_roots sends to the float route, and its real-root count if known."""
+    kind = rng.choice(("products", "perfbench", "cluster", "large"))
+    if kind == "perfbench":  # the shape perfbench generates: monic cubic or quartic, integers in [-3, 3]
+        factor = [Fraction(rng.randint(-3, 3)) for _ in range(rng.choice((3, 4)))] + [Fraction(1)]
+        real = None
+    elif kind == "cluster":  # two roots about 10^-k apart, real or complex, maybe times a cubic
+        k = rng.randint(3, 6)
+        sign = rng.choice((1, -1))
+        base = Fraction(rng.choice((2, 3, 5)))
+        factor = _poly_mul([-sign * base, Fraction(0), Fraction(1)], [-sign * (base + Fraction(1, 10**k)), Fraction(0), Fraction(1)])
+        real = 4 if sign == 1 else 0
+        if rng.random() < 0.5:
+            cubic, n = _cubic_without_rational_root(rng)
+            factor, real = _poly_mul(factor, cubic), real + n
+    elif kind == "large":  # coefficients up to 10^4 with a small constant term: roots from 10^-4 to 10^4
+        factor, real = [Fraction(1)], 0
+        for _ in range(rng.choice((2, 3))):
+            while True:
+                p, q = Fraction(rng.randint(-10**4, 10**4)), Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                if galois._rational_sqrt(p * p - 4 * q) is None:
+                    break
+            factor, real = _poly_mul(factor, [q, p, Fraction(1)]), real + (2 if p * p > 4 * q else 0)
+    else:  # products of irreducible quadratics and at most one cubic, degree 3..8
+        factor, real = [Fraction(1)], 0
+        parts = rng.choice(((3,), (2, 2), (3, 2), (2, 2, 2), (3, 3), (3, 2, 2), (2, 2, 2, 2), (3, 3, 2)))
+        for degree in parts:
+            part, n = _irreducible_quadratic(rng) if degree == 2 else _cubic_without_rational_root(rng)
+            factor, real = _poly_mul(factor, part), real + n
+    if galois._squarefree_factors(factor) != [(factor, 1)] or galois._rational_roots(factor)[0]:
+        return _random_float_factor(rng)
+    return factor, real
+
+
+def _expand(roots):
+    """Coefficients of prod (x - r), low to high, in complex doubles."""
+    out = [1 + 0j]
+    for r in roots:
+        out = [(out[k - 1] if k else 0) - r * (out[k] if k < len(out) else 0) for k in range(len(out) + 1)]
+    return out
+
+
+def test_seeded_sweep_float_roots_are_certified_symmetric_and_reproduce_the_factor():
+    rng = random.Random(20261018)
+    kinds = {"real": 0, "pair": 0}
+    for _ in range(150):
+        factor, real = _random_float_factor(rng)
+        roots = char_roots(ConstLinearEq(tuple(factor[:-1])))
+        values = [r.value for r in roots]
+        assert len(values) == len(factor) - 1
+        assert all(not r.exact and r.multiplicity == 1 and isinstance(r.value, complex) for r in roots)
+        # Exact symmetry: real roots carry +0.0, the others come in exact conjugate pairs.
+        assert all(copysign(1.0, v.imag) == 1.0 for v in values if v.imag == 0)
+        key = lambda v: (v.real, v.imag)
+        assert sorted(values, key=key) == sorted((v.conjugate() for v in values), key=key)
+        if real is not None:
+            assert sum(v.imag == 0 for v in values) == real
+        kinds["real"] += sum(v.imag == 0 for v in values)
+        kinds["pair"] += sum(v.imag > 0 for v in values)
+        # prod (x - r_i) gives back the factor, relative to the scale prod (x + |r_i|).
+        scale = [abs(c) for c in _expand([-abs(v) for v in values])]
+        for got, want, s in zip(_expand(values), factor, scale):
+            assert abs(got - complex(want)) <= 1e-12 * s
+        # The certificate accepts these centres, and refuses them once one is
+        # moved halfway to its nearest neighbour: that disc then reaches the neighbour.
+        ints = over_common_denominator(factor)[1]
+        galois._smith_certificate(ints, values)
+        i = rng.randrange(len(values))
+        j = min((j for j in range(len(values)) if j != i), key=lambda j: abs(values[j] - values[i]))
+        nudged = values[:i] + [(values[i] + values[j]) / 2] + values[i + 1 :]
+        with pytest.raises(RootCertificationError):
+            galois._smith_certificate(ints, nudged)
+    assert kinds["real"] > 100 and kinds["pair"] > 100
+
+
+def test_exact_refinement_separates_a_mignotte_pair():
+    # x^12 - 2(100x - 1)^2: two real roots 1/100 +- 0.01^6 / (100 sqrt 2), 1.4e-14
+    # apart. In doubles |p| there is below its own rounding error; the sweeps
+    # with p/p' evaluated exactly still pull the two approximations apart.
+    roots = char_roots(ConstLinearEq((Fraction(-2), Fraction(400), Fraction(-20000)) + (Fraction(0),) * 9))
+    near = sorted(r.value.real for r in roots if abs(r.value - 0.01) < 1e-6)
+    assert len(near) == 2 and all(r.value.imag == 0 for r in roots if abs(r.value - 0.01) < 1e-6)
+    assert near[1] - near[0] == pytest.approx(2 * 0.01**6 / (100 * 2**0.5), rel=1e-3)

@@ -1,14 +1,17 @@
-"""Dead-code checks on the package source, read as syntax trees.
+"""Dead-code and dependency checks on the package source, read as syntax trees.
 
 Every `src/starlattice` module except `__init__.py` (whose imports are the
 public re-exports) must use each name it imports, and every module-level
 private function or class must be referenced somewhere in the package
-outside its own definition. Neither check imports the modules.
+outside its own definition. Every module imports only the standard library
+and the package itself, and no test imports numpy. No check imports the
+modules.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,24 @@ def test_every_private_function_and_class_is_referenced():
             if not any(stmt.name in refs for j, refs in enumerate(references) if j != i):
                 unreferenced.append(f"{module}:{stmt.name}")
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    # The package has no runtime dependency: every import is stdlib or the package itself.
+    modules = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    top = {name.partition(".")[0] for name in modules}
+    assert sorted(top - set(sys.stdlib_module_names) - {"starlattice"}) == []
+
+
+def test_tests_do_not_import_numpy():
+    for path in sorted(PACKAGE.parents[1].joinpath("tests").glob("*.py")):
+        tree = _tree(path)
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not any(name.partition(".")[0] == "numpy" for name in names), path.name
