@@ -87,9 +87,20 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal; one past the interpreter's int/str digit limit is refused, not a traceback."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise SchemaError(
+            "--input", f"integer with {digits} digits; JSON integers may have at most {sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def _load_document(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=_json_int)
 
 
 def _parse_init(text: str | None, count: int, what: str) -> tuple[Fraction, ...]:
@@ -111,36 +122,17 @@ def _series_table(name: str, values, args) -> str:
 
 def cmd_discretize(args) -> int:
     eq = parse_spec(_load_document(args.input))
-    if isinstance(eq, ConstLinearEq):
-        payload = {
-            "command": "discretize",
-            "equation": to_document(eq),
-            "kind": "const_linear",
-            "order": eq.order,
-            "local_stencil": [format_rational(c) for c in local_stencil(eq.as_linear_ode())],
-            "nonlocal": False,
-        }
-    elif isinstance(eq, LinearOde):
-        stencil = local_stencil(eq)
-        payload = {
-            "command": "discretize",
-            "equation": to_document(eq),
-            "kind": "linear",
+    equation = to_document(eq)
+    payload = {"command": "discretize", "equation": equation, "kind": equation["type"]}
+    if isinstance(eq, NonlinearOde):
+        constant = all(p == 0 for poly in eq.coeffs for p, _ in poly.monomials)
+        payload |= {"m": eq.m, "degree": eq.degree, "local_stencil": None, "nonlocal": eq.degree >= 2 or not constant}
+    else:
+        stencil = local_stencil(eq.as_linear_ode() if isinstance(eq, ConstLinearEq) else eq)
+        payload |= {
             "order": eq.order,
             "local_stencil": None if stencil is None else [format_rational(c) for c in stencil],
             "nonlocal": stencil is None,
-        }
-    else:
-        assert isinstance(eq, NonlinearOde)
-        constant = all(p == 0 for poly in eq.coeffs for p, _ in poly.monomials)
-        payload = {
-            "command": "discretize",
-            "equation": to_document(eq),
-            "kind": "nonlinear",
-            "m": eq.m,
-            "degree": eq.degree,
-            "local_stencil": None,
-            "nonlocal": eq.degree >= 2 or not constant,
         }
     _emit(_json_text(payload), args.out)
     return 0

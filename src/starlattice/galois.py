@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import hypot, inf, isqrt, perm, pi
+from math import hypot, inf, perm, pi
 from operator import mul
 
 from .errors import FloatOverflow, IndexOutOfRange, RootCertificationError, SingularSystem
@@ -190,15 +190,6 @@ class FundamentalSystem:
     @property
     def length(self) -> int:
         return len(self.solutions[0])
-
-
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
 
 
 def _divisors(n: int) -> list[int]:
@@ -396,8 +387,9 @@ def _smith_certificate(ints: list[int], centres: list[complex]) -> list[float]:
 def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
     """Exact roots where possible, certified float roots otherwise.
 
-    Rational roots come from the rational root theorem and a square-free
-    quadratic remainder gives a rational or quadratic-surd pair. A remainder
+    Rational roots come from the rational root theorem, which leaves none in
+    the remainder, so a square-free quadratic remainder is irreducible and
+    gives a quadratic-surd pair (-beta +- sqrt(d)) / 2. A remainder
     of degree >= 3 gets float roots: Aberth-Ehrlich approximations, paired
     into exact conjugates and real values, each proved to be the centre of a
     Smith disc that holds exactly one root (`_smith_certificate`); a factor
@@ -411,18 +403,12 @@ def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
         deg = len(rest) - 1
         if deg <= 0:
             continue
-        if deg == 2:
+        if deg == 2:  # no rational root is left, so d is not a rational square
             c0, c1, c2 = rest
             beta, gamma = c1 / c2, c0 / c2
             disc = beta * beta - 4 * gamma
-            s = _rational_sqrt(disc)
-            if s is not None:
-                for r in ((-beta + s) / 2, (-beta - s) / 2):
-                    out.append(RootDatum(r, mult, exact=True))
-            else:
-                half_b = Fraction(1, 2)
-                for sign in (half_b, -half_b):
-                    out.append(RootDatum(QuadExt(-beta / 2, sign, disc), mult, exact=True))
+            for sign in (Fraction(1, 2), Fraction(-1, 2)):
+                out.append(RootDatum(QuadExt(-beta / 2, sign, disc), mult, exact=True))
             continue
         _, ints = over_common_denominator(rest)
         # One more Newton step with p/p' evaluated exactly makes each coordinate
@@ -446,7 +432,7 @@ def _root_sort_key(r: RootDatum):
 
 
 def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
-    """Lattice generator (n)_j (1+root)^(n-j) for n = 0..L; zero below n = j.
+    """Lattice generator (n)_j (1+root)^(n-j) for n = 0..L; zero (0j for a float root) below n = j.
 
     Exact roots keep a running power of 1+root, one field product per index.
     Float roots take each power from complex `pow`; an entry that leaves the
@@ -455,7 +441,7 @@ def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
     if not 0 <= j < root.multiplicity:
         raise ValueError(f"power j={j} must lie below the multiplicity {root.multiplicity}")
     one_plus = 1 + root.value
-    values: list[Scalar] = [Fraction(0)] * min(j, L + 1)
+    values: list[Scalar] = [0j if isinstance(one_plus, complex) else Fraction(0)] * min(j, L + 1)
     if isinstance(one_plus, complex):
         for n in range(j, L + 1):
             try:

@@ -12,9 +12,9 @@ Linear forward stepping solves the recurrence for z_{n+N}; this needs
 a_N(0) != 0, since every nonlocal term reaches at most index n+N-1 while
 the local one contributes a_N(0) * z_{n+N}. It runs on integers: the
 window z_{n-P}..z_{n+N-1} (P the largest power of t) is put over its common
-denominator D, the stencil with the slot of z_{n+N} dropped gives D E times
-the residual with that slot at zero, and one division by D E a_N(0) makes
-the only `Fraction` of the index. Scaling the whole sequence by a fixed
+denominator D, the stencil on that window, which ends before z_{n+N},
+gives D E times the residual with that slot at zero, and one division by
+D E a_N(0) makes the only `Fraction` of the index. Scaling the whole sequence by a fixed
 power of E a_N(0) instead would grow every numerator by that factor's bits
 per index even where the reduced values stay small.
 
@@ -37,13 +37,14 @@ evaluate through it. The nonlinear residuals are the Newton-space defect of
 the recurrence that `solve_newton` solves, mapped back to the lattice once
 by `transforms.newton_sums`. Both evaluators run on the equation scaled once
 to integer coefficients and on the sequence scaled to integer numerators
-over one denominator, and divide once per index. The kernel form of
-`lin_residual` keeps the paper's whole-sequence route as its cross-check.
+over one denominator, and divide once per index. `lin_residual_kernel`
+keeps the paper's whole-sequence route, through `star.monomial_star_kernel`,
+as the cross-check of `lin_residual`; no production path calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm, perm
@@ -53,7 +54,7 @@ from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
 from .rational import as_rational, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_binomial_powers
-from .star import monomial_star
+from .star import monomial_star_kernel
 from .transforms import difference_rows, falling_factorial, inverse_transform, lattice_to_newton, newton_sums
 
 
@@ -211,8 +212,8 @@ class _LinearStencil:
     def scaled_residual(self, Z, start: int, n: int, D: int) -> int:
         """D E times the residual at n of z, where Z[k - start] = D z_k are integers.
 
-        A row reads as many entries as it has weights, so a row cut short
-        leaves the slots past its end out of the sum.
+        Each row's weights zip with a slice of Z, so a window Z cut short
+        before z_{n+N} leaves that slot out of the sum.
         """
         acc = D * sum(g * perm(n, r) for r, g in self.c0)
         for p, weights in self.rows:
@@ -222,44 +223,44 @@ class _LinearStencil:
         return acc
 
 
-def lin_residual(eq: LinearOde, z: LatticeSeq, n: int, form: str = "shift") -> Fraction:
+def lin_residual(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
     """Left-hand side of the discrete linear equation at index n.
 
-    Exactly zero when z is the lattice image of a power-series solution.
-    ``form`` selects the monomial-image evaluation route: the shift form reads
-    only the entries n-p..n-p+l of each term, the kernel form builds
-    ``delta_power`` and the kernel ``monomial_star`` over the whole sequence
-    as the paper's cross-check.
+    Exactly zero when z is the lattice image of a power-series solution. The
+    stencil reads only the entries n-p..n-p+l of each term;
+    `lin_residual_kernel` is the whole-sequence cross-check.
     """
     N = eq.order
     if n < 0 or n + N > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + N}, stored 0..{z.last_index}")
-    if form == "shift":
-        stencil = _LinearStencil.of(eq)
-        start = max(0, n - stencil.reach)
-        D, Z = over_common_denominator(z.values[start : n + N + 1])
-        return Fraction(stencil.scaled_residual(Z, start, n, D), D * stencil.E)
-    if form != "kernel":
-        raise ValueError(f"unknown form {form!r}")
+    stencil = _LinearStencil.of(eq)
+    start = max(0, n - stencil.reach)
+    D, Z = over_common_denominator(z.values[start : n + N + 1])
+    return Fraction(stencil.scaled_residual(Z, start, n, D), D * stencil.E)
+
+
+def lin_residual_kernel(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
+    """`lin_residual` by the paper's route: `delta_power` and `monomial_star_kernel` over the whole sequence."""
+    N = eq.order
+    if n < 0 or n + N > z.last_index:
+        raise IndexOutOfRange(f"residual at n={n} needs index {n + N}, stored 0..{z.last_index}")
     acc = Fraction(0)
     for l, a_l in enumerate(eq.coeffs):
         if a_l.is_zero:
             continue
         dz = delta_power(z, l)
         for power, coeff in a_l.monomials:
-            acc += coeff * monomial_star(power, dz, form)[n]
+            acc += coeff * monomial_star_kernel(power, dz)[n]
     return acc + eq.c0.image_at(n)
 
 
-def lin_residuals(eq: LinearOde, z: LatticeSeq, form: str = "shift") -> list[Fraction]:
+def lin_residuals(eq: LinearOde, z: LatticeSeq) -> list[Fraction]:
     """Residuals for every index with all needed entries stored.
 
-    The shift form runs on integers: with D the common denominator of z and
-    Z = z * D, each index is one integer sum divided once by D * E.
+    With D the common denominator of z and Z = z * D, each index is one
+    integer sum divided once by D * E.
     """
     count = z.last_index - eq.order + 1
-    if form != "shift":
-        return [lin_residual(eq, z, n, form) for n in range(count)]
     stencil = _LinearStencil.of(eq)
     D, Z = over_common_denominator(z.values)
     return [Fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(count)]
@@ -309,8 +310,9 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
     The recurrence isolates z_{n+N} with coefficient a_N(0), so that constant
     term must be nonzero: every other term reads at most z_{n+N-1}. Index n
     puts the window z_{n-P}..z_{n+N-1} over its common denominator D, forms
-    X = D E (residual at n with z_{n+N} = 0) by the stencil with that slot
-    dropped, and appends -X / (D s) with s = E a_N(0).
+    X = D E (residual at n with z_{n+N} = 0) by the stencil on that window,
+    which ends before the slot of z_{n+N}, and appends -X / (D s) with
+    s = E a_N(0).
     """
     N = eq.order
     if eq.coeffs[-1].constant_term == 0:
@@ -321,9 +323,7 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
     if L < N - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {N} initial values")
     stencil = _LinearStencil.of(eq)
-    (p, local), *rest = stencil.rows  # p = 0, since a_N(0) != 0
-    s = local[N]  # E a_N(0), the weight of the unknown z_{n+N}
-    stencil = replace(stencil, rows=((p, local[:N]), *rest))
+    s = stencil.rows[0][1][N]  # E a_N(0), the weight of the unknown z_{n+N} in the row of p = 0
     for n in range(L - N + 1):
         start = max(0, n - stencil.reach)
         D, Z = over_common_denominator(values[start : n + N])

@@ -1,18 +1,19 @@
 """The star product on lattice sequences.
 
 The product is defined on the falling-factorial basis by p_i * p_j = p_{i+j};
-on coefficients it is the Cauchy convolution, so the fast route is
-inverse-transform, convolve, forward-transform. The direct route evaluates
-the closed-form power kernel
+on coefficients it is the Cauchy convolution, so `star_power` runs
+inverse-transform, convolve, forward-transform. Its oracle
+`star_power_kernel` evaluates the closed-form power kernel
 
     K(n; k_1..k_p) = (-1)^n n! (p-1)^(n-s) / (n-s)!,   s = k_1+...+k_p <= n,
 
-and a literal multi-sum over shift indices serves as its independent oracle.
+and a literal multi-sum over shift indices serves as the kernel's own
+oracle; `monomial_star_kernel` is likewise the oracle of `monomial_star`.
 Everything is triangular: entry n of any product depends only on entries
-0..n of the factors, so truncation at a common length is exact. The
-convolution route of `star_power` runs on integers: the Newton coefficients
-of D z (D the common denominator of z) take their binomial powers, which
-have integer weights (`series.extend_binomial_powers`), map back through
+0..n of the factors, so truncation at a common length is exact.
+`star_power` runs on integers: the Newton coefficients of D z (D the common
+denominator of z) take their binomial powers, which have integer weights
+(`series.extend_binomial_powers`), map back through
 `transforms.newton_sums` and divide once by D^p. `star_multiply` keeps the
 `Fraction` Cauchy product through `mul_trunc` as its cross-check at p = 2.
 """
@@ -67,22 +68,14 @@ def star_multiply(u: LatticeSeq, v: LatticeSeq) -> LatticeSeq:
     return forward_transform(FourierSeq(tuple(conv)))
 
 
-def star_power(z: LatticeSeq, p: int, path: str = "convolution") -> LatticeSeq:
-    """p-fold star power by either route; both give identical exact results.
+def star_power(z: LatticeSeq, p: int) -> LatticeSeq:
+    """p-fold star power by the integer convolution route, O(p L^2) scalar operations.
 
-    The convolution route costs O(p L^2) scalar operations, the kernel route
-    O(L^(p+1)); the latter exists as a permanently-tested redundancy.
+    `star_power_kernel` gives the identical exact result by the closed
+    kernel in O(L^(p+1)); it exists as a permanently-tested redundancy.
     """
     if p < 1:
         raise ArityZero("star power needs arity >= 1; the unit is the all-ones sequence")
-    if path == "convolution":
-        return _star_power_convolution(z, p)
-    if path == "kernel":
-        return _star_power_kernel(z, p)
-    raise ValueError(f"unknown path {path!r}")
-
-
-def _star_power_convolution(z: LatticeSeq, p: int) -> LatticeSeq:
     D, Z = over_common_denominator(z.values)
     w = lattice_to_newton(Z)  # w_l = D l! zeta_l
     powers: list[list[int]] = [[] for _ in range(p - 1)]  # w^(*2) .. w^(*p)
@@ -92,7 +85,10 @@ def _star_power_convolution(z: LatticeSeq, p: int) -> LatticeSeq:
     return LatticeSeq(tuple(Fraction(s, scale) for s in newton_sums(powers[-1] if powers else w)))
 
 
-def _star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:
+def star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:
+    """p-fold star power summed over the closed kernel: the oracle of `star_power`."""
+    if p < 1:
+        raise ArityZero("star power needs arity >= 1; the unit is the all-ones sequence")
     L = z.last_index
     scaled = [z[k] * recip_factorial(k) * (-1 if k % 2 else 1) for k in range(L + 1)]
     out = []
@@ -160,32 +156,33 @@ def monomial_kernel(k: int, j: int, m: int, n: int) -> Fraction:
     return sign * f * falling_factorial(n, k)
 
 
-def monomial_star(m: int, w: LatticeSeq, form: str = "shift") -> LatticeSeq:
-    """Lattice image of t^m * w.
+def monomial_star(m: int, w: LatticeSeq) -> LatticeSeq:
+    """Lattice image of t^m * w by the shift form (n)_m * w_{n-m}, zero for n < m.
 
-    Two equivalent formulas: the shift form (n)_m * w_{n-m} (zero for n < m)
-    and the kernel form sum_{k<=n} sum_j K(k,j,m,n) w_j. The shift form is the
-    cheap derived simplification; the kernel form is kept as its cross-check.
+    The shift form is the cheap derived simplification of the kernel form
+    that `monomial_star_kernel` keeps as its cross-check.
     """
     if m < 0:
         raise ValueError("monomial power must be nonnegative")
     L = w.last_index
-    if form == "shift":
-        values = [
-            falling_factorial(n, m) * w[n - m] if n >= m else Fraction(0) for n in range(L + 1)
-        ]
-        return LatticeSeq(tuple(values))
-    if form == "kernel":
-        values = []
-        for n in range(L + 1):
-            acc = Fraction(0)
-            for k in range(m, n + 1):
-                for j in range(k - m + 1):
-                    if w[j]:
-                        acc += monomial_kernel(k, j, m, n) * w[j]
-            values.append(acc)
-        return LatticeSeq(tuple(values))
-    raise ValueError(f"unknown form {form!r}")
+    values = [falling_factorial(n, m) * w[n - m] if n >= m else Fraction(0) for n in range(L + 1)]
+    return LatticeSeq(tuple(values))
+
+
+def monomial_star_kernel(m: int, w: LatticeSeq) -> LatticeSeq:
+    """Lattice image of t^m * w by the kernel form sum_{k<=n} sum_j K(k,j,m,n) w_j."""
+    if m < 0:
+        raise ValueError("monomial power must be nonnegative")
+    L = w.last_index
+    values = []
+    for n in range(L + 1):
+        acc = Fraction(0)
+        for k in range(m, n + 1):
+            for j in range(k - m + 1):
+                if w[j]:
+                    acc += monomial_kernel(k, j, m, n) * w[j]
+        values.append(acc)
+    return LatticeSeq(tuple(values))
 
 
 def unit_sequence(length: int) -> LatticeSeq:

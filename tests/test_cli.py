@@ -558,3 +558,41 @@ def test_cli_float_mode_refuses_entries_beyond_the_double_range(tmp_path, capsys
     assert run(argv + [str(last_length)]) == 0
     out = capsys.readouterr().out.lower()
     assert "inf" not in out and "nan" not in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"type": "nonlinear", "m": 1%s, "coeffs": [[], [[0, "1"]]]}',
+        '{"type": "nonlinear", "m": 1, "coeffs": [[], [[1%s, "1"]]]}',
+    ],
+    ids=["m", "monomial-power"],
+)
+def test_cli_refuses_a_json_integer_past_the_int_digit_limit(tmp_path, capsys, text):
+    # json.load raises a plain ValueError there; the process-wide limit stays as it is.
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "eq.json"
+    path.write_text(text % ("0" * 4999))
+    code = run(["discretize", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --input: integer with 5000 digits; JSON integers may have at most {limit}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_cli_keeps_the_json_decoder_message(tmp_path, capsys):
+    path = tmp_path / "eq.json"
+    path.write_text('{"type": ')
+    assert run(["discretize", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: Expecting value: line 1 column 10 (char 9)\n"
+
+
+@pytest.mark.parametrize("mode", ["--allow-float-roots", "--mode=float"])
+def test_cli_galois_repeated_float_root_columns_print_pairs_throughout(tmp_path, mode):
+    # (x^3 - 2)^2: the columns of power j = 1 start with a zero, which must print as a pair too.
+    out_path = tmp_path / "g.json"
+    doc = {"type": "const_linear", "coeffs": ["4", "0", "0", "-4", "0", "0"]}
+    assert run(["galois", "--input", write_doc(tmp_path, doc), "--length", "7", mode, "--out", str(out_path)]) == 0
+    columns = json.loads(out_path.read_text())["solutions"]
+    assert len(columns) == 6 and columns[1][0] == ["0", "0"]
+    assert all(isinstance(entry, list) and len(entry) == 2 for column in columns for entry in column)

@@ -30,7 +30,7 @@ from starlattice.corpus import (
     standard_cases,
 )
 from starlattice.errors import GammaPole
-from starlattice.odes import LinearOde, lin_residual, lin_step, local_stencil, nonlin_step
+from starlattice.odes import LinearOde, lin_residual, lin_residual_kernel, lin_step, local_stencil, nonlin_step
 from starlattice.rational import format_rational
 
 
@@ -110,8 +110,8 @@ def test_kernel_form_redundancy_on_all_linear_cases():
             continue
         z = taylor_to_lattice(case.solutions[0], 10 + case.equation.order)
         for n in range(11):
-            shift = lin_residual(case.equation, z, n, form="shift")
-            kernel = lin_residual(case.equation, z, n, form="kernel")
+            shift = lin_residual(case.equation, z, n)
+            kernel = lin_residual_kernel(case.equation, z, n)
             assert shift == kernel == 0, case.name
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import copysign, factorial
+from math import copysign, factorial, isqrt
 
 import pytest
 
@@ -218,6 +218,15 @@ def _poly_mul(p, q):
     return out
 
 
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
+    if pn * pn == x.numerator and pd * pd == x.denominator:
+        return Fraction(pn, pd)
+    return None
+
+
 def _random_operator(rng: random.Random) -> ConstLinearEq:
     """Monic operator of order <= 5: distinct rational roots of multiplicity <= 3,
     one real or complex surd pair of multiplicity <= 2, or both."""
@@ -226,7 +235,7 @@ def _random_operator(rng: random.Random) -> ConstLinearEq:
     if kind != "rational":
         while True:
             p, q = (Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(2))
-            if galois._rational_sqrt(p * p - 4 * q) is None:
+            if _rational_sqrt(p * p - 4 * q) is None:
                 break
         for _ in range(rng.randint(1, 2)):
             poly = _poly_mul(poly, [q, p, Fraction(1)])
@@ -428,7 +437,7 @@ def _irreducible_quadratic(rng):
     while True:
         p, q = (Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(2))
         disc = p * p - 4 * q
-        if galois._rational_sqrt(disc) is None:
+        if _rational_sqrt(disc) is None:
             return [q, p, Fraction(1)], 2 if disc > 0 else 0
 
 
@@ -440,6 +449,37 @@ def _cubic_without_rational_root(rng):
             d, cc, b, _ = c
             disc = 18 * b * cc * d - 4 * b**3 * d + b * b * cc * cc - 4 * cc**3 - 27 * d * d
             return c, 3 if disc > 0 else 1
+
+
+def test_seeded_sweep_rational_roots_stay_rational_and_no_surd_is_rational():
+    # char_roots keeps no rational-square branch for quadratic remainders: the
+    # rational root theorem has already taken every rational root out of them.
+    rng = random.Random(2984)
+    pool = sorted({Fraction(k, d) for d in (1, 2, 3) for k in range(-2 * d, 2 * d + 1)})
+    for _ in range(300):
+        poly, rational = [Fraction(1)], {}
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("linear", "split", "irreducible", "cubic"))
+            roots = rng.sample(pool, {"linear": 1, "split": 2}.get(kind, 0))
+            if kind == "irreducible":
+                factor, _ = _irreducible_quadratic(rng)
+            elif kind == "cubic":
+                factor, _ = _cubic_without_rational_root(rng)
+            else:
+                factor = [Fraction(1)]
+                for r in roots:
+                    factor = _poly_mul(factor, [-r, Fraction(1)])
+            mult = rng.randint(1, 2)
+            for _ in range(mult):
+                poly = _poly_mul(poly, factor)
+            for r in roots:
+                rational[r] = rational.get(r, 0) + mult
+        found = char_roots(ConstLinearEq(tuple(poly[:-1])))
+        assert sum(root.multiplicity for root in found) == len(poly) - 1
+        assert {root.value: root.multiplicity for root in found if type(root.value) is Fraction} == rational
+        assert all(root.exact for root in found if type(root.value) is Fraction)
+        surds = [root.value for root in found if isinstance(root.value, QuadExt)]
+        assert all(_rational_sqrt(q.d) is None for q in surds)
 
 
 def _random_float_factor(rng):
@@ -462,7 +502,7 @@ def _random_float_factor(rng):
         for _ in range(rng.choice((2, 3))):
             while True:
                 p, q = Fraction(rng.randint(-10**4, 10**4)), Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
-                if galois._rational_sqrt(p * p - 4 * q) is None:
+                if _rational_sqrt(p * p - 4 * q) is None:
                     break
             factor, real = _poly_mul(factor, [q, p, Fraction(1)]), real + (2 if p * p > 4 * q else 0)
     else:  # products of irreducible quadratics and at most one cubic, degree 3..8

@@ -3,9 +3,11 @@
 Every `src/starlattice` module except `__init__.py` (whose imports are the
 public re-exports) must use each name it imports, and every module-level
 private function or class must be referenced somewhere in the package
-outside its own definition. Every module imports only the standard library
-and the package itself, and no test imports numpy. No check imports the
-modules.
+outside its own definition. No function takes a string-literal default,
+the mark of a route selected by name: each oracle is a function of its own.
+`__init__.__all__` lists each name that `__init__` imports, once. Every
+module imports only the standard library and the package itself, and no
+test imports numpy. No check imports the modules.
 """
 
 from __future__ import annotations
@@ -60,6 +62,30 @@ def test_every_private_function_and_class_is_referenced():
             if not any(stmt.name in refs for j, refs in enumerate(references) if j != i):
                 unreferenced.append(f"{module}:{stmt.name}")
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_has_a_string_default(path):
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    functions = [node for node in ast.walk(_tree(path)) if isinstance(node, kinds)]
+    flagged = [
+        getattr(node, "name", "<lambda>")
+        for node in functions
+        for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+        if isinstance(default, ast.Constant) and isinstance(default.value, str)
+    ]
+    assert flagged == []
+
+
+def test_init_exports_exactly_its_imports():
+    tree = _tree(PACKAGE / "__init__.py")
+    (exported,) = [
+        [element.value for element in node.value.elts]
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    assert len(exported) == len(set(exported))
+    assert sorted(exported) == sorted(_imported(tree))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

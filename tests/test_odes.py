@@ -21,6 +21,7 @@ from starlattice.odes import (
     PolyCoeff,
     delta_power,
     lin_residual,
+    lin_residual_kernel,
     lin_residuals,
     lin_step,
     local_stencil,
@@ -115,7 +116,7 @@ def test_lin_residual_kernel_form_agrees():
     eq = gaussian_eq()
     z = taylor_to_lattice(gauss_coeffs(16), 12)
     for n in range(11):
-        assert lin_residual(eq, z, n, form="kernel") == lin_residual(eq, z, n, form="shift")
+        assert lin_residual_kernel(eq, z, n) == lin_residual(eq, z, n)
 
 
 def test_lin_residual_index_guard():

@@ -40,6 +40,7 @@ from starlattice.odes import (
     PolyCoeff,
     delta_power,
     lin_residual,
+    lin_residual_kernel,
     lin_residuals,
     lin_step,
     nonlin_residual,
@@ -50,7 +51,7 @@ from starlattice.odes import (
     taylor_solution_nonlinear,
 )
 from starlattice.series import extend_binomial_powers, pow_trunc
-from starlattice.star import monomial_star, star_multiply, star_power
+from starlattice.star import monomial_star, star_multiply, star_power, star_power_kernel
 from starlattice.transforms import falling_factorial, lattice_to_newton
 
 
@@ -222,7 +223,7 @@ def whole_lin_residual(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
 def whole_nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
     acc = delta_power(z, eq.m)[n]
     for j in range(1, eq.degree + 1):
-        zj = star_power(z, j, "kernel")
+        zj = star_power_kernel(z, j)
         for power, coeff in eq.coeffs[j].monomials:
             acc -= coeff * monomial_star(power, zj)[n]
     return acc - eq.coeffs[0].image_at(n)
@@ -236,13 +237,13 @@ def test_sweep_residuals_match_whole_sequence_formula():
         table = lin_residuals(eq, z)
         assert len(table) == z.last_index - eq.order + 1
         for n, r in enumerate(table):
-            assert r == whole_lin_residual(eq, z, n) == lin_residual(eq, z, n, form="kernel")
+            assert r == whole_lin_residual(eq, z, n) == lin_residual_kernel(eq, z, n)
     wide = random.Random(25)
     for _ in range(25):  # sequences that are not lattice images, over mixed denominators
         eq = wide_linear(wide)
         z = LatticeSeq(tuple(wide_rat(wide) for _ in range(eq.order + wide.randrange(1, 10))))
         table = lin_residuals(eq, z)
-        assert table == lin_residuals(eq, z, form="kernel")
+        assert table == [lin_residual_kernel(eq, z, n) for n in range(len(table))]
         assert table == [lin_residual(eq, z, n) for n in range(len(table))]
         assert all(type(r) is Fraction for r in table)
     for _ in range(25):

@@ -18,10 +18,12 @@ from starlattice.series import mul_trunc
 from starlattice.star import (
     StarKernelArgs,
     monomial_star,
+    monomial_star_kernel,
     star_kernel_bruteforce,
     star_kernel_closed,
     star_multiply,
     star_power,
+    star_power_kernel,
     unit_sequence,
 )
 
@@ -87,8 +89,8 @@ def test_leibniz_rule():
 def test_star_power_identity_arity_one():
     rng = random.Random(17)
     z = rand_seq(rng, 10)
-    assert star_power(z, 1, "convolution") == z
-    assert star_power(z, 1, "kernel") == z
+    assert star_power(z, 1) == z
+    assert star_power_kernel(z, 1) == z
 
 
 def test_star_power_exponential_cube():
@@ -107,7 +109,7 @@ def test_star_power_paths_agree():
         for _ in range(4):
             length = rng.randrange(2, 10)
             z = rand_seq(rng, length)
-            assert star_power(z, p, "convolution") == star_power(z, p, "kernel")
+            assert star_power(z, p) == star_power_kernel(z, p)
 
 
 def test_float_convolution_route_returns_floats():
@@ -124,7 +126,7 @@ def test_star_power_sum_of_falling_factorials():
     b = TaylorCoeffs((1,) * 13)
     z = taylor_to_lattice(b, 12)
     assert z.values[:5] == (1, 2, 5, 16, 65)
-    assert star_power(z, 2, "convolution") == star_power(z, 2, "kernel")
+    assert star_power(z, 2) == star_power_kernel(z, 2)
 
 
 def test_kernel_closed_examples():
@@ -154,7 +156,7 @@ def test_monomial_star_zero_power():
     rng = random.Random(31)
     w = rand_seq(rng, 8)
     assert monomial_star(0, w) == w
-    assert monomial_star(0, w, "kernel") == w
+    assert monomial_star_kernel(0, w) == w
 
 
 def test_monomial_star_constant():
@@ -169,11 +171,11 @@ def test_monomial_star_forms_agree():
     for m in range(5):
         for _ in range(3):
             w = rand_seq(rng, 16)
-            shift = monomial_star(m, w, "shift")
-            kernel = monomial_star(m, w, "kernel")
+            shift = monomial_star(m, w)
+            kernel = monomial_star_kernel(m, w)
             assert shift == kernel
     w = rand_seq(rng, 11)
-    assert monomial_star(1, w, "kernel")[2] == 2 * w[1]
+    assert monomial_star_kernel(1, w)[2] == 2 * w[1]
 
 
 def test_morphism_homomorphy():
