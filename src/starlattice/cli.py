@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -80,11 +78,13 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """Header and rows as comma-joined lines, each ended by "\\n"; ``None`` prints as an empty field.
+
+    No field needs quoting: each is an int, a bool, "", a `format_rational`
+    string (digits with an optional sign and slash) or a `format_float` one
+    (%.17g of a finite double).
+    """
+    return "".join([",".join(["" if v is None else str(v) for v in row]) + "\n" for row in (header, *rows)])
 
 
 def _json_int(text: str) -> int:
@@ -99,8 +99,14 @@ def _json_int(text: str) -> int:
 
 
 def _load_document(path: str) -> dict:
+    """The parsed JSON document; text that is not UTF-8, or nested past the parser's depth, is refused."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_json_int)
+        try:
+            return json.load(fh, parse_int=_json_int)
+        except UnicodeDecodeError as exc:
+            raise SchemaError("--input", f"not UTF-8 text ({exc.reason})") from None
+        except RecursionError:
+            raise SchemaError("--input", "JSON nested too deeply") from None
 
 
 def _parse_init(text: str | None, count: int, what: str) -> tuple[Fraction, ...]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import test_fixtures as fixture_cases
 
 import starlattice
 from starlattice import IndexOutOfRange, RootCertificationError, SchemaError, StarLatticeError
@@ -18,6 +21,7 @@ from starlattice.cli import run
 from starlattice.fourier import ConstNonlinearOde
 from starlattice.galois import ConstLinearEq, verify_fundamental
 from starlattice.odes import LinearOde, NonlinearOde, lin_step, nonlin_step
+from starlattice.rational import format_float, format_rational
 from starlattice.specio import as_const_nonlinear, parse_solution, parse_spec, to_document
 
 GAUSSIAN_DOC = {"type": "linear", "order": 1, "coeffs": [[[1, "1"]], [[0, "1"]]], "c0": []}
@@ -580,6 +584,25 @@ def test_cli_refuses_a_json_integer_past_the_int_digit_limit(tmp_path, capsys, t
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_cli_refuses_a_document_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "eq.json"
+    path.write_bytes(b'{"type": "const_linear", "coeffs": ["\xff"]}')
+    code = run(["discretize", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --input: not UTF-8 text (invalid start byte)\n"
+
+
+def test_cli_refuses_a_document_nested_too_deeply(tmp_path, capsys):
+    # The JSON decoder recurses once per bracket and raises RecursionError long before 10^5.
+    path = tmp_path / "eq.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = run(["discretize", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --input: JSON nested too deeply\n"
+
+
 def test_cli_keeps_the_json_decoder_message(tmp_path, capsys):
     path = tmp_path / "eq.json"
     path.write_text('{"type": ')
@@ -596,3 +619,59 @@ def test_cli_galois_repeated_float_root_columns_print_pairs_throughout(tmp_path,
     columns = json.loads(out_path.read_text())["solutions"]
     assert len(columns) == 6 and columns[1][0] == ["0", "0"]
     assert all(isinstance(entry, list) and len(entry) == 2 for column in columns for entry in column)
+
+
+# ---------------------------------------------------------------- the CSV writer
+
+
+def assert_csv_text_matches_csv_writer(header, rows):
+    """`cli._csv_text` writes what `csv.writer` writes, and no field needs quoting.
+
+    The two differ on one row shape only: a row whose one field is "", which
+    `csv.writer` prints as '""'. No table of the CLI has fewer than two columns.
+    """
+    table = [header, *rows]
+    assert all(len(row) >= 2 for row in table)
+    fields = ["" if v is None else str(v) for row in table for v in row]
+    assert [f for f in fields if any(c in f for c in ',"\r\n')] == []
+    reference = io.StringIO()
+    csv.writer(reference, lineterminator="\n").writerows(table)
+    assert cli._csv_text(header, rows) == reference.getvalue()
+
+
+CSV_CASES = [
+    case for case in fixture_cases.CASES if case[1][0] in ("residual", "solve", "fourier") and "json" not in case[1]
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("argv, doc", [case[1:3] for case in CSV_CASES], ids=[case[0] for case in CSV_CASES])
+def test_csv_text_matches_csv_writer_on_every_fixture_table(monkeypatch, argv, doc, mode):
+    tables = []
+    csv_text = cli._csv_text
+    monkeypatch.setattr(cli, "_csv_text", lambda header, rows: tables.append((header, rows)) or csv_text(header, rows))
+    fixture_cases.run_case([*argv, "--mode", mode], doc)
+    assert len(tables) == 1
+    assert_csv_text_matches_csv_writer(*tables[0])
+
+
+def test_csv_text_matches_csv_writer_on_a_bench_table():
+    header = ["length", "arity", "convolution_seconds", "kernel_seconds", "kernel_slower"]
+    rows = [
+        [64, 3, format_float(0.00123), format_float(0.5), True],
+        [256, 3, format_float(2.5e-05), format_float(1.75), False],
+        [512, 3, format_float(0.25), "", ""],
+        [1024, 2, format_float(3.0), None, None],
+    ]
+    assert_csv_text_matches_csv_writer(header, rows)
+
+
+def test_csv_text_matches_csv_writer_past_the_int_digit_limit():
+    # Numerator and denominator of more than 4300 digits each take format_rational's decimal path.
+    big = Fraction(-(7**5200), 3**9100)
+    values = [format_rational(big), format_rational(1 / big), format_rational(Fraction(big.numerator))]
+    assert min(len(part) for part in values[0].lstrip("-").split("/")) > 4300
+    floats = [format_float(x) for x in (-1.5e-300, -2.5e200, -7.62939453125e-06)]
+    assert all(v.startswith("-") and "e" in v for v in floats)
+    table = [[n, v] for n, v in enumerate(values + floats + [format_float(-0.0)])]
+    assert_csv_text_matches_csv_writer(["n", "z"], table)

@@ -13,8 +13,11 @@ stream) by the code before the integer Newton-space solver, and the
 complex surd pair) by the code before the stencil residuals of `galois`, and
 the `jacobi` cases ((7/3 - t^2) z'' + (1/2 - 3/2 t) z' + 5/4 z + 1/3 - 2/5 t = 0:
 a non-unit leading coefficient with a t^2 term, a t-term on z' and an
-inhomogeneity) by the code before the integer stencil of `lin_step`.
-They are never rewritten to make a failing case pass.
+inhomogeneity) by the code before the integer stencil of `lin_step`, and
+the `--mode float` tables of `residual` and `fourier` (`hermite-residual-float`,
+`square-fourier-float`) by the `csv.writer` code that the joined-line CSV
+writer replaced. Every file under `tests/fixtures/expected/` belongs to a
+case. They are never rewritten to make a failing case pass.
 """
 
 from __future__ import annotations
@@ -73,6 +76,18 @@ CASES = [
         "jacobi",
         0,
     ),
+    (
+        "hermite-residual-float",
+        ["residual", "--input", "{doc}", "--length", "20", "--mode", "float"],
+        "hermite",
+        0,
+    ),
+    (
+        "square-fourier-float",
+        ["fourier", "--input", "{doc}", "--init", "1/2", "--length", "20", "--mode", "float"],
+        "square",
+        0,
+    ),
 ]
 
 
@@ -91,3 +106,8 @@ def test_fixture_output_is_byte_identical(name, argv, doc, code):
     got_code, got = run_case(argv, doc)
     assert got_code == code
     assert got.encode("utf-8") == expected
+
+
+def test_every_expected_file_belongs_to_a_case():
+    expected = sorted(p.name for p in (FIXTURES / "expected").iterdir())
+    assert expected == sorted(f"{case[0]}.out" for case in CASES)
