@@ -242,19 +242,8 @@ def cmd_bench(args) -> int:
     sizes = sorted({s for s in (64, 256) if s < args.length} | {args.length})
     rows = bench_star_power(p=args.arity, sizes=tuple(sizes), kernel_cap=args.kernel_cap)
     if args.format == "csv":
-        text = _csv_text(
-            ["length", "arity", "convolution_seconds", "kernel_seconds", "kernel_slower"],
-            [
-                [
-                    r["length"],
-                    r["arity"],
-                    format_float(r["convolution_seconds"]),
-                    "" if r["kernel_seconds"] is None else format_float(r["kernel_seconds"]),
-                    "" if r["kernel_slower"] is None else r["kernel_slower"],
-                ]
-                for r in rows
-            ],
-        )
+        header = ["length", "arity", "convolution_seconds", "kernel_seconds", "kernel_slower"]
+        text = _csv_text(header, [[_render(r[k], "exact", k) for k in header] for r in rows])
     else:
         text = _json_text({"command": "bench", "rows": rows})
     _emit(text, args.out)

@@ -3,11 +3,12 @@
 For a monic operator T with rational constants, the solution t^j e^(lt) of
 the differential form maps to the lattice generator z_n = (n)_j (1+l)^(n-j),
 which satisfies the difference form T[Delta] z = 0 with the same
-coefficients. Roots are kept exact whenever possible (rational roots by the
-rational root theorem, conjugate pairs as quadratic surds); factors of
-degree >= 3 without rational roots get float roots, found in pure Python by
-Aberth-Ehrlich sweeps and each proved, on integers, to be the centre of a
-Smith inclusion disc that holds exactly one root (`char_roots`).
+coefficients. Roots are kept exact whenever possible (closed forms up to
+degree 2; above, each real Aberth-Ehrlich approximation names one candidate
+rational root, tested exactly); what is left of degree >= 3 gets float
+roots, found in pure Python by Aberth-Ehrlich sweeps and each proved, on
+integers, to be the centre of a Smith inclusion disc that holds exactly one
+root (`char_roots`).
 
 Generators are running products: each index costs one field product of
 the previous power by 1+l. `verify_fundamental` checks every index with one
@@ -17,8 +18,9 @@ the previous power by 1+l. `verify_fundamental` checks every index with one
 definitional per-index oracle that the tests compare it with.
 
 The modified Wronskian is the determinant of iterated forward differences
-of the solution set; a nonzero value certifies a fundamental system, and an
-exactly-zero value raises ``SingularSystem``.
+of the solution set; a nonzero value certifies a fundamental system.
+`verify_fundamental` takes it from the roots (a confluent Vandermonde
+determinant), `modified_wronskian` from the columns of explicit sequences.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import hypot, inf, perm, pi
+from math import factorial, inf, isqrt, perm, pi, prod
 from operator import mul
 
 from .errors import FloatOverflow, IndexOutOfRange, RootCertificationError, SingularSystem
@@ -168,7 +170,6 @@ class RootDatum:
     value: Scalar
     multiplicity: int
     exact: bool
-    residual: float = 0.0  # |f(value)| for the monic factor f of a float root, evaluated exactly; 0 for exact roots
 
 
 @dataclass(frozen=True)
@@ -190,41 +191,6 @@ class FundamentalSystem:
     @property
     def length(self) -> int:
         return len(self.solutions[0])
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
-
-
-def _rational_roots(poly: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """All rational roots (with repetition) plus the deflated cofactor."""
-    poly = poly_trim(poly)
-    roots: list[Fraction] = []
-    while len(poly) > 1 and poly[0] == 0:
-        roots.append(Fraction(0))
-        poly = poly[1:]
-    if len(poly) <= 1:
-        return roots, poly
-    _, ints = over_common_denominator(poly)
-    candidates = [
-        Fraction(sp * p, q)
-        for p in _divisors(ints[0])
-        for q in _divisors(ints[-1])
-        for sp in (1, -1)
-    ]
-    for cand in dict.fromkeys(candidates):
-        while len(poly) > 1 and poly_eval(poly, cand) == 0:
-            roots.append(cand)
-            poly = poly_deflate(poly, cand)
-    return roots, poly
 
 
 def _squarefree_factors(poly: list[Fraction]) -> list[tuple[list[Fraction], int]]:
@@ -341,8 +307,8 @@ def _scaled_horner(ints: list[int], s: int, x: int, y: int) -> tuple[int, int, i
     return re, im, dre, dim
 
 
-def _smith_certificate(ints: list[int], centres: list[complex]) -> list[float]:
-    """Prove that each centre lies in a disc holding exactly one root of p; return |p| at the centres.
+def _smith_certificate(ints: list[int], centres: list[complex]) -> None:
+    """Prove that each centre lies in a disc holding exactly one root of p.
 
     p is sum ints[k] x^k made monic. B. T. Smith, J. ACM 17 (1970): for
     monic p of degree n and distinct z_1..z_n, the discs |x - z_i| <= r_i =
@@ -377,46 +343,82 @@ def _smith_certificate(ints: list[int], centres: list[complex]) -> list[float]:
                 raise RootCertificationError(
                     f"float roots {centres[j]} and {centres[i]} have overlapping Smith discs"
                 )
-    den = abs(ints[n]) << (s * n)
-    try:
-        return [hypot(re / den, im / den) for re, im in values]
-    except OverflowError:
-        return [inf] * n
+
+
+def _grid_root(poly: list[Fraction], ints: list[int], x: float) -> Fraction | None:
+    """The rational root of poly (ints over a common denominator) that the real approximation x names, if any.
+
+    Every rational root is a grid point k/a, a the leading integer, so x
+    names one candidate, the k/a nearest it, and an exact evaluation decides.
+    The double nearest a root r is within |r| 2^-53 of it, below half the
+    grid spacing while a|x| < 2^50. Beyond that, s exact Newton steps, the
+    fewest with 50 2^s >= the bit length of a|x|, each double the bits of a
+    simple root; the iterates are rounded to the grid 2^-u, spacing < 1/(4a).
+    """
+    a = abs(ints[-1])
+    u = a.bit_length() + 2
+    X = round(Fraction(x) * (1 << u))  # x on the grid 2^-u
+    for _ in range(((max((abs(X) * a) >> u, 1).bit_length() - 1) // 50).bit_length()):
+        P, _, dP, _ = _scaled_horner(ints, u, X, 0)  # 2^(u n) p and 2^(u (n-1)) p' at X / 2^u
+        if not dP:
+            return None
+        X -= round(Fraction(P, dP))
+    root = Fraction(round(Fraction(X * a, 1 << u)), a)
+    return root if poly_eval(poly, root) == 0 else None
+
+
+def _factor_roots(poly: list[Fraction]) -> list[Scalar]:
+    """Roots of a square-free rational polynomial; see `char_roots`."""
+    roots: list[Scalar] = []
+    if poly[0] == 0:
+        roots.append(Fraction(0))
+        poly = poly[1:]
+    rational = True
+    while len(poly) > 3 and rational:
+        _, ints = over_common_denominator(poly)
+        # One more Newton step with p/p' evaluated exactly makes each coordinate
+        # (all but always) the double nearest its root; it commutes with
+        # conjugation, so pairs stay exact conjugates and real centres real.
+        centres = [c - _exact_ratio(ints, c)[0] for c in _conjugate_centres(_aberth(ints))]
+        rational = dict.fromkeys(r for c in centres if not c.imag and (r := _grid_root(poly, ints, c.real)) is not None)
+        for r in rational:
+            roots.append(r)
+            poly = poly_deflate(poly, r)
+    if len(poly) > 3:
+        _smith_certificate(ints, centres)
+        return roots + centres
+    if len(poly) == 2:
+        roots.append(-poly[0] / poly[1])
+    elif len(poly) == 3:
+        c0, c1, c2 = poly
+        beta, gamma = c1 / c2, c0 / c2
+        disc = beta * beta - 4 * gamma
+        sqrt_num, sqrt_den = isqrt(max(disc.numerator, 0)), isqrt(disc.denominator)
+        if sqrt_num**2 == disc.numerator and sqrt_den**2 == disc.denominator:
+            roots += [(-beta + sign * Fraction(sqrt_num, sqrt_den)) / 2 for sign in (1, -1)]
+        else:
+            roots += [QuadExt(-beta / 2, sign, disc) for sign in (Fraction(1, 2), Fraction(-1, 2))]
+    return roots
 
 
 def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
     """Exact roots where possible, certified float roots otherwise.
 
-    Rational roots come from the rational root theorem, which leaves none in
-    the remainder, so a square-free quadratic remainder is irreducible and
-    gives a quadratic-surd pair (-beta +- sqrt(d)) / 2. A remainder
-    of degree >= 3 gets float roots: Aberth-Ehrlich approximations, paired
-    into exact conjugates and real values, each proved to be the centre of a
-    Smith disc that holds exactly one root (`_smith_certificate`); a factor
-    whose discs cannot be separated raises ``RootCertificationError``.
+    Per square-free factor, x = 0 is split off. Degree 1 gives -c0/c1;
+    degree 2 two rationals if the discriminant d is a rational square, else
+    the surd pair (-beta +- sqrt(d)) / 2. Above, the factor loses the
+    rational roots its real Aberth-Ehrlich approximations name (`_grid_root`)
+    and is approximated again until none is left; then each approximation,
+    paired into exact conjugates and real values, is proved to be the centre
+    of a Smith disc holding exactly one root (`_smith_certificate`), or
+    ``RootCertificationError`` is raised. A missed rational root can only
+    end up as a certified float root, never as a wrong exact one.
     """
-    out: list[RootDatum] = []
-    for factor, mult in _squarefree_factors(eq.char_poly()):
-        rational, rest = _rational_roots(factor)
-        for r in rational:
-            out.append(RootDatum(r, mult, exact=True))
-        deg = len(rest) - 1
-        if deg <= 0:
-            continue
-        if deg == 2:  # no rational root is left, so d is not a rational square
-            c0, c1, c2 = rest
-            beta, gamma = c1 / c2, c0 / c2
-            disc = beta * beta - 4 * gamma
-            for sign in (Fraction(1, 2), Fraction(-1, 2)):
-                out.append(RootDatum(QuadExt(-beta / 2, sign, disc), mult, exact=True))
-            continue
-        _, ints = over_common_denominator(rest)
-        # One more Newton step with p/p' evaluated exactly makes each coordinate
-        # (all but always) the double nearest its root; it commutes with
-        # conjugation, so pairs stay exact conjugates and real centres real.
-        centres = [c - _exact_ratio(ints, c)[0] for c in _conjugate_centres(_aberth(ints))]
-        residuals = _smith_certificate(ints, centres)
-        out += [RootDatum(c, mult, exact=False, residual=r) for c, r in zip(centres, residuals)]
+    out = [
+        RootDatum(value, mult, exact=not isinstance(value, complex))
+        for factor, mult in _squarefree_factors(eq.char_poly())
+        for value in _factor_roots(factor)
+    ]
     out.sort(key=_root_sort_key)
     return out
 
@@ -519,29 +521,46 @@ def _det(rows: list[list]) -> Scalar:
     return det
 
 
-def _promote_matrix(rows: list[list]) -> list[list]:
+def _common_field(values: list) -> list:
     """Lift to a common field: rationals, one quadratic extension, or complex."""
-    ds = {e.d for row in rows for e in row if isinstance(e, QuadExt)}
-    has_complex = any(isinstance(e, complex) for row in rows for e in row)
-    if has_complex or len(ds) > 1:
-        return [[complex(e) if not isinstance(e, complex) else e for e in row] for row in rows]
-    if len(ds) == 1:
+    ds = {v.d for v in values if isinstance(v, QuadExt)}
+    if len(ds) > 1 or any(isinstance(v, complex) for v in values):
+        return [complex(v) for v in values]
+    if ds:
         d = ds.pop()
-        return [[_lift(e, d) for e in row] for row in rows]
-    return rows
+        return [_lift(v, d) for v in values]
+    return values
 
 
-def modified_wronskian(sys: FundamentalSystem, n0: int = 0) -> Scalar:
-    """Determinant of [Delta^i z^(j)] at base index n0; zero raises SingularSystem."""
+def modified_wronskian(sys: FundamentalSystem) -> Scalar:
+    """Determinant of [Delta^i z^(j)] at index 0, from the columns themselves; zero raises SingularSystem."""
     N = sys.size
-    if sys.length - 1 < n0 + N - 1:
-        raise IndexOutOfRange(f"need indices up to {n0 + N - 1}, solutions stored to {sys.length - 1}")
-    newton = [lattice_to_newton(sol[n0 : n0 + N]) for sol in sys.solutions]
-    rows = [[w[i] for w in newton] for i in range(N)]
-    det = _det(_promote_matrix(rows))
+    if sys.length < N:
+        raise IndexOutOfRange(f"need indices up to {N - 1}, solutions stored to {sys.length - 1}")
+    newton = _common_field([w for sol in sys.solutions for w in lattice_to_newton(sol[:N])])
+    det = _det([newton[i::N] for i in range(N)])  # row i holds Delta^i z_0 of every column
     if _is_zero_scalar(det):
-        raise SingularSystem(f"modified Wronskian vanishes at n0={n0}")
+        raise SingularSystem("modified Wronskian vanishes at n=0")
     return det
+
+
+def _root_wronskian(roots: list[RootDatum]) -> Scalar:
+    """The modified Wronskian of the mapped system at 0, from its roots alone.
+
+    Delta^i of the generator (n)_j (1+l)^(n-j) at n = 0 is (i)_j l^(i-j), so
+    the matrix is the confluent Vandermonde matrix of the roots in generator
+    order: prod_l prod_(j < m_l) j! * prod_(a < b) (l_b - l_a)^(m_a m_b).
+    Exact when every root lies in one field (the rationals, or Q(sqrt d) for
+    one d), complex otherwise; nothing is differenced, so nothing cancels.
+    """
+    values = _common_field([r.value for r in roots])
+    w = values[0] ** 0 * prod(factorial(j) for r in roots for j in range(r.multiplicity))  # in the roots' field
+    for b, rb in enumerate(roots):
+        for a, ra in enumerate(roots[:b]):  # repeated products: complex pow raises OverflowError
+            w = w * prod([values[b] - values[a]] * (ra.multiplicity * rb.multiplicity))
+    if isinstance(w, complex) and not cmath.isfinite(w):
+        raise FloatOverflow("the modified Wronskian leaves the double range")
+    return w
 
 
 def _rational_parts(column) -> tuple[list[Fraction], ...]:
@@ -573,21 +592,18 @@ def _stencil_vanishes(stencil_ints: list[int], column, N: int) -> bool:
     return True
 
 
-def _float_residuals(stencil, column, N: int) -> tuple[float, bool]:
-    """Largest |sum_k s_k z_{n+k}| over n, and whether each passes its relative bound."""
+def _float_residuals_ok(stencil, column, N: int) -> bool:
+    """Whether every |sum_k s_k z_{n+k}| passes its relative bound."""
     coeffs = [complex(s) for s in stencil]
     weights = [abs(c) for c in coeffs]
     column = [complex(z) for z in column]
     magnitudes = [abs(z) for z in column]
-    largest = 0.0
-    ok = True
     for n in range(len(column) - N):
         mag = abs(sum(map(mul, coeffs, column[n : n + N + 1])))
-        largest = max(largest, mag)
         scale = sum(map(mul, weights, magnitudes[n : n + N + 1]))
         if not mag <= FLOAT_SOLUTION_RESIDUAL_BOUND * scale < inf:  # NaN or overflow fails too
-            ok = False
-    return largest, ok
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -597,7 +613,6 @@ class FundamentalReport:
     roots: tuple[RootDatum, ...]
     all_exact: bool
     residuals_ok: bool
-    max_float_residual: float
     wronskian: Scalar | None
     wronskian_nonzero: bool
     system: FundamentalSystem
@@ -614,9 +629,10 @@ def verify_fundamental(eq: ConstLinearEq, L: int, roots: list[RootDatum] | None 
     with the local stencil s of T[Delta] (`odes.local_stencil`); it equals
     `apply_operator` at n. Exact solutions must satisfy it identically, on
     integers; float solutions must stay below FLOAT_SOLUTION_RESIDUAL_BOUND
-    relative to the scale sum_k |s_k| |z_{n+k}|. The modified
-    Wronskian at n0 = 0 must be nonzero. The operator at n reads index n+N,
-    so a length L below the order N leaves no index to check and is refused.
+    relative to the scale sum_k |s_k| |z_{n+k}|. The modified Wronskian at
+    0, from the roots, must not be exactly zero. The operator at n reads
+    index n+N, so a length L below the order N leaves no index to check and
+    is refused.
     ``roots`` are `char_roots(eq)` when the caller has found them already.
     """
     N = eq.order
@@ -629,28 +645,21 @@ def verify_fundamental(eq: ConstLinearEq, L: int, roots: list[RootDatum] | None 
     stencil = local_stencil(eq.as_linear_ode())[::-1]  # stencil[k] goes with z_{n+k}
     _, stencil_ints = over_common_denominator(stencil)
     residuals_ok = True
-    max_float = 0.0
     for sol, sol_exact in zip(system.solutions, exact):
         if sol_exact:
             column_ok = all(_stencil_vanishes(stencil_ints, part, N) for part in _rational_parts(sol))
         else:
-            column_max, column_ok = _float_residuals(stencil, sol, N)
-            max_float = max(max_float, column_max)
+            column_ok = _float_residuals_ok(stencil, sol, N)
         residuals_ok = residuals_ok and column_ok
-    try:
-        w = modified_wronskian(system, 0)
-        nonzero = True
-    except SingularSystem:
-        w = None
-        nonzero = False
+    w = _root_wronskian(roots)
+    nonzero = not (w.is_zero if isinstance(w, QuadExt) else w == 0)
     return FundamentalReport(
         order=N,
         dimension=sum(r.multiplicity for r in roots),
         roots=tuple(roots),
         all_exact=all(r.exact for r in roots),
         residuals_ok=residuals_ok,
-        max_float_residual=max_float,
-        wronskian=w,
+        wronskian=w if nonzero else None,
         wronskian_nonzero=nonzero,
         system=system,
     )

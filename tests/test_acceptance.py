@@ -179,7 +179,7 @@ def test_criterion_08_fundamental_systems():
         system = build_fundamental_system(eq, L)
         for sol in system.solutions:
             assert all(apply_operator(eq, sol, n) == 0 for n in range(L - N + 1))
-        assert modified_wronskian(system, 0) != 0
+        assert modified_wronskian(system) != 0
     sin_b, cos_b = [], []
     for k in range(12):
         if k % 2 == 0:
@@ -194,7 +194,7 @@ def test_criterion_08_fundamental_systems():
             taylor_to_lattice(TaylorCoeffs(tuple(cos_b)), 10).values,
         ]
     )
-    assert modified_wronskian(harmonic_system, 0) == -1
+    assert modified_wronskian(harmonic_system) == -1
     _report(
         "criterion-08 fundamental systems",
         "20 random systems exact with nonzero Casoratian; harmonic Wronskian -1",

@@ -417,6 +417,50 @@ def test_cli_fourier_length_shorter_than_the_initial_coefficients(tmp_path, caps
     assert capsys.readouterr().out == "n,zeta\n0,1\n1,2\n"
 
 
+def test_cli_galois_large_constant_finishes(tmp_path):
+    # x^3 - (10^16 + 1): the divisor search of the rational root theorem took
+    # 15.7 s here; every rational root is one of the Aberth approximations.
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": ["-10000000000000001", "0", "0"]})
+    out_path = tmp_path / "g.json"
+    start = time.perf_counter()
+    assert run(["galois", "--input", path, "--length", "4", "--allow-float-roots", "--out", str(out_path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    report = json.loads(out_path.read_text())
+    assert report["ok"] is True and not any(root["exact"] for root in report["roots"])
+
+
+def test_cli_galois_roots_far_apart_in_size_have_a_nonzero_wronskian(tmp_path):
+    # x^3 + 10^30 x^2 - 1: roots near -10^30 and +-10^-15, certified distinct.
+    # The Wronskian from the columns cancelled to zero and the run exited 1.
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": ["-1", "0", "1000000000000000000000000000000"]})
+    out_path = tmp_path / "g.json"
+    assert run(["galois", "--input", path, "--length", "4", "--allow-float-roots", "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    assert report["wronskian_nonzero"] is True and report["residuals_ok"] is True
+    assert abs(complex(*map(float, report["wronskian"]))) == pytest.approx(2e45, rel=1e-9)
+
+
+def test_cli_galois_wronskian_beyond_the_double_range_is_refused(tmp_path, capsys):
+    # x^4 - 10^240 - 1: float roots of modulus about 10^60, so the columns up to
+    # n = 4 stay below 10^241 while the product of the six root differences is near 10^361.
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": [str(-(10**240) - 1), "0", "0", "0"]})
+    code = run(["galois", "--input", path, "--length", "4", "--allow-float-roots"])
+    assert capsys.readouterr().err == "error: the modified Wronskian leaves the double range\n"
+    assert code == 2
+
+
+def test_cli_galois_rational_roots_closer_than_the_doubles_are_refused(tmp_path, capsys):
+    # (x - 1/3)(x - 1/3 - 10^-30)(x^2 + x + 2)
+    third = Fraction(1, 3)
+    s, p = 2 * third + Fraction(1, 10**30), third * (third + Fraction(1, 10**30))  # x^2 - s x + p
+    coeffs = [2 * p, p - 2 * s, 2 - s + p, 1 - s]
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": [format_rational(v) for v in coeffs]})
+    start = time.perf_counter()
+    code = run(["galois", "--input", path, "--length", "8", "--allow-float-roots"])
+    assert time.perf_counter() - start < 1.0
+    assert_one_line_usage_error(code, capsys)
+
+
 def test_cli_galois_float_columns_pass_a_relative_bound(tmp_path):
     # x^4 + x^3 + 3x^2 - 2x + 2 has only float roots, and two of its columns
     # grow like |1 + root|^n: an absolute residual bound failed them at L = 30.
@@ -675,3 +719,20 @@ def test_csv_text_matches_csv_writer_past_the_int_digit_limit():
     assert all(v.startswith("-") and "e" in v for v in floats)
     table = [[n, v] for n, v in enumerate(values + floats + [format_float(-0.0)])]
     assert_csv_text_matches_csv_writer(["n", "z"], table)
+
+
+def test_cli_bench_csv_bytes(monkeypatch, capsys):
+    # Rows with a skipped kernel route (None) and with bool kernel_slower fields.
+    rows = [
+        {"length": 8, "arity": 3, "convolution_seconds": 0.00123, "kernel_seconds": 0.5, "kernel_slower": True},
+        {"length": 64, "arity": 3, "convolution_seconds": 2.5e-05, "kernel_seconds": 1e-06, "kernel_slower": False},
+        {"length": 512, "arity": 3, "convolution_seconds": 0.25, "kernel_seconds": None, "kernel_slower": None},
+    ]
+    monkeypatch.setattr(cli, "bench_star_power", lambda p, sizes, kernel_cap: rows)
+    assert run(["bench", "--length", "8"]) == 0
+    assert capsys.readouterr().out == (
+        "length,arity,convolution_seconds,kernel_seconds,kernel_slower\n"
+        "8,3,0.00123,0.5,True\n"
+        "64,3,2.5000000000000001e-05,9.9999999999999995e-07,False\n"
+        "512,3,0.25,,\n"
+    )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import copysign, factorial, isqrt
@@ -64,7 +65,7 @@ def test_char_roots_float_fallback():
     # x^3 - x - 1 has no rational roots; certified floats expected.
     roots = char_roots(ConstLinearEq((Fraction(-1), Fraction(-1), Fraction(0))))
     assert len(roots) == 3
-    assert all(not r.exact and r.residual < 1e-12 for r in roots)
+    assert all(not r.exact for r in roots)
 
 
 def test_map_solution_examples():
@@ -87,24 +88,24 @@ def test_eigen_relation():
 
 def test_wronskian_single_geometric():
     sys = system_from_sequences([tuple(Fraction(2) ** n for n in range(4))])
-    assert modified_wronskian(sys, 0) == 1
+    assert modified_wronskian(sys) == 1
 
 
 def test_wronskian_harmonic_sin_cos():
     z1, z2 = sin_cos_system(8)
     sys = system_from_sequences([z1.values, z2.values])
-    assert modified_wronskian(sys, 0) == -1
+    assert modified_wronskian(sys) == -1
 
 
 def test_wronskian_constant_and_ramp():
     sys = system_from_sequences([(1, 1, 1), (0, 1, 2)])
-    assert modified_wronskian(sys, 0) == 1
+    assert modified_wronskian(sys) == 1
 
 
 def test_wronskian_detects_dependence():
     sys = system_from_sequences([(1, 2, 4), (2, 4, 8)])
     with pytest.raises(SingularSystem):
-        modified_wronskian(sys, 0)
+        modified_wronskian(sys)
 
 
 def test_verify_fundamental_harmonic_exact_surds():
@@ -166,7 +167,7 @@ def test_random_rational_systems_map_isomorphically():
         for sol in sys.solutions:
             for n in range(L - N + 1):
                 assert apply_operator(eq, sol, n) == 0
-        w = modified_wronskian(sys, 0)
+        w = modified_wronskian(sys)
         # distinct eigenvalues: the base matrix is Vandermonde in the roots
         expected = Fraction(1)
         ordered = [g[0] for g in sys.generators]
@@ -225,6 +226,40 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     if pn * pn == x.numerator and pd * pd == x.denominator:
         return Fraction(pn, pd)
     return None
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = set()
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.add(i)
+            out.add(n // i)
+        i += 1
+    return sorted(out)
+
+
+def _rational_roots_by_divisors(poly: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Oracle: all rational roots (with repetition) by the rational root theorem's divisor search, and the cofactor.
+
+    Trial division up to the square roots of the constant and leading
+    integer coefficients: fast only for small heights.
+    """
+    poly = series.poly_trim(poly)
+    roots: list[Fraction] = []
+    while len(poly) > 1 and poly[0] == 0:
+        roots.append(Fraction(0))
+        poly = poly[1:]
+    if len(poly) <= 1:
+        return roots, poly
+    _, ints = over_common_denominator(poly)
+    candidates = [Fraction(sp * p, q) for p in _divisors(ints[0]) for q in _divisors(ints[-1]) for sp in (1, -1)]
+    for cand in dict.fromkeys(candidates):
+        while len(poly) > 1 and series.poly_eval(poly, cand) == 0:
+            roots.append(cand)
+            poly = series.poly_deflate(poly, cand)
+    return roots, poly
 
 
 def _random_operator(rng: random.Random) -> ConstLinearEq:
@@ -445,15 +480,16 @@ def _cubic_without_rational_root(rng):
     """Monic rational cubic with no rational root, and its number of real roots by the discriminant's sign."""
     while True:
         c = [Fraction(rng.randint(-7, 7), rng.choice((1, 2))) for _ in range(3)] + [Fraction(1)]
-        if not galois._rational_roots(c)[0]:
+        if not _rational_roots_by_divisors(c)[0]:
             d, cc, b, _ = c
             disc = 18 * b * cc * d - 4 * b**3 * d + b * b * cc * cc - 4 * cc**3 - 27 * d * d
             return c, 3 if disc > 0 else 1
 
 
 def test_seeded_sweep_rational_roots_stay_rational_and_no_surd_is_rational():
-    # char_roots keeps no rational-square branch for quadratic remainders: the
-    # rational root theorem has already taken every rational root out of them.
+    # Rational roots come back exact with their multiplicities, whichever route
+    # finds them (closed forms up to degree 2, Aberth approximations above),
+    # and a surd pair only for a quadratic whose discriminant is no rational square.
     rng = random.Random(2984)
     pool = sorted({Fraction(k, d) for d in (1, 2, 3) for k in range(-2 * d, 2 * d + 1)})
     for _ in range(300):
@@ -511,7 +547,7 @@ def _random_float_factor(rng):
         for degree in parts:
             part, n = _irreducible_quadratic(rng) if degree == 2 else _cubic_without_rational_root(rng)
             factor, real = _poly_mul(factor, part), real + n
-    if galois._squarefree_factors(factor) != [(factor, 1)] or galois._rational_roots(factor)[0]:
+    if galois._squarefree_factors(factor) != [(factor, 1)] or _rational_roots_by_divisors(factor)[0]:
         return _random_float_factor(rng)
     return factor, real
 
@@ -565,3 +601,135 @@ def test_exact_refinement_separates_a_mignotte_pair():
     near = sorted(r.value.real for r in roots if abs(r.value - 0.01) < 1e-6)
     assert len(near) == 2 and all(r.value.imag == 0 for r in roots if abs(r.value - 0.01) < 1e-6)
     assert near[1] - near[0] == pytest.approx(2 * 0.01**6 / (100 * 2**0.5), rel=1e-3)
+
+
+# ---------------------------------------------------------------- rational roots from the approximations
+
+
+def _from_roots(roots):
+    """Monic polynomial prod (x - r), low to high."""
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, Fraction(1)])
+    return poly
+
+
+def test_seeded_sweep_rational_roots_match_the_divisor_search():
+    # Heights where the divisor search is fast; factors of degree >= 3 mix
+    # rational roots with irreducible quadratics and cubics, so char_roots
+    # finds their rational roots from the Aberth approximations.
+    rng = random.Random(1414)
+    from_approximations = 0
+    for _ in range(250):
+        poly = [Fraction(1)]
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("linear", "linear", "zero", "irreducible", "cubic"))
+            if kind == "linear":
+                factor = [Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 5, 7))), Fraction(1)]
+            elif kind == "zero":
+                factor = [Fraction(0), Fraction(1)]
+            elif kind == "irreducible":
+                factor, _ = _irreducible_quadratic(rng)
+            else:
+                factor, _ = _cubic_without_rational_root(rng)
+            for _ in range(rng.randint(1, 2)):
+                poly = _poly_mul(poly, factor)
+        expected = {}
+        for r in _rational_roots_by_divisors(poly)[0]:
+            expected[r] = expected.get(r, 0) + 1
+        found = char_roots(ConstLinearEq(tuple(poly[:-1])))
+        assert {root.value: root.multiplicity for root in found if type(root.value) is Fraction} == expected
+        assert all(root.exact is (type(root.value) is not complex) for root in found)
+        assert sum(root.multiplicity for root in found) == len(poly) - 1
+        from_approximations += any(len(f) > 3 for f, _ in galois._squarefree_factors(poly)) and bool(expected)
+    assert from_approximations > 50
+
+
+def _timed_roots(poly):
+    start = time.perf_counter()
+    roots = char_roots(ConstLinearEq(tuple(poly[:-1])))
+    assert time.perf_counter() - start < 1.0
+    return roots
+
+
+def test_large_constant_cubic_gives_certified_float_roots_quickly():
+    # x^3 - (10^40 + 1): the divisor search would need about 10^20 trial divisions.
+    roots = _timed_roots([Fraction(-(10**40) - 1), Fraction(0), Fraction(0), Fraction(1)])
+    assert len(roots) == 3 and not any(r.exact for r in roots)
+    (real,) = [r.value.real for r in roots if r.value.imag == 0]
+    assert float(Fraction(real) ** 3 / (10**40 + 1)) == pytest.approx(1, rel=1e-15)
+
+
+def test_huge_rational_root_is_exact_next_to_surds_and_floats():
+    big = Fraction(10**40)
+    roots = _timed_roots(_poly_mul(_from_roots([big]), [Fraction(1), Fraction(0), Fraction(1)]))
+    assert [r.value for r in roots if type(r.value) is Fraction] == [big]
+    assert {complex(r.value) for r in roots if isinstance(r.value, QuadExt)} == {1j, -1j}
+    # The rational root is k/7, 10^40 of it beyond 2^50 grid steps: Newton steps first.
+    root = big + Fraction(1, 7)
+    roots = _timed_roots(_poly_mul(_from_roots([root]), [Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)]))
+    assert [(r.value, r.exact) for r in roots if type(r.value) is Fraction] == [(root, True)]
+    assert sum(not r.exact for r in roots) == 3
+
+
+def test_rational_roots_closer_than_the_doubles_are_refused():
+    # (x - 1/3)(x - 1/3 - 10^-30)(x^2 + x + 2): both rational roots round to one
+    # double, so neither approximation names its grid point and no disc separates them.
+    third = Fraction(1, 3)
+    poly = _poly_mul(_from_roots([third, third + Fraction(1, 10**30)]), [Fraction(2), Fraction(1), Fraction(1)])
+    start = time.perf_counter()
+    with pytest.raises(RootCertificationError):
+        char_roots(ConstLinearEq(tuple(poly[:-1])))
+    assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------- Wronskian from the roots
+
+
+def test_seeded_sweep_root_wronskian_equals_the_column_determinant():
+    rng = random.Random(314)
+    kinds = set()
+    for _ in range(60):
+        eq = _random_operator(rng)
+        report = verify_fundamental(eq, eq.order + rng.randrange(0, 6))
+        kinds.add((type(report.wronskian).__name__, max(r.multiplicity for r in report.roots) > 1))
+        assert report.wronskian_nonzero and report.wronskian == modified_wronskian(report.system)
+    assert kinds == {("Fraction", False), ("Fraction", True), ("QuadExt", False), ("QuadExt", True)}
+    # Float roots: the cubics and quartics perfbench generates, squared or next to
+    # a rational root, where the column determinant in doubles is well conditioned.
+    checked = 0
+    while checked < 60:
+        factor = [Fraction(rng.randint(-3, 3)) for _ in range(rng.choice((3, 4)))] + [Fraction(1)]
+        if galois._squarefree_factors(factor) != [(factor, 1)] or _rational_roots_by_divisors(factor)[0]:
+            continue
+        if rng.random() < 0.3:  # a repeated float factor
+            factor = _poly_mul(factor, factor)
+        factor = _poly_mul(factor, _from_roots([Fraction(rng.randint(-3, 3), 2)] * rng.randint(0, 1)))
+        eq = ConstLinearEq(tuple(factor[:-1]))
+        checked += 1
+        report = verify_fundamental(eq, eq.order)
+        columns = modified_wronskian(report.system)
+        assert report.wronskian_nonzero and isinstance(report.wronskian, complex)
+        assert abs(report.wronskian - columns) <= 1e-9 * abs(columns)
+
+
+def test_root_wronskian_of_roots_far_apart_in_size():
+    # x^3 + 10^30 x^2 - 1: roots near -10^30 and +-10^-15. Differenced in doubles
+    # the columns cancel to exactly zero; from the roots the value is about 2e45.
+    eq = ConstLinearEq((Fraction(-1), Fraction(0), Fraction(10**30)))
+    report = verify_fundamental(eq, 4)
+    assert report.ok and report.wronskian_nonzero
+    assert abs(report.wronskian) == pytest.approx(2e45, rel=1e-9)
+    with pytest.raises(SingularSystem):
+        modified_wronskian(report.system)
+
+
+def test_root_wronskian_is_exact_in_one_quadratic_field():
+    # (x - 1/2)^2 (x^2 + x + 2): generators 1/2 (j = 0, 1) and the sqrt(-7) pair.
+    poly = _poly_mul(_from_roots([Fraction(1, 2)] * 2), [Fraction(2), Fraction(1), Fraction(1)])
+    report = verify_fundamental(ConstLinearEq(tuple(poly[:-1])), 6)
+    values = [r.value for r in report.roots]
+    assert type(values[0]) is Fraction and all(isinstance(v, QuadExt) for v in values[1:])
+    half, p, q = values
+    assert report.wronskian == (p - half) ** 2 * (q - half) ** 2 * (q - p)
+    assert report.wronskian == modified_wronskian(report.system)
