@@ -6,9 +6,9 @@ which satisfies the difference form T[Delta] z = 0 with the same
 coefficients. Roots are kept exact whenever possible (closed forms up to
 degree 2; above, each real Aberth-Ehrlich approximation names one candidate
 rational root, tested exactly); what is left of degree >= 3 gets float
-roots, found in pure Python by Aberth-Ehrlich sweeps and each proved, on
-integers, to be the centre of a Smith inclusion disc that holds exactly one
-root (`char_roots`).
+roots, found in pure Python by Aberth-Ehrlich sweeps started from the
+Newton polygon and each proved, on integers, to be the centre of a Smith
+inclusion disc that holds exactly one root (`char_roots`).
 
 Generators are running products: each index costs one field product of
 the previous power by 1+l. `verify_fundamental` checks every index with one
@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf, isqrt, perm, pi, prod
+from math import factorial, floor, frexp, inf, isqrt, ldexp, log2, perm, pi, prod
 from operator import mul
 
 from .errors import FloatOverflow, IndexOutOfRange, RootCertificationError, SingularSystem
@@ -37,8 +37,9 @@ from .rational import as_rational, format_rational, over_common_denominator
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
 from .transforms import falling_factorial, lattice_to_newton
 
-# Aberth-Ehrlich converges cubically once near the roots: on the perfbench
-# const factors and at degree 64 each root settles within 4-7 sweeps.
+# Aberth-Ehrlich converges cubically once near the roots: from the Newton
+# polygon start every root settles within 4-9 sweeps on the perfbench const
+# factors of seeds 1-10, and within 8-12 on random degree-64 polynomials.
 # Approximations that never settle, as for two roots closer together than the
 # doubles near them, stop after this many, and the certificate refuses them.
 _ABERTH_SWEEPS = 100
@@ -218,82 +219,125 @@ def _squarefree_factors(poly: list[Fraction]) -> list[tuple[list[Fraction], int]
     return out
 
 
-def _exact_ratio(ints: list[int], z: complex) -> tuple[complex, bool]:
-    """p(z)/p'(z) for integer p, evaluated exactly and rounded once, and whether it is below one ulp of z."""
-    s, ((x, y),) = _dyadic_grid([z])
+def _exact_ratio(ints: list[int], w: complex, e: int) -> tuple[complex, bool]:
+    """p(z)/p'(z) / 2^e at z = w 2^e for integer p, exact and rounded once, and whether it is below one ulp of w."""
+    s, ((x, y),) = _dyadic_grid([w], e)
     re, im, dre, dim = _scaled_horner(ints, s, x, y)
-    den = (dre * dre + dim * dim) << s  # |2^(s (n-1)) p'(z)|^2 2^s
+    den = (dre * dre + dim * dim) << (s + e)  # |2^(s (n-1)) p'(z)|^2 2^(s+e), and s + e >= 0
     try:
         ratio = complex((re * dre + im * dim) / den, (im * dre - re * dim) / den)
     except (ZeroDivisionError, OverflowError):  # p'(z) = 0, or p/p' beyond the double range
-        raise RootCertificationError(f"no Newton step from the float root approximation {z}") from None
-    return ratio, abs(ratio) <= _EPSILON * abs(z)
+        raise RootCertificationError(f"no Newton step from the float root approximation {w} * 2^{e}") from None
+    return ratio, abs(ratio) <= _EPSILON * abs(w)
 
 
-def _aberth(ints: list[int]) -> list[complex]:
+def _normalised(w: complex, e: int) -> tuple[complex, int]:
+    """(w 2^-k, e + k), which stands for the same w 2^e, with the larger part of w 2^-k in [1/2, 1)."""
+    k = frexp(max(abs(w.real), abs(w.imag)))[1]
+    return complex(ldexp(w.real, -k), ldexp(w.imag, -k)), e + k
+
+
+def _rescaled(w: complex, shift: int) -> complex:
+    """w 2^shift for normalised w; a shift past 1023 stops there, so w only stands for something far larger."""
+    return w * ldexp(1.0, min(shift, 1023))
+
+
+def _newton_polygon_start(ints: list[int]) -> list[tuple[complex, int]]:
+    """Starting approximations (w, e), each w 2^e, on circles read off the Newton polygon of p.
+
+    D. A. Bini, Numer. Algorithms 13 (1996): every edge from i to j of the
+    upper convex hull of the points (k, log2 |a_k|) stands for j - i roots
+    of modulus about (|a_i| / |a_j|)^(1/(j-i)). They start evenly spread on
+    that circle, turned by 2 pi i / n and by _START_ANGLE. The logarithms of
+    the integers are taken without converting them to doubles, so no
+    coefficient is too large and roots of very different sizes each start
+    near their own circle.
+    """
+    n = len(ints) - 1
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(ints):
+        if not c:
+            continue
+        y = log2(abs(c))
+        while len(hull) > 1 and (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0]) <= (y - hull[-2][1]) * (
+            hull[-1][0] - hull[-2][0]
+        ):
+            hull.pop()  # on or below the chord from hull[-2] to (k, y)
+        hull.append((k, y))
+    start = []
+    for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
+        log_radius = (log_i - log_j) / (j - i)
+        e = floor(log_radius)
+        for k in range(j - i):
+            w = cmath.rect(2 ** (log_radius - e), 2 * pi * k / (j - i) + 2 * pi * i / n + _START_ANGLE)
+            start.append(_normalised(w, e))
+    return start
+
+
+def _aberth(ints: list[int]) -> list[tuple[complex, int]]:
     """Approximate roots of a square-free integer polynomial by Aberth-Ehrlich sweeps.
 
-    O. Aberth, Math. Comp. 27 (1973). The approximations are complex
-    doubles, and each Newton ratio p/p' is evaluated exactly, so no power of
-    z overflows and roots closer together than the rounding error of a
-    double evaluation are still pulled apart. The start is a circle of half
-    Fujiwara's bound 2 max(|a_(n-k)|^(1/k), |a_0/2|^(1/n)) on the root
-    moduli of the monic form, which cannot overflow, turned off the real
-    axis (a start on the bound itself took 2.7 times as long at degree 64).
+    O. Aberth, Math. Comp. 27 (1973). Each approximation is a pair (w, e)
+    standing for w 2^e, with w a complex double, so roots beyond the double
+    range are approximated too. Each Newton ratio p/p' is evaluated
+    exactly, so no power of z overflows and roots closer together than the
+    rounding error of a double evaluation are still pulled apart. The update
+    of approximation i runs in units of 2^e_i; scaling by a power of two is
+    exact, so wherever z stays in the double range it is the update of the
+    doubles z themselves. The start is Bini's (`_newton_polygon_start`).
     Gauss-Seidel sweeps move each approximation until its correction is
-    below one ulp. The result is only a guess: `_smith_certificate` decides.
+    below one ulp. The result is only a guess: `_grid_root` and
+    `_smith_certificate` decide.
     """
-    try:
-        moduli = [abs(c / ints[-1]) for c in ints]
-    except OverflowError:
-        raise RootCertificationError("a coefficient of a float-root factor leaves the double range") from None
-    n = len(ints) - 1
-    radius = max([moduli[n - k] ** (1 / k) for k in range(1, n)] + [(moduli[0] / 2) ** (1 / n)])
-    z = [cmath.rect(radius, 2 * pi * k / n + _START_ANGLE) for k in range(n)]
-    settled = [False] * n
+    z = _newton_polygon_start(ints)
+    settled = [False] * len(z)
     for _ in range(_ABERTH_SWEEPS):
-        for i, zi in enumerate(z):
+        for i, (wi, ei) in enumerate(z):
             if settled[i]:
                 continue
             try:
-                ratio, settled[i] = _exact_ratio(ints, zi)
-                repulsion = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
-                z[i] = zi - ratio / (1 - ratio * repulsion)
+                ratio, settled[i] = _exact_ratio(ints, wi, ei)
+                repulsion = sum(1 / (wi - _rescaled(wj, ej - ei)) for j, (wj, ej) in enumerate(z) if j != i)
+                z[i] = _normalised(wi - ratio / (1 - ratio * repulsion), ei)
             except (ZeroDivisionError, OverflowError):
-                raise RootCertificationError(f"Aberth iteration broke down at {zi}") from None
+                raise RootCertificationError(f"Aberth iteration broke down at {wi} * 2^{ei}") from None
         if all(settled):
             break
     return z
 
 
-def _conjugate_centres(approx: list[complex]) -> list[complex]:
+def _conjugate_centres(approx: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
     """The approximations made symmetric under conjugation, as the roots of a real factor are.
 
     Each approximation is matched with the one nearest its conjugate. One
     that is its own match becomes real (imaginary part 0.0); a matched pair
     becomes an exact conjugate pair. Anything else is refused.
     """
-    mates = [min(range(len(approx)), key=lambda j: abs(approx[j] - z.conjugate())) for z in approx]
+    mates = [
+        min(range(len(approx)), key=lambda j: abs(_rescaled(approx[j][0], approx[j][1] - e) - w.conjugate()))
+        for w, e in approx
+    ]
     centres = []
     for i, j in enumerate(mates):
+        (a, e), (b, f) = approx[i], approx[j]
         if mates[j] != i:
-            raise RootCertificationError(f"float root {approx[i]} has no conjugate partner")
+            raise RootCertificationError(f"float root {a} * 2^{e} has no conjugate partner")
         if i == j:
-            centres.append(complex(approx[i].real, 0.0))
+            centres.append((complex(a.real, 0.0), e))
         elif i < j:
-            a, b = approx[i], approx[j]
+            b = _rescaled(b, f - e)
             upper = complex((a.real + b.real) / 2, (abs(a.imag) + abs(b.imag)) / 2)
-            centres += [upper, upper.conjugate()]
+            centres += [(upper, e), (upper.conjugate(), e)]
     return centres
 
 
-def _dyadic_grid(centres: list[complex]) -> tuple[int, list[tuple[int, int]]]:
-    """(s, [(X, Y), ...]) with every centre exactly (X + iY) / 2^s: doubles are dyadic."""
+def _dyadic_grid(centres: list[complex], e: int = 0) -> tuple[int, list[tuple[int, int]]]:
+    """(s, [(X, Y), ...]) with s, s + e >= 0 and every centre times 2^e exactly (X + iY) / 2^s: doubles are dyadic."""
     if not all(cmath.isfinite(c) for c in centres):
         raise RootCertificationError("the float root iteration left the double range")
     ratios = [x.as_integer_ratio() for c in centres for x in (c.real, c.imag)]
-    s = max(den.bit_length() - 1 for _, den in ratios)
-    grid = [num << (s - den.bit_length() + 1) for num, den in ratios]
+    s = max(max(den.bit_length() - 1 for _, den in ratios) - e, 0)
+    grid = [num << (s + e - den.bit_length() + 1) for num, den in ratios]
     return s, list(zip(grid[::2], grid[1::2]))
 
 
@@ -345,26 +389,37 @@ def _smith_certificate(ints: list[int], centres: list[complex]) -> None:
                 )
 
 
-def _grid_root(poly: list[Fraction], ints: list[int], x: float) -> Fraction | None:
+def _grid_root(poly: list[Fraction], ints: list[int], x: Fraction) -> Fraction | None:
     """The rational root of poly (ints over a common denominator) that the real approximation x names, if any.
 
     Every rational root is a grid point k/a, a the leading integer, so x
     names one candidate, the k/a nearest it, and an exact evaluation decides.
-    The double nearest a root r is within |r| 2^-53 of it, below half the
-    grid spacing while a|x| < 2^50. Beyond that, s exact Newton steps, the
-    fewest with 50 2^s >= the bit length of a|x|, each double the bits of a
-    simple root; the iterates are rounded to the grid 2^-u, spacing < 1/(4a).
+    x, a double times a power of two that an exact Newton step left, is
+    within |r| 2^-53 of a simple root r, below half the grid spacing while
+    a|x| < 2^50. Beyond that, each exact Newton step doubles the bits of x
+    that are right, until they cover a|x|; the iterates are rounded to the
+    grid 2^-u, spacing < 1/(4a).
     """
     a = abs(ints[-1])
     u = a.bit_length() + 2
-    X = round(Fraction(x) * (1 << u))  # x on the grid 2^-u
-    for _ in range(((max((abs(X) * a) >> u, 1).bit_length() - 1) // 50).bit_length()):
+    X = round(x * (1 << u))  # x on the grid 2^-u
+    bits = ((abs(X) * a) >> u).bit_length()  # a|x| < 2^bits
+    correct = 50
+    while correct < bits:
         P, _, dP, _ = _scaled_horner(ints, u, X, 0)  # 2^(u n) p and 2^(u (n-1)) p' at X / 2^u
         if not dP:
             return None
         X -= round(Fraction(P, dP))
+        correct *= 2
     root = Fraction(round(Fraction(X * a, 1 << u)), a)
     return root if poly_eval(poly, root) == 0 else None
+
+
+def _as_double(w: complex, e: int) -> complex:
+    try:
+        return complex(ldexp(w.real, e), ldexp(w.imag, e))
+    except OverflowError:
+        raise RootCertificationError(f"float root {w} * 2^{e} leaves the double range") from None
 
 
 def _factor_roots(poly: list[Fraction]) -> list[Scalar]:
@@ -373,20 +428,25 @@ def _factor_roots(poly: list[Fraction]) -> list[Scalar]:
     if poly[0] == 0:
         roots.append(Fraction(0))
         poly = poly[1:]
-    rational = True
-    while len(poly) > 3 and rational:
+    while len(poly) > 3:
         _, ints = over_common_denominator(poly)
         # One more Newton step with p/p' evaluated exactly makes each coordinate
         # (all but always) the double nearest its root; it commutes with
         # conjugation, so pairs stay exact conjugates and real centres real.
-        centres = [c - _exact_ratio(ints, c)[0] for c in _conjugate_centres(_aberth(ints))]
-        rational = dict.fromkeys(r for c in centres if not c.imag and (r := _grid_root(poly, ints, c.real)) is not None)
-        for r in rational:
-            roots.append(r)
-            poly = poly_deflate(poly, r)
-    if len(poly) > 3:
-        _smith_certificate(ints, centres)
-        return roots + centres
+        centres = [_normalised(w - _exact_ratio(ints, w, e)[0], e) for w, e in _conjugate_centres(_aberth(ints))]
+        found: list[Fraction] = []
+        for w, e in centres:
+            if not w.imag:
+                root = _grid_root(poly, ints, Fraction(w.real) * Fraction(2) ** e)
+                if root is not None and root not in found:
+                    found.append(root)
+        if not found:
+            floats = [_as_double(w, e) for w, e in centres]
+            _smith_certificate(ints, floats)
+            return roots + floats
+        for root in found:
+            roots.append(root)
+            poly = poly_deflate(poly, root)
     if len(poly) == 2:
         roots.append(-poly[0] / poly[1])
     elif len(poly) == 3:
@@ -409,10 +469,13 @@ def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
     the surd pair (-beta +- sqrt(d)) / 2. Above, the factor loses the
     rational roots its real Aberth-Ehrlich approximations name (`_grid_root`)
     and is approximated again until none is left; then each approximation,
-    paired into exact conjugates and real values, is proved to be the centre
-    of a Smith disc holding exactly one root (`_smith_certificate`), or
-    ``RootCertificationError`` is raised. A missed rational root can only
-    end up as a certified float root, never as a wrong exact one.
+    paired into exact conjugates and real values and rounded to a double,
+    is proved to be the centre of a Smith disc holding exactly one root
+    (`_smith_certificate`), or ``RootCertificationError`` is raised, as it
+    is for a float root beyond the double range. A rational root is only
+    kept after an exact evaluation, so one that the approximations miss
+    ends up as a certified float root or as that error, never as a wrong
+    exact root.
     """
     out = [
         RootDatum(value, mult, exact=not isinstance(value, complex))
@@ -424,12 +487,19 @@ def char_roots(eq: ConstLinearEq) -> list[RootDatum]:
 
 
 def _root_sort_key(r: RootDatum):
+    """Rationals, then surds, then float roots, each by real and then imaginary part.
+
+    Exact roots compare without a conversion to doubles, which a root or a
+    discriminant beyond the double range would not survive: sqrt|d| is
+    taken to a relative 2^-64.
+    """
     v = r.value
     if isinstance(v, Fraction):
-        return (0, float(v), 0.0)
+        return (0, v, 0)
     if isinstance(v, QuadExt):
-        c = complex(v)
-        return (1, c.real, c.imag)
+        num, den = abs(v.d.numerator), v.d.denominator
+        root = Fraction(isqrt((num * den) << 128), den << 64)
+        return (1, v.a + v.b * root, 0) if v.d > 0 else (1, v.a, v.b * root)
     return (2, v.real, v.imag)
 
 

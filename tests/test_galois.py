@@ -645,10 +645,16 @@ def test_seeded_sweep_rational_roots_match_the_divisor_search():
     assert from_approximations > 50
 
 
+# Each of these inputs finishes in milliseconds; the divisor search took 15.7 s
+# on x^3 - (10^16 + 1) and never finished on the 40-digit constants below.
+# The bound leaves room for a slow or loaded machine.
+TIME_BOUND_S = 5.0
+
+
 def _timed_roots(poly):
     start = time.perf_counter()
     roots = char_roots(ConstLinearEq(tuple(poly[:-1])))
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < TIME_BOUND_S
     return roots
 
 
@@ -680,7 +686,39 @@ def test_rational_roots_closer_than_the_doubles_are_refused():
     start = time.perf_counter()
     with pytest.raises(RootCertificationError):
         char_roots(ConstLinearEq(tuple(poly[:-1])))
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < TIME_BOUND_S
+
+
+def test_rational_root_next_to_roots_beyond_the_double_range():
+    # (x - 1)(x^2 + 10^400 x + 1): the other roots are near -10^400 and -10^-400,
+    # which no double holds; each approximation carries its own exponent.
+    big = 10**400
+    roots = _timed_roots(_poly_mul(_from_roots([Fraction(1)]), [Fraction(1), Fraction(big), Fraction(1)]))
+    assert all(r.exact for r in roots) and roots[0].value == 1
+    assert {(r.value.a, r.value.b, r.value.d) for r in roots[1:]} == {
+        (Fraction(-big, 2), sign, Fraction(big * big - 4)) for sign in (Fraction(1, 2), Fraction(-1, 2))
+    }
+    roots = _timed_roots(_poly_mul(_from_roots([Fraction(big)]), [Fraction(1), Fraction(0), Fraction(1)]))
+    assert [r.value for r in roots if type(r.value) is Fraction] == [big]
+    tiny = Fraction(1, big)
+    roots = _timed_roots(_poly_mul(_from_roots([tiny]), [Fraction(-1), Fraction(-1), Fraction(0), Fraction(1)]))
+    assert [(r.value, r.exact) for r in roots if type(r.value) is Fraction] == [(tiny, True)]
+    assert sum(not r.exact for r in roots) == 3
+
+
+def test_roots_hundreds_of_orders_of_magnitude_apart_are_certified():
+    # x^3 + 10^300 x^2 + 1: roots near -10^300 and +-10^-150 i. A start on one
+    # circle did not reach the small pair in 100 sweeps; the Newton polygon
+    # starts each group on its own circle.
+    roots = _timed_roots([Fraction(1), Fraction(0), Fraction(10**300), Fraction(1)])
+    assert not any(r.exact for r in roots)
+    assert sorted(abs(r.value) for r in roots) == pytest.approx([1e-150, 1e-150, 1e300], rel=1e-15)
+
+
+def test_float_roots_beyond_the_double_range_are_refused():
+    # x^3 - 10^1000 - 1: roots of modulus about 10^333, no rational one.
+    with pytest.raises(RootCertificationError, match="leaves the double range"):
+        _timed_roots([Fraction(-(10**1000) - 1), Fraction(0), Fraction(0), Fraction(1)])
 
 
 # ---------------------------------------------------------------- Wronskian from the roots
