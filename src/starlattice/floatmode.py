@@ -1,11 +1,11 @@
 """Float evaluation paths, used only for benchmarking.
 
 Verification stays exact elsewhere; nothing here feeds back into it. The
-convolution route runs the scalar-generic Newton map of `transforms` and
-the Cauchy product of `series` on floats: the difference table needs no
-factorials and the nested-product forward map no bare binomials. Only the
-scaling between Newton and series coefficients forms l!, which leaves
-double range past l = 170.
+convolution route runs the Newton maps of `transforms` and the Cauchy
+product of `series` on floats. They are the very maps the exact paths run:
+the difference table and the Pascal rule only add and subtract, so they
+form no factorial or binomial. Only the scaling between Newton and series
+coefficients forms l!, which leaves double range past l = 170.
 
 The direct power route evaluates the closed kernel term-by-term over all
 index tuples, exactly like its exact counterpart; per-tuple weights are

@@ -592,10 +592,17 @@ def _det(rows: list[list]) -> Scalar:
 
 
 def _common_field(values: list) -> list:
-    """Lift to a common field: rationals, one quadratic extension, or complex."""
+    """Lift to a common field: rationals, one quadratic extension, or complex.
+
+    An exact value beyond the double range has no complex lift and raises
+    FloatOverflow.
+    """
     ds = {v.d for v in values if isinstance(v, QuadExt)}
     if len(ds) > 1 or any(isinstance(v, complex) for v in values):
-        return [complex(v) for v in values]
+        try:
+            return [complex(v) for v in values]
+        except OverflowError:
+            raise FloatOverflow("an exact value leaves the double range when converted to complex") from None
     if ds:
         d = ds.pop()
         return [_lift(v, d) for v in values]
@@ -622,13 +629,18 @@ def _root_wronskian(roots: list[RootDatum]) -> Scalar:
     order: prod_l prod_(j < m_l) j! * prod_(a < b) (l_b - l_a)^(m_a m_b).
     Exact when every root lies in one field (the rationals, or Q(sqrt d) for
     one d), complex otherwise; nothing is differenced, so nothing cancels.
+    The roots are distinct, so a complex factor or product of 0 is lost to
+    the doubles and raises FloatOverflow, as an overflow does.
     """
     values = _common_field([r.value for r in roots])
     w = values[0] ** 0 * prod(factorial(j) for r in roots for j in range(r.multiplicity))  # in the roots' field
     for b, rb in enumerate(roots):
-        for a, ra in enumerate(roots[:b]):  # repeated products: complex pow raises OverflowError
-            w = w * prod([values[b] - values[a]] * (ra.multiplicity * rb.multiplicity))
-    if isinstance(w, complex) and not cmath.isfinite(w):
+        for a, ra in enumerate(roots[:b]):
+            difference = values[b] - values[a]
+            if isinstance(difference, complex) and not difference:
+                raise FloatOverflow(f"roots {ra.value} and {rb.value} are equal as doubles, so the complex Wronskian is lost")
+            w = w * prod([difference] * (ra.multiplicity * rb.multiplicity))  # complex pow raises OverflowError
+    if isinstance(w, complex) and not (cmath.isfinite(w) and w):
         raise FloatOverflow("the modified Wronskian leaves the double range")
     return w
 

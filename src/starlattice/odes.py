@@ -35,9 +35,10 @@ to integers and summed per power of t, so index n costs one integer dot
 product per power; `lin_step`, `lin_residual` and `lin_residuals` all
 evaluate through it. The nonlinear residuals are the Newton-space defect of
 the recurrence that `solve_newton` solves, mapped back to the lattice once
-by `transforms.newton_sums`. Both evaluators run on the equation scaled once
-to integer coefficients and on the sequence scaled to integer numerators
-over one denominator, and divide once per index. `lin_residual_kernel`
+by `transforms.newton_to_lattice`, the one Pascal-rule map that exact and
+float scalars share. Both evaluators run on the equation scaled once to
+integer coefficients and on the sequence scaled to integer numerators over
+one denominator, and divide once per index. `lin_residual_kernel`
 keeps the paper's whole-sequence route, through `star.monomial_star_kernel`,
 as the cross-check of `lin_residual`; no production path calls it.
 """
@@ -55,7 +56,7 @@ from .rational import as_rational, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_binomial_powers
 from .star import monomial_star_kernel
-from .transforms import difference_rows, falling_factorial, inverse_transform, lattice_to_newton, newton_sums
+from .transforms import difference_rows, falling_factorial, inverse_transform, lattice_to_newton, newton_to_lattice
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def _nonlin_scaled_residuals(eq: NonlinearOde, values, count: int) -> tuple[int,
     coefficients. With w the Newton coefficients of Z = z * D, the residuals
     have the Newton coefficients rho_k / (D^N E), where the bracket in
     rho_k = E D^(N-1) w_{k+m} - [D^N k! G_k + sum C_{j,p} D^(N-j) (k)_p (w^(*j))_{k-p}]
-    is `solve_newton`'s right-hand side; `newton_sums` maps rho back.
+    is `solve_newton`'s right-hand side; `newton_to_lattice` maps rho back.
     """
     form = _IntegerForm.of((PolyCoeff(()), *eq.coeffs[1:]), eq.coeffs[0])
     D, Z = over_common_denominator(values)
@@ -288,7 +289,7 @@ def _nonlin_scaled_residuals(eq: NonlinearOde, values, count: int) -> tuple[int,
         extend_binomial_powers(w, powers)
         rho.append(form.E * scale[1] * w[k + eq.m] - _newton_rhs(gamma, terms, w, powers, k, k_factorial))
         k_factorial *= k + 1
-    return scale[0] * form.E, newton_sums(rho)
+    return scale[0] * form.E, newton_to_lattice(rho)
 
 
 def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
@@ -421,7 +422,7 @@ class NewtonSolution:
     def lattice_values(self) -> list[Fraction]:
         """z_n = sum_l C(n,l) w_l = S_n / (c E^n) with S_n = sum_l C(n,l) E^(n-l) W_l."""
         out, denominator = [], self.c
-        for s in newton_sums(self.W, self.E):
+        for s in newton_to_lattice(self.W, self.E):
             out.append(Fraction(s, denominator))
             denominator *= self.E
         return out

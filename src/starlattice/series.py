@@ -4,8 +4,8 @@ Coefficient lists are indexed by power (index 0 = constant term). The
 truncated series and polynomial routines stay in `Fraction` arithmetic;
 truncation degree D means coefficients 0..D are kept. `mul_trunc` only
 adds and multiplies its inputs, so the float route in `floatmode` runs it
-on floats as well; an entry it never accumulates into stays the exact
-`Fraction(0)`.
+on floats as well, between the two shared Newton maps of `transforms`; an
+entry it never accumulates into stays the exact `Fraction(0)`.
 
 `extend_binomial_powers` is the one exact star-power loop. It works on
 Newton coefficients w_k = k! zeta_k, where the Cauchy product of
@@ -25,12 +25,18 @@ from operator import mul
 
 
 def mul_trunc(a: list[Fraction], b: list[Fraction], D: int) -> list[Fraction]:
-    """Product of two series modulo x^(D+1)."""
+    """Product of two series modulo x^(D+1).
+
+    The inner loop stops at b's last nonzero entry, so a series with a zero
+    tail (`floatmode`'s w_l / l!, exactly 0.0 from l = 171) costs no more
+    than its nonzero head.
+    """
     out = [Fraction(0)] * (D + 1)
+    last = len(poly_trim(b)) - 1
     for i, ai in enumerate(a):
         if i > D or ai == 0:
             continue
-        for j in range(min(D - i, len(b) - 1) + 1):
+        for j in range(min(D - i, last) + 1):
             if b[j]:
                 out[i + j] += ai * b[j]
     return out

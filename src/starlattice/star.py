@@ -13,8 +13,9 @@ Everything is triangular: entry n of any product depends only on entries
 0..n of the factors, so truncation at a common length is exact.
 `star_power` runs on integers: the Newton coefficients of D z (D the common
 denominator of z) take their binomial powers, which have integer weights
-(`series.extend_binomial_powers`), map back through
-`transforms.newton_sums` and divide once by D^p. `star_multiply` keeps the
+(`series.extend_binomial_powers`), map back through the Pascal rule
+`transforms.newton_to_lattice` (the one map for exact and float scalars;
+`floatmode` runs it too) and divide once by D^p. `star_multiply` keeps the
 `Fraction` Cauchy product through `mul_trunc` as its cross-check at p = 2.
 """
 
@@ -33,7 +34,7 @@ from .transforms import (
     forward_transform,
     inverse_transform,
     lattice_to_newton,
-    newton_sums,
+    newton_to_lattice,
     recip_factorial,
 )
 
@@ -82,7 +83,7 @@ def star_power(z: LatticeSeq, p: int) -> LatticeSeq:
     for _ in w:
         extend_binomial_powers(w, powers)
     scale = D**p
-    return LatticeSeq(tuple(Fraction(s, scale) for s in newton_sums(powers[-1] if powers else w)))
+    return LatticeSeq(tuple(Fraction(s, scale) for s in newton_to_lattice(powers[-1] if powers else w)))
 
 
 def star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:

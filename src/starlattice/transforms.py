@@ -10,16 +10,16 @@ b_0..b_L maps to the lattice through the same forward rule with zeta = b.
 
 The inverse goes through the Newton coefficients w_l = l! * zeta_l, which
 are the leading entries (Delta^l z)_0 of the forward-difference table, so
-z_n = sum_l C(n,l) w_l. The table and the Newton map below are written once
-for any scalar with + - * / (Fraction, quadratic surds, complex, float).
+z_n = sum_l C(n,l) w_l. The table and its inverse, the Pascal rule of
+`newton_to_lattice`, only add and subtract (and scale by an integer E), so
+each is written once for every scalar: integers, Fraction, quadratic surds,
+complex and float. The exact paths and the float route share them.
 
-The exact maps run on integers instead: the falling-factorial basis is of
-binomial type, so (n)_k is an integer and a rational sequence needs one
-common denominator D. `taylor_to_lattice` runs the nested product on the
-integers D b_k, `inverse_transform` the difference table on D z_n, and each
-divides once per entry. `newton_sums`, the Pascal rule on integers, is the
-one exact Newton-to-lattice map. The Newton map `newton_to_lattice` serves
-the float route and is the forward map's test oracle.
+The exact maps run on integers: the falling-factorial basis is of binomial
+type, so (n)_k is an integer and a rational sequence needs one common
+denominator D. `taylor_to_lattice` runs the nested product on the integers
+D b_k, `inverse_transform` the difference table on D z_n, and each divides
+once per entry. `newton_to_lattice` is also the forward map's test oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import factorial, perm
+from operator import add, sub
 
 from .rational import over_common_denominator
 from .sequences import FourierSeq, LatticeSeq, TaylorCoeffs
@@ -59,7 +60,7 @@ def difference_rows(values):
     row = list(values)
     while row:
         yield row
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+        row = list(map(sub, islice(row, 1, None), row))
 
 
 def lattice_to_newton(z) -> list:
@@ -67,30 +68,20 @@ def lattice_to_newton(z) -> list:
     return [row[0] for row in difference_rows(z)]
 
 
-def newton_to_lattice(w) -> list:
-    """z_n = sum_l C(n,l) w_l for n < len(w).
+def newton_to_lattice(w, E: int = 1) -> list:
+    """z_n = sum_l C(n,l) E^(n-l) w_l for n < len(w), by the Pascal rule.
 
-    Evaluated as nested products (acc + w_l) * (n-l+1) / l, so float input
-    never forms a bare binomial or factorial and stays inside double range.
+    z_n is entry 0 of row n of the table T_0 = w, T_{n+1}[l] = E T_n[l] + T_n[l+1].
+    No binomial or factorial is formed, so float input stays inside the
+    double range wherever its sums do, and integer input stays integer.
     """
-    out = []
-    for n in range(len(w)):
-        acc = 0  # int zero: 0 + x is x for every scalar type, and 0.0 + x for a float
-        for l in range(n, 0, -1):
-            acc = (acc + w[l]) * (n - l + 1) / l
-        out.append(acc + w[0])
-    return out
-
-
-def newton_sums(W: list[int], E: int = 1) -> list[int]:
-    """S_n = sum_l C(n,l) E^(n-l) W_l for n < len(W), on integers.
-
-    S_n is entry 0 of row n of the table T_0 = W, T_{n+1}[l] = E T_n[l] + T_n[l+1].
-    """
-    row, out = list(W), []
+    row, out = list(w), []
     while row:
         out.append(row[0])
-        row = [E * a + b for a, b in zip(row, row[1:])]
+        if E == 1:
+            row = list(map(add, row, islice(row, 1, None)))
+        else:
+            row = [E * a + b for a, b in zip(row, row[1:])]
     return out
 
 

@@ -450,6 +450,43 @@ def test_cli_galois_wronskian_beyond_the_double_range_is_refused(tmp_path, capsy
     assert code == 2
 
 
+def test_cli_galois_surds_of_two_fields_beyond_the_double_range_are_refused(tmp_path, capsys):
+    # (x^2 + 10^400 x + 1)(x^2 + x + 2)^2: two surd fields, so the Wronskian is
+    # taken in complex numbers, and sqrt(10^800 - 4) has no double. Converting
+    # it raised OverflowError, a traceback with exit 1.
+    big = 10**400
+    quadratic, square = [1, big, 1], [4, 4, 5, 2, 1]  # (x^2 + x + 2)^2
+    poly = [sum(quadratic[i] * square[k - i] for i in range(3) if 0 <= k - i < 5) for k in range(7)]
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": [str(c) for c in poly[:-1]]})
+    code = run(["galois", "--input", path, "--length", "6"])
+    assert capsys.readouterr().err == "error: an exact value leaves the double range when converted to complex\n"
+    assert code == 2
+
+
+def test_cli_galois_wronskian_below_the_double_range_is_refused(tmp_path, capsys):
+    # x^12 - 10^-300: twelve float roots of modulus 10^-25, certified distinct,
+    # whose 66 differences multiply to about 10^-1650. The product underflowed
+    # to 0.0 and the run exited 1 with "wronskian": null.
+    coeffs = [format_rational(Fraction(-1, 10**300))] + ["0"] * 11
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": coeffs})
+    code = run(["galois", "--input", path, "--length", "12", "--allow-float-roots"])
+    assert capsys.readouterr().err == "error: the modified Wronskian leaves the double range\n"
+    assert code == 2
+
+
+def test_cli_galois_exact_roots_equal_as_doubles_are_refused(tmp_path, capsys):
+    # ((x - 1)^2 - 2/10^60)(x^2 - 3)^2: two surd fields, so the Wronskian is
+    # taken in complex numbers, where 1 +- 10^-30 sqrt(2) are both 1.0. The
+    # product was 0 and the run exited 1, a verification failure that is not one.
+    quadratic, square = [1 - Fraction(2, 10**60), -2, 1], [9, 0, -6, 0, 1]  # (x^2 - 3)^2
+    poly = [sum(quadratic[i] * square[k - i] for i in range(3) if 0 <= k - i < 5) for k in range(7)]
+    path = write_doc(tmp_path, {"type": "const_linear", "coeffs": [format_rational(c) for c in poly[:-1]]})
+    code = run(["galois", "--input", path, "--length", "8"])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err.endswith(" are equal as doubles, so the complex Wronskian is lost\n")
+
+
 def test_cli_galois_rational_roots_closer_than_the_doubles_are_refused(tmp_path, capsys):
     # (x - 1/3)(x - 1/3 - 10^-30)(x^2 + x + 2)
     third = Fraction(1, 3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -120,6 +121,56 @@ def test_float_convolution_route_returns_floats():
         exact = star_power(LatticeSeq(tuple(Fraction(x) for x in z)), p)
         assert all(type(v) is float for v in got)
         assert got == pytest.approx([float(v) for v in exact.values])
+
+
+def full_scan_mul_trunc(a: list, b: list, D: int) -> list:
+    """Reference: the Cauchy product scanning every entry of b."""
+    out = [Fraction(0)] * (D + 1)
+    for i, ai in enumerate(a):
+        if i > D or ai == 0:
+            continue
+        for j in range(min(D - i, len(b) - 1) + 1):
+            if b[j]:
+                out[i + j] += ai * b[j]
+    return out
+
+
+def test_mul_trunc_skips_a_zero_tail_of_b():
+    rng = random.Random(47)
+    for _ in range(60):
+        head = rng.randrange(0, 8)
+        scalars = (0.0, Fraction(0), rng.uniform(-2, 2), Fraction(rng.randrange(-9, 10), 7))
+        a = [rng.choice(scalars) for _ in range(rng.randrange(1, 12))]
+        b = [rng.choice(scalars) for _ in range(head)]
+        b += [rng.choice((0.0, Fraction(0), 0)) for _ in range(rng.randrange(0, 10))]
+        D = rng.randrange(0, 20)
+        got, want = mul_trunc(a, b, D), full_scan_mul_trunc(a, b, D)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+    # an all-zero b leaves every entry the untouched Fraction(0)
+    got = mul_trunc([1.5, 2.0], [0.0, Fraction(0)], 3)
+    assert got == [0] * 4 and all(type(v) is Fraction for v in got)
+
+
+# The benchmark's float tolerance: entries 0..10 within FLOAT_TOL * max|z|^p.
+FLOAT_TOL = 1e-8
+FLOAT_PREFIX = 10
+
+
+def test_float_route_on_long_geometric_inputs_is_finite_exactly_through_170():
+    """Known defect: l! leaves the double range at l = 171, and from there every entry is non-finite."""
+    rng = random.Random(53)
+    for L in (171, 240, 600):
+        for p in (2, 3, 4):
+            ratio, scale = rng.uniform(0.3, 0.9), rng.uniform(0.5, 2.0)
+            z = [scale * ratio**n for n in range(L + 1)]
+            got = star_power_convolution(z, p)
+            assert len(got) == L + 1
+            assert all(math.isfinite(v) for v in got[:171])
+            assert not any(math.isfinite(v) for v in got[171:])
+            exact = star_power(LatticeSeq(tuple(Fraction(x) for x in z[: FLOAT_PREFIX + 1])), p)
+            tol = FLOAT_TOL * max(abs(x) for x in z) ** p
+            assert all(abs(g - float(e)) <= tol for g, e in zip(got, exact.values))
 
 
 def test_star_power_sum_of_falling_factorials():

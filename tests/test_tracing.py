@@ -4,6 +4,8 @@
 binds it and raises `AttributeError` on a name that no longer exists, so a
 refactor that renames or drops a traced function would otherwise fail only
 in a traced benchmark run. The tracer is loaded from its file, read-only.
+The float route's Newton maps, traced under `floatmode` names, must stay
+the shared `transforms` functions.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import starlattice.cli  # noqa: F401  (loads every traced module)
+from starlattice import floatmode, transforms
 from starlattice.corpus import CorpusCase
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +52,9 @@ def test_tracer_replaces_and_restores_every_traced_binding():
     for module, attr, value in bindings:
         assert getattr(module, attr) is value
     assert CorpusCase.__dict__["residual_table"] is method
+
+
+def test_float_route_traces_the_shared_newton_maps():
+    """The traced float Newton maps are the `transforms` maps every exact path runs, not float-only copies."""
+    assert floatmode.lattice_to_newton is transforms.lattice_to_newton
+    assert floatmode.newton_to_lattice is transforms.newton_to_lattice

@@ -18,7 +18,7 @@ from starlattice import (
 )
 from starlattice.galois import QuadExt
 from starlattice.odes import delta_power
-from starlattice.transforms import lattice_to_newton, newton_sums, newton_to_lattice
+from starlattice.transforms import lattice_to_newton, newton_to_lattice
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
@@ -155,16 +155,43 @@ def test_newton_core_matches_closed_formulas_on_every_scalar():
         assert lattice_to_newton([float(v) for v in ints]) == [float(v) for v in lattice_to_newton(ints)]
 
 
-def test_newton_sums_is_the_weighted_binomial_sum():
+def test_newton_to_lattice_is_the_weighted_binomial_sum():
     rng = random.Random(2027)
-    assert newton_sums([]) == []
+    assert newton_to_lattice([]) == []
     for E in (1, 1, 2, 3, 10, 2**20 + 7):
         W = [rng.randrange(-10**9, 10**9) for _ in range(rng.randrange(1, 25))]
-        sums = newton_sums(W, E)
+        sums = newton_to_lattice(W, E)
         assert sums == [sum(comb(n, l) * E ** (n - l) * W[l] for l in range(n + 1)) for n in range(len(W))]
         assert all(type(s) is int for s in sums)
     W = [rng.randrange(-10**9, 10**9) for _ in range(12)]
-    assert newton_sums(lattice_to_newton(W)) == W
+    assert newton_to_lattice(lattice_to_newton(W)) == W
+
+
+def weighted_binomial_sums(w: list, E: int) -> list:
+    """Reference: z_n = sum_l C(n,l) E^(n-l) w_l, summed term by term."""
+    return [sum((comb(n, l) * E ** (n - l) * w[l] for l in range(1, n + 1)), w[0] * E**n) for n in range(len(w))]
+
+
+def test_newton_to_lattice_sweep_over_exact_and_float_scalars():
+    """One map for every scalar: Fraction, QuadExt and floats that hold small integers exactly."""
+    rng = random.Random(2031)
+    for _ in range(40):
+        length = rng.randrange(1, 18)
+        E = rng.choice((1, 1, 2, 3, 5))
+        w = [rand_fraction(rng) for _ in range(length)]
+        got = newton_to_lattice(w, E)
+        assert got == weighted_binomial_sums(w, E)
+        assert all(type(v) is Fraction for v in got)
+        d = Fraction(rng.choice((2, 3, 5, 7)))
+        surd = [QuadExt(a, rand_fraction(rng), d) for a in w]
+        got = newton_to_lattice(surd, E)
+        assert got == weighted_binomial_sums(surd, E)
+        assert all(type(v) is QuadExt for v in got)
+        # every partial sum is below 50 (E+1)^16 < 2^53, so the floats are exact.
+        ints = [rng.randrange(-50, 51) for _ in range(length)]
+        got = newton_to_lattice([float(v) for v in ints], E)
+        assert got == [float(v) for v in newton_to_lattice(ints, E)]
+        assert all(type(v) is float for v in got)
 
 
 def rand_height(rng: random.Random) -> Fraction:
