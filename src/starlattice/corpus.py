@@ -8,7 +8,9 @@ equation with a two-parameter solution family, and the Hermite and Jacobi
 polynomial equations.
 
 The residual tables and the termwise image in the Jacobi extras go through
-the one forward map, `transforms.taylor_to_lattice`.
+the one forward map, `transforms.taylor_to_lattice`, and the Jacobi shifted
+form through its Newton readout, `transforms.ScaledNewton`. `gauss_sum`
+keeps the literal sum over (n)_k as a cross-check of the forward map.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .odes import (
     nonlin_residuals,
     taylor_solution_linear,
 )
-from .transforms import falling_factorial, taylor_to_lattice
+from .transforms import ScaledNewton, falling_factorial, taylor_to_lattice
 
 # Every builder self-checks over this range, so its series prefix must cover it too.
 _BUILD_CHECK_RANGE = 6
@@ -292,10 +294,11 @@ def jacobi_shifted_values(m: int, alpha: Fraction, beta: Fraction, length: int) 
 
         (1/m!) sum_k C(m,k) (alpha+beta+m+1)_k (1/2)^k (n-1)(n-2)...(n-k).
 
-    The weights do not depend on n: they are formed once, over one common
-    denominator, and index n is one integer running product and sum. Kept for
-    side-by-side comparison with the termwise image; the two do not agree in
-    general and only the residual test is authoritative.
+    With the weights over one common denominator D as integers W_k, D z_n is
+    sum_k W_k (n-1)_k, whose Newton coefficients at n = 1 are u_k = k! W_k;
+    one backward Pascal step, u_l - u_{l+1} from the top down, moves them to
+    n = 0. Kept for side-by-side comparison with the termwise image; the two
+    do not agree in general and only the residual test is authoritative.
     """
     x = alpha + beta + m + 1
     weights = []
@@ -305,15 +308,10 @@ def jacobi_shifted_values(m: int, alpha: Fraction, beta: Fraction, length: int) 
             rising *= x + k - 1
         weights.append(comb(m, k) * rising / (2**k * factorial(m)))
     D, W = over_common_denominator(weights)
-    out = []
-    for n in range(length + 1):
-        acc, shifted = 0, 1  # shifted = (n-1)(n-2)...(n-k)
-        for k, w in enumerate(W):
-            if k:
-                shifted *= n - k
-            acc += w * shifted
-        out.append(Fraction(acc, D))
-    return out
+    u = [factorial(k) * w for k, w in enumerate(W)]
+    for l in range(m - 1, -1, -1):
+        u[l] -= u[l + 1]
+    return ScaledNewton(D, 1, tuple(u)).lattice_values(length + 1)
 
 
 def jacobi_case(

@@ -25,8 +25,8 @@ Taylor coefficients of the continuous one, so `nonlin_step`,
 `solve_newton`. It runs on scaled Newton coefficients W_k = k! c E^k zeta_k,
 where the star product is the binomial convolution with integer weights,
 so every W_k is an integer (the proof is in its docstring) and no index
-builds a `Fraction`. `NewtonSolution` maps W back to Taylor coefficients or
-to lattice values with one division per entry.
+builds a `Fraction`. `transforms.ScaledNewton` maps W back to Taylor
+coefficients or to lattice values with one division per entry.
 
 Linear residuals are evaluated online: a term c t^p z^(l) reads only the
 entries n-p..n-p+l, through the binomial formula for (Delta^l z)_{n-p}.
@@ -34,13 +34,13 @@ entries n-p..n-p+l, through the binomial formula for (Delta^l z)_{n-p}.
 to integers and summed per power of t, so index n costs one integer dot
 product per power; `lin_step`, `lin_residual` and `lin_residuals` all
 evaluate through it. The nonlinear residuals are the Newton-space defect of
-the recurrence that `solve_newton` solves, mapped back to the lattice once
-by `transforms.newton_to_lattice`, the one Pascal-rule map that exact and
-float scalars share. Both evaluators run on the equation scaled once to
-integer coefficients and on the sequence scaled to integer numerators over
-one denominator, and divide once per index. `lin_residual_kernel`
-keeps the paper's whole-sequence route, through `star.monomial_star_kernel`,
-as the cross-check of `lin_residual`; no production path calls it.
+the recurrence that `solve_newton` solves, scaled to integers and read out
+through `transforms.ScaledNewton` like the solution. Both evaluators run on
+the equation scaled once to integer coefficients and on the sequence scaled
+to integer numerators over one denominator, and divide once per index.
+`lin_residual_kernel` keeps the paper's whole-sequence route, through
+`star.monomial_star_kernel`, as the cross-check of `lin_residual`; no
+production path calls it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .rational import as_rational, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_binomial_powers
 from .star import monomial_star_kernel
-from .transforms import difference_rows, falling_factorial, inverse_transform, lattice_to_newton, newton_to_lattice
+from .transforms import ScaledNewton, difference_rows, falling_factorial, inverse_transform, lattice_to_newton
 
 
 @dataclass(frozen=True)
@@ -267,14 +267,14 @@ def lin_residuals(eq: LinearOde, z: LatticeSeq) -> list[Fraction]:
     return [Fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(count)]
 
 
-def _nonlin_scaled_residuals(eq: NonlinearOde, values, count: int) -> tuple[int, list[int]]:
-    """(D^N E, that multiple of the residuals at n = 0..count-1).
+def _nonlin_residual_newton(eq: NonlinearOde, values, count: int) -> ScaledNewton:
+    """The residuals at n = 0..count-1 as scaled Newton coefficients rho_k with c = D^N E.
 
     D is the common denominator of the values, N the degree and E that of the
     coefficients. With w the Newton coefficients of Z = z * D, the residuals
     have the Newton coefficients rho_k / (D^N E), where the bracket in
     rho_k = E D^(N-1) w_{k+m} - [D^N k! G_k + sum C_{j,p} D^(N-j) (k)_p (w^(*j))_{k-p}]
-    is `solve_newton`'s right-hand side; `newton_to_lattice` maps rho back.
+    is `solve_newton`'s right-hand side.
     """
     form = _IntegerForm.of((PolyCoeff(()), *eq.coeffs[1:]), eq.coeffs[0])
     D, Z = over_common_denominator(values)
@@ -289,20 +289,18 @@ def _nonlin_scaled_residuals(eq: NonlinearOde, values, count: int) -> tuple[int,
         extend_binomial_powers(w, powers)
         rho.append(form.E * scale[1] * w[k + eq.m] - _newton_rhs(gamma, terms, w, powers, k, k_factorial))
         k_factorial *= k + 1
-    return scale[0] * form.E, newton_to_lattice(rho)
+    return ScaledNewton(scale[0] * form.E, 1, tuple(rho))
 
 
 def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
     """(Delta^m z)_n minus the star image of the right-hand side at n."""
     if n < 0 or n + eq.m > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + eq.m}, stored 0..{z.last_index}")
-    denominator, scaled = _nonlin_scaled_residuals(eq, z.values[: n + eq.m + 1], n + 1)
-    return Fraction(scaled[n], denominator)
+    return _nonlin_residual_newton(eq, z.values[: n + eq.m + 1], n + 1).lattice_values()[n]
 
 
 def nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:
-    denominator, scaled = _nonlin_scaled_residuals(eq, z.values, z.last_index - eq.m + 1)
-    return [Fraction(r, denominator) for r in scaled]
+    return _nonlin_residual_newton(eq, z.values, z.last_index - eq.m + 1).lattice_values()
 
 
 def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
@@ -399,36 +397,7 @@ def taylor_solution_nonlinear(eq: NonlinearOde, init, L: int) -> TaylorCoeffs:
     return TaylorCoeffs(tuple(solve_newton(eq.m, eq.coeffs, b, L).taylor_coeffs()[: L + 1]))
 
 
-@dataclass(frozen=True)
-class NewtonSolution:
-    """Scaled Newton coefficients W_k = k! c E^k zeta_k, k = 0..len(W)-1.
-
-    w_k = k! zeta_k are the Newton coefficients (Delta^k z)_0 of the lattice
-    solution; c and E are positive integers (see `solve_newton`).
-    """
-
-    c: int
-    E: int
-    W: tuple[int, ...]
-
-    def taylor_coeffs(self) -> list[Fraction]:
-        """zeta_k = W_k / (k! c E^k): the Taylor, equally the transform, coefficients."""
-        out, denominator = [], self.c
-        for k, w in enumerate(self.W):
-            out.append(Fraction(w, denominator))
-            denominator *= (k + 1) * self.E
-        return out
-
-    def lattice_values(self) -> list[Fraction]:
-        """z_n = sum_l C(n,l) w_l = S_n / (c E^n) with S_n = sum_l C(n,l) E^(n-l) W_l."""
-        out, denominator = [], self.c
-        for s in newton_to_lattice(self.W, self.E):
-            out.append(Fraction(s, denominator))
-            denominator *= self.E
-        return out
-
-
-def solve_newton(m: int, coeffs, zeta_init, L: int) -> NewtonSolution:
+def solve_newton(m: int, coeffs, zeta_init, L: int) -> ScaledNewton:
     """Solve z^(m) = sum_{j=0}^N a_j(t) z^j for zeta_0..zeta_L on integers.
 
     ``coeffs`` are a_0..a_N as `PolyCoeff`, ``zeta_init`` the m coefficients
@@ -469,7 +438,7 @@ def solve_newton(m: int, coeffs, zeta_init, L: int) -> NewtonSolution:
         extend_binomial_powers(W, powers)
         W.append(_newton_rhs(gamma, terms, W, powers, k, k_factorial))
         k_factorial *= k + 1
-    return NewtonSolution(c, E, tuple(W))
+    return ScaledNewton(c, E, tuple(W))
 
 
 def _newton_rhs(gamma: dict, terms, w, powers, k: int, k_factorial: int) -> int:

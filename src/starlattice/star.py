@@ -13,9 +13,9 @@ Everything is triangular: entry n of any product depends only on entries
 0..n of the factors, so truncation at a common length is exact.
 `star_power` runs on integers: the Newton coefficients of D z (D the common
 denominator of z) take their binomial powers, which have integer weights
-(`series.extend_binomial_powers`), map back through the Pascal rule
-`transforms.newton_to_lattice` (the one map for exact and float scalars;
-`floatmode` runs it too) and divide once by D^p. `star_multiply` keeps the
+(`series.extend_binomial_powers`); those are the scaled Newton coefficients
+of the power with c = D^p, which `transforms.ScaledNewton` maps back through
+the shared Pascal rule with one division per entry. `star_multiply` keeps the
 `Fraction` Cauchy product through `mul_trunc` as its cross-check at p = 2.
 """
 
@@ -30,11 +30,11 @@ from .rational import over_common_denominator
 from .sequences import FourierSeq, LatticeSeq
 from .series import extend_binomial_powers, mul_trunc
 from .transforms import (
+    ScaledNewton,
     falling_factorial,
     forward_transform,
     inverse_transform,
     lattice_to_newton,
-    newton_to_lattice,
     recip_factorial,
 )
 
@@ -82,8 +82,7 @@ def star_power(z: LatticeSeq, p: int) -> LatticeSeq:
     powers: list[list[int]] = [[] for _ in range(p - 1)]  # w^(*2) .. w^(*p)
     for _ in w:
         extend_binomial_powers(w, powers)
-    scale = D**p
-    return LatticeSeq(tuple(Fraction(s, scale) for s in newton_to_lattice(powers[-1] if powers else w)))
+    return LatticeSeq(tuple(ScaledNewton(D**p, 1, tuple(powers[-1] if powers else w)).lattice_values()))
 
 
 def star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:

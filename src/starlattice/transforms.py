@@ -8,7 +8,7 @@ With p_l(n) = n!/(n-l)! (zero for n < l), the pair
 is triangular and mutually inverse at every length. A power-series prefix
 b_0..b_L maps to the lattice through the same forward rule with zeta = b.
 
-The inverse goes through the Newton coefficients w_l = l! * zeta_l, which
+Both directions go through the Newton coefficients w_l = l! * zeta_l, which
 are the leading entries (Delta^l z)_0 of the forward-difference table, so
 z_n = sum_l C(n,l) w_l. The table and its inverse, the Pascal rule of
 `newton_to_lattice`, only add and subtract (and scale by an integer E), so
@@ -16,18 +16,21 @@ each is written once for every scalar: integers, Fraction, quadratic surds,
 complex and float. The exact paths and the float route share them.
 
 The exact maps run on integers: the falling-factorial basis is of binomial
-type, so (n)_k is an integer and a rational sequence needs one common
-denominator D. `taylor_to_lattice` runs the nested product on the integers
-D b_k, `inverse_transform` the difference table on D z_n, and each divides
-once per entry. `newton_to_lattice` is also the forward map's test oracle.
+type, so a rational sequence needs one common denominator, and
+`ScaledNewton` holds the integers W_k = k! c E^k zeta_k together with the
+one readout that divides once per entry. `taylor_to_lattice` builds
+W_k = k! D b_k, `inverse_transform` takes W from the difference table of
+D z_n; the star powers, the nonlinear solver and its residuals, and the
+Jacobi shifted form read their integers out through the same class.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import factorial, perm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .rational import over_common_denominator
 from .sequences import FourierSeq, LatticeSeq, TaylorCoeffs
@@ -68,21 +71,59 @@ def lattice_to_newton(z) -> list:
     return [row[0] for row in difference_rows(z)]
 
 
-def newton_to_lattice(w, E: int = 1) -> list:
-    """z_n = sum_l C(n,l) E^(n-l) w_l for n < len(w), by the Pascal rule.
+def newton_to_lattice(w, E: int = 1, length: int | None = None) -> list:
+    """z_n = sum_l C(n,l) E^(n-l) w_l for n < length (default len(w)), with w zero past its end.
 
-    z_n is entry 0 of row n of the table T_0 = w, T_{n+1}[l] = E T_n[l] + T_n[l+1].
-    No binomial or factorial is formed, so float input stays inside the
-    double range wherever its sums do, and integer input stays integer.
+    z_n is entry 0 of row n of the Pascal table T_0 = w, T_{n+1}[l] = E T_n[l] + T_n[l+1].
+    Row n needs min(len(w), length - n) entries, so past len(w) a row keeps its
+    width (the zero past the end makes its last entry E times the one before)
+    and a polynomial costs O(length len(w)). No binomial or factorial is
+    formed, so float input stays inside the double range wherever its sums
+    do, and integer input stays integer.
     """
-    row, out = list(w), []
+    row = list(w)
+    if length is None:
+        length = len(row)
+    del row[length:]  # z_n reads w_0..w_n only
+    out = []
+    for _ in range(length - len(row)):
+        row.append(0)
+        out.append(row[0])
+        row = list(map(add, row, islice(row, 1, None))) if E == 1 else [E * a + b for a, b in zip(row, row[1:])]
     while row:
         out.append(row[0])
-        if E == 1:
-            row = list(map(add, row, islice(row, 1, None)))
-        else:
-            row = [E * a + b for a, b in zip(row, row[1:])]
+        row = list(map(add, row, islice(row, 1, None))) if E == 1 else [E * a + b for a, b in zip(row, row[1:])]
     return out
+
+
+@dataclass(frozen=True)
+class ScaledNewton:
+    """Integers W_k = k! c E^k zeta_k, k = 0..len(W)-1, for positive integers c and E.
+
+    w_k = k! zeta_k = W_k / (c E^k) are the Newton coefficients (Delta^k z)_0
+    of the lattice sequence z whose transform coefficients are zeta. Both
+    readouts divide once per entry.
+    """
+
+    c: int
+    E: int
+    W: tuple[int, ...]
+
+    def taylor_coeffs(self) -> list[Fraction]:
+        """zeta_k = W_k / (k! c E^k): the transform, equally the Taylor, coefficients."""
+        out, denominator = [], self.c
+        for k, w in enumerate(self.W):
+            out.append(Fraction(w, denominator))
+            denominator *= (k + 1) * self.E
+        return out
+
+    def lattice_values(self, length: int | None = None) -> list[Fraction]:
+        """z_n = S_n / (c E^n) for n < length (default len(W)), with S = newton_to_lattice(W, E, length)."""
+        out, denominator = [], self.c
+        for s in newton_to_lattice(self.W, self.E, length):
+            out.append(Fraction(s, denominator))
+            denominator *= self.E
+        return out
 
 
 def forward_transform(zeta: FourierSeq) -> LatticeSeq:
@@ -92,12 +133,8 @@ def forward_transform(zeta: FourierSeq) -> LatticeSeq:
 
 def inverse_transform(z: LatticeSeq) -> FourierSeq:
     """zeta_l = (Delta^l z)_0 / l!, the exact inverse of the forward map, run on the integers D z."""
-    denominator, Z = over_common_denominator(z.values)
-    out = []
-    for l, w_l in enumerate(lattice_to_newton(Z)):
-        out.append(Fraction(w_l, denominator))
-        denominator *= l + 1
-    return FourierSeq(tuple(out))
+    D, Z = over_common_denominator(z.values)
+    return FourierSeq(tuple(ScaledNewton(D, 1, tuple(lattice_to_newton(Z))).taylor_coeffs()))
 
 
 def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:
@@ -105,20 +142,12 @@ def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:
 
     Coefficients beyond the stored prefix are taken as exact zeros, so a
     polynomial may be passed as its finite coefficient list. For a
-    transcendental series supply at least L+1 coefficients.
-
-    With D the common denominator of b_0..b_K (K = min(L, len-1)) and
-    B_k = b_k * D, the sum is the integer nested product
-    (...(B_K (n-K+1) + B_{K-1}) (n-K+2) ...) n + B_0 over D.
+    transcendental series supply at least L+1 coefficients. With D the
+    common denominator of b_0..b_min(L, len-1), the Newton coefficients of
+    D z are the integers W_k = k! D b_k.
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
     D, B = over_common_denominator(list(islice(b, L + 1)))
-    K = len(B) - 1
-    out = []
-    for n in range(L + 1):
-        acc = 0
-        for k in range(min(n, K), 0, -1):
-            acc = (acc + B[k]) * (n - k + 1)
-        out.append(Fraction(acc + B[0], D))
-    return LatticeSeq(tuple(out))
+    W = map(mul, B, accumulate(range(1, len(B)), mul, initial=1))  # k! D b_k
+    return LatticeSeq(tuple(ScaledNewton(D, 1, tuple(W)).lattice_values(L + 1)))

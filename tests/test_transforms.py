@@ -172,25 +172,46 @@ def weighted_binomial_sums(w: list, E: int) -> list:
     return [sum((comb(n, l) * E ** (n - l) * w[l] for l in range(1, n + 1)), w[0] * E**n) for n in range(len(w))]
 
 
+def padded_call(w: list, E: int, length: int, zero) -> list:
+    """Reference for newton_to_lattice(w, E, length): w padded with zeros to length, cut to length."""
+    return newton_to_lattice(w + [zero] * (length - len(w)), E)[:length]
+
+
 def test_newton_to_lattice_sweep_over_exact_and_float_scalars():
-    """One map for every scalar: Fraction, QuadExt and floats that hold small integers exactly."""
+    """One map for every scalar: Fraction, QuadExt and floats that hold small integers exactly.
+
+    The length argument reads w as zero past its end: below, at and past
+    len(w) it equals the call on w padded with zeros.
+    """
     rng = random.Random(2031)
-    for _ in range(40):
+    for i in range(40):
         length = rng.randrange(1, 18)
         E = rng.choice((1, 1, 2, 3, 5))
+        below, past = rng.randrange(0, length), rng.randrange(length + 1, 19)
+        n = (below, length, past)[i % 3]
         w = [rand_fraction(rng) for _ in range(length)]
         got = newton_to_lattice(w, E)
         assert got == weighted_binomial_sums(w, E)
+        assert all(type(v) is Fraction for v in got)
+        got = newton_to_lattice(w, E, n)
+        assert got == padded_call(w, E, n, Fraction(0))
         assert all(type(v) is Fraction for v in got)
         d = Fraction(rng.choice((2, 3, 5, 7)))
         surd = [QuadExt(a, rand_fraction(rng), d) for a in w]
         got = newton_to_lattice(surd, E)
         assert got == weighted_binomial_sums(surd, E)
         assert all(type(v) is QuadExt for v in got)
-        # every partial sum is below 50 (E+1)^16 < 2^53, so the floats are exact.
+        got = newton_to_lattice(surd, E, n)
+        assert got == padded_call(surd, E, n, QuadExt(Fraction(0), Fraction(0), d))
+        assert all(type(v) is QuadExt for v in got)
+        # every partial sum is below 50 (E+1)^17 < 2^53, so the floats are exact.
         ints = [rng.randrange(-50, 51) for _ in range(length)]
-        got = newton_to_lattice([float(v) for v in ints], E)
+        floats = [float(v) for v in ints]
+        got = newton_to_lattice(floats, E)
         assert got == [float(v) for v in newton_to_lattice(ints, E)]
+        assert all(type(v) is float for v in got)
+        got = newton_to_lattice(floats, E, n)
+        assert got == padded_call(floats, E, n, 0.0) == [float(v) for v in newton_to_lattice(ints, E, n)]
         assert all(type(v) is float for v in got)
 
 
@@ -219,6 +240,11 @@ def test_integer_taylor_to_lattice_matches_newton_map_and_definition():
     for _ in range(20):  # prefixes shorter than L+1 are zero-extended
         b = [rand_height(rng) for _ in range(rng.randrange(1, 8))]
         cases.append((b, rng.randrange(len(b), 35)))
+    for _ in range(6):  # polynomials: rows of fixed width run far past the prefix
+        b = [rand_height(rng) for _ in range(rng.randrange(1, 10))]
+        cases.append((b, rng.randrange(100, 201)))
+    for _ in range(4):  # L = 0 with prefixes of 6 to 19 coefficients
+        cases.append(([rand_height(rng) for _ in range(rng.randrange(6, 20))], 0))
     for b, L in cases:
         z = list(taylor_to_lattice(TaylorCoeffs(tuple(b)), L).values)
         padded = b[: L + 1] + [Fraction(0)] * (L + 1 - len(b))
