@@ -31,11 +31,11 @@ from .odes import (
     local_stencil,
     nonlin_residuals,
     nonlin_step,
+    taylor_residuals,
 )
 from .rational import format_float, format_rational, parse_rational
 from .sequences import LatticeSeq, TaylorCoeffs
 from .specio import as_const_nonlinear, parse_solution, parse_spec, to_document
-from .transforms import taylor_to_lattice
 
 def _as_float(value, where: str) -> float | complex:
     """An exact value in doubles for --mode float; one beyond the double range raises FloatOverflow."""
@@ -145,6 +145,12 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_residual(args) -> int:
+    """Residual table of the document's solution for n = 0..length; exit 1 when an entry is nonzero.
+
+    Residual n reads entries 0..n+order only. A `taylor` solution goes to
+    `odes.taylor_residuals` on its integers, without building the lattice
+    image; a `lattice` one must store z_0..z_{length+order}.
+    """
     document = _load_document(args.input)
     eq = parse_spec(document)
     solution = parse_solution(document)
@@ -156,14 +162,14 @@ def cmd_residual(args) -> int:
     order = eq.order if isinstance(eq, LinearOde) else eq.m
     needed = args.length + order + 1
     if kind == "taylor":
-        z = taylor_to_lattice(TaylorCoeffs(values), needed - 1)
+        residuals = taylor_residuals(eq, TaylorCoeffs(values), args.length)
     elif len(values) < needed:
         raise IndexOutOfRange(
             f"lattice solution has {len(values)} entries; residuals up to n={args.length} need {needed}"
         )
     else:
         z = LatticeSeq(values[:needed])  # residual n reads only z_0..z_{n+order}
-    residuals = lin_residuals(eq, z) if isinstance(eq, LinearOde) else nonlin_residuals(eq, z)
+        residuals = lin_residuals(eq, z) if isinstance(eq, LinearOde) else nonlin_residuals(eq, z)
     text = _series_table("residual", residuals, args)
     _emit(text, args.out)
     return 0 if all(r == 0 for r in residuals) else 1

@@ -7,10 +7,12 @@ the hypergeometric equation at its regular point, a first-order quadratic
 equation with a two-parameter solution family, and the Hermite and Jacobi
 polynomial equations.
 
-The residual tables and the termwise image in the Jacobi extras go through
-the one forward map, `transforms.taylor_to_lattice`, and the Jacobi shifted
-form through its Newton readout, `transforms.ScaledNewton`. `gauss_sum`
-keeps the literal sum over (n)_k as a cross-check of the forward map.
+The residual tables run on the integers of the forward map, through
+`odes.taylor_residuals`, and build no lattice image. The termwise image in
+the Jacobi extras goes through `transforms.taylor_to_lattice`, and the
+Jacobi shifted form through its Newton readout, `transforms.ScaledNewton`.
+`gauss_sum` keeps the literal sum over (n)_k as a cross-check of the
+forward map.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from .errors import GammaPole, PochhammerPole, SingularAtOrigin
 from .rational import as_rational, format_rational, over_common_denominator
 from .sequences import TaylorCoeffs
 from .series import mul_trunc, reciprocal_trunc
-from .odes import (
-    LinearOde,
-    NonlinearOde,
-    PolyCoeff,
-    lin_residuals,
-    nonlin_residuals,
-    taylor_solution_linear,
-)
+from .odes import LinearOde, NonlinearOde, PolyCoeff, taylor_residuals, taylor_solution_linear
 from .transforms import ScaledNewton, falling_factorial, taylor_to_lattice
 
 # Every builder self-checks over this range, so its series prefix must cover it too.
@@ -46,16 +41,8 @@ class CorpusCase:
     extras: dict = field(default_factory=dict)
 
     def residual_table(self, length: int) -> list[list[Fraction]]:
-        """Residuals per solution for n = 0..length."""
-        order = self.equation.order if isinstance(self.equation, LinearOde) else self.equation.m
-        tables = []
-        for sol in self.solutions:
-            z = taylor_to_lattice(sol, length + order)
-            if isinstance(self.equation, LinearOde):
-                tables.append(lin_residuals(self.equation, z)[: length + 1])
-            else:
-                tables.append(nonlin_residuals(self.equation, z)[: length + 1])
-        return tables
+        """Residuals per solution for n = 0..length, by `odes.taylor_residuals` on the series integers."""
+        return [taylor_residuals(self.equation, sol, length) for sol in self.solutions]
 
     def verify(self, length: int) -> bool:
         return all(r == 0 for table in self.residual_table(length) for r in table)

@@ -664,14 +664,11 @@ def _rational_parts(column) -> tuple[list[Fraction], ...]:
 def _stencil_vanishes(stencil_ints: list[int], column, N: int) -> bool:
     """Whether sum_k S_k z_{n+k} = 0 at every n = 0..len(column)-N-1.
 
-    S is the stencil over its common denominator; each window z_n..z_{n+N}
-    is put over its own, so the test runs on integer numerators only.
+    S is the stencil over its common denominator and the whole column is put
+    over one, so each index is one dot product of integers.
     """
-    for n in range(len(column) - N):
-        _, window = over_common_denominator(column[n : n + N + 1])
-        if sum(map(mul, stencil_ints, window)):
-            return False
-    return True
+    _, Z = over_common_denominator(column)
+    return not any(sum(map(mul, stencil_ints, Z[n : n + N + 1])) for n in range(len(Z) - N))
 
 
 def _float_residuals_ok(stencil, column, N: int) -> bool:

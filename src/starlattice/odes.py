@@ -38,6 +38,10 @@ the recurrence that `solve_newton` solves, scaled to integers and read out
 through `transforms.ScaledNewton` like the solution. Both evaluators run on
 the equation scaled once to integer coefficients and on the sequence scaled
 to integer numerators over one denominator, and divide once per index.
+`lin_residuals` and `nonlin_residuals` scale a lattice sequence so;
+`taylor_residuals` hands a Taylor solution to the same stencil and defect
+loops as the integers W_k = k! D b_k of its lattice image, and forms no
+lattice `Fraction`.
 `lin_residual_kernel` keeps the paper's whole-sequence route, through
 `star.monomial_star_kernel`, as the cross-check of `lin_residual`; no
 production path calls it.
@@ -56,7 +60,14 @@ from .rational import as_rational, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_binomial_powers
 from .star import monomial_star_kernel
-from .transforms import ScaledNewton, difference_rows, falling_factorial, inverse_transform, lattice_to_newton
+from .transforms import (
+    ScaledNewton,
+    difference_rows,
+    falling_factorial,
+    inverse_transform,
+    lattice_to_newton,
+    taylor_newton,
+)
 
 
 @dataclass(frozen=True)
@@ -255,34 +266,32 @@ def lin_residual_kernel(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
     return acc + eq.c0.image_at(n)
 
 
-def lin_residuals(eq: LinearOde, z: LatticeSeq) -> list[Fraction]:
-    """Residuals for every index with all needed entries stored.
-
-    With D the common denominator of z and Z = z * D, each index is one
-    integer sum divided once by D * E.
-    """
-    count = z.last_index - eq.order + 1
+def _lin_residual_table(eq: LinearOde, D: int, Z, count: int) -> list[Fraction]:
+    """Residuals at n = 0..count-1 of z = Z / D, for integers Z: one integer sum per index, divided once by D E."""
     stencil = _LinearStencil.of(eq)
-    D, Z = over_common_denominator(z.values)
     return [Fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(count)]
 
 
-def _nonlin_residual_newton(eq: NonlinearOde, values, count: int) -> ScaledNewton:
+def lin_residuals(eq: LinearOde, z: LatticeSeq) -> list[Fraction]:
+    """Residuals for every index with all needed entries stored, on Z = z * D with D the common denominator of z."""
+    D, Z = over_common_denominator(z.values)
+    return _lin_residual_table(eq, D, Z, z.last_index - eq.order + 1)
+
+
+def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNewton:
     """The residuals at n = 0..count-1 as scaled Newton coefficients rho_k with c = D^N E.
 
-    D is the common denominator of the values, N the degree and E that of the
-    coefficients. With w the Newton coefficients of Z = z * D, the residuals
-    have the Newton coefficients rho_k / (D^N E), where the bracket in
+    w are the integer Newton coefficients of D z, at least count + m of them;
+    N is the degree and E the common denominator of the coefficients. The
+    residuals have the Newton coefficients rho_k / (D^N E), where the bracket in
     rho_k = E D^(N-1) w_{k+m} - [D^N k! G_k + sum C_{j,p} D^(N-j) (k)_p (w^(*j))_{k-p}]
     is `solve_newton`'s right-hand side.
     """
     form = _IntegerForm.of((PolyCoeff(()), *eq.coeffs[1:]), eq.coeffs[0])
-    D, Z = over_common_denominator(values)
     N = eq.degree
     scale = [D ** (N - j) for j in range(N + 1)]
     gamma = {r: scale[0] * g for r, g in form.c0}
     terms = [(j, p, c * scale[j]) for j, p, c in form.terms]
-    w = lattice_to_newton(Z)
     powers: list[list[int]] = [[] for _ in range(N - 1)]  # w^(*2) .. w^(*N)
     rho, k_factorial = [], 1
     for k in range(count):
@@ -296,11 +305,36 @@ def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
     """(Delta^m z)_n minus the star image of the right-hand side at n."""
     if n < 0 or n + eq.m > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + eq.m}, stored 0..{z.last_index}")
-    return _nonlin_residual_newton(eq, z.values[: n + eq.m + 1], n + 1).lattice_values()[n]
+    D, Z = over_common_denominator(z.values[: n + eq.m + 1])
+    return _nonlin_residual_newton(eq, D, lattice_to_newton(Z), n + 1).lattice_values()[n]
 
 
 def nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:
-    return _nonlin_residual_newton(eq, z.values, z.last_index - eq.m + 1).lattice_values()
+    """Residuals for every index with all needed entries stored, from the Newton coefficients of z * D."""
+    D, Z = over_common_denominator(z.values)
+    return _nonlin_residual_newton(eq, D, lattice_to_newton(Z), z.last_index - eq.m + 1).lattice_values()
+
+
+def taylor_residuals(eq: LinearOde | NonlinearOde, b: TaylorCoeffs, length: int) -> list[Fraction]:
+    """Residuals at n = 0..length of the lattice image of the series prefix b.
+
+    The same rationals as `lin_residuals` or `nonlin_residuals` of
+    `taylor_to_lattice(b, length + order)`, and like it this reads only
+    b_0..b_{length+order}, but no lattice `Fraction` is formed: the integers
+    W_k = k! D b_k of `transforms.taylor_newton` are the Newton coefficients
+    of D z. A linear equation runs its stencil on their lattice numerators
+    D z_n; a nonlinear one takes W as the w of its Newton-space defect,
+    zero-padded past a polynomial prefix.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    linear = isinstance(eq, LinearOde)
+    needed = length + (eq.order if linear else eq.m) + 1
+    newton = taylor_newton(b, needed - 1)
+    if linear:
+        return _lin_residual_table(eq, newton.c, newton.lattice_numerators(needed), length + 1)
+    w = list(newton.W) + [0] * (needed - len(newton.W))
+    return _nonlin_residual_newton(eq, newton.c, w, length + 1).lattice_values()
 
 
 def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:

@@ -18,10 +18,13 @@ complex and float. The exact paths and the float route share them.
 The exact maps run on integers: the falling-factorial basis is of binomial
 type, so a rational sequence needs one common denominator, and
 `ScaledNewton` holds the integers W_k = k! c E^k zeta_k together with the
-one readout that divides once per entry. `taylor_to_lattice` builds
-W_k = k! D b_k, `inverse_transform` takes W from the difference table of
-D z_n; the star powers, the nonlinear solver and its residuals, and the
-Jacobi shifted form read their integers out through the same class.
+readouts that divide once per entry. `taylor_newton` builds W_k = k! D b_k,
+which `taylor_to_lattice` reads out as lattice values and the residual
+tables of a Taylor solution (`odes.taylor_residuals`) take as integers,
+without forming a `Fraction`; `inverse_transform` takes W from the
+difference table of D z_n. The star powers, the nonlinear solver and its
+residuals, and the Jacobi shifted form read their integers out through the
+same class.
 """
 
 from __future__ import annotations
@@ -117,10 +120,14 @@ class ScaledNewton:
             denominator *= (k + 1) * self.E
         return out
 
+    def lattice_numerators(self, length: int | None = None) -> list[int]:
+        """S_n = c E^n z_n for n < length (default len(W)): the Pascal rule `newton_to_lattice(W, E, length)`."""
+        return newton_to_lattice(self.W, self.E, length)
+
     def lattice_values(self, length: int | None = None) -> list[Fraction]:
-        """z_n = S_n / (c E^n) for n < length (default len(W)), with S = newton_to_lattice(W, E, length)."""
+        """z_n = S_n / (c E^n) for n < length (default len(W)), with S the `lattice_numerators`."""
         out, denominator = [], self.c
-        for s in newton_to_lattice(self.W, self.E, length):
+        for s in self.lattice_numerators(length):
             out.append(Fraction(s, denominator))
             denominator *= self.E
         return out
@@ -137,17 +144,26 @@ def inverse_transform(z: LatticeSeq) -> FourierSeq:
     return FourierSeq(tuple(ScaledNewton(D, 1, tuple(lattice_to_newton(Z))).taylor_coeffs()))
 
 
-def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:
-    """Lattice image z_n = sum_{k<=n} b_k (n)_k of a series prefix, n = 0..L.
+def taylor_newton(b: TaylorCoeffs, L: int) -> ScaledNewton:
+    """ScaledNewton(D, 1, W) of the lattice image of b_0..b_L, with W_k = k! D b_k.
 
-    Coefficients beyond the stored prefix are taken as exact zeros, so a
-    polynomial may be passed as its finite coefficient list. For a
-    transcendental series supply at least L+1 coefficients. With D the
-    common denominator of b_0..b_min(L, len-1), the Newton coefficients of
-    D z are the integers W_k = k! D b_k.
+    D is the common denominator of b_0..b_min(L, len-1); W stops where the
+    stored prefix does, and the lattice readouts take the coefficients past
+    it as exact zeros.
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
     D, B = over_common_denominator(list(islice(b, L + 1)))
     W = map(mul, B, accumulate(range(1, len(B)), mul, initial=1))  # k! D b_k
-    return LatticeSeq(tuple(ScaledNewton(D, 1, tuple(W)).lattice_values(L + 1)))
+    return ScaledNewton(D, 1, tuple(W))
+
+
+def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:
+    """Lattice image z_n = sum_{k<=n} b_k (n)_k of a series prefix, n = 0..L.
+
+    Coefficients beyond the stored prefix are taken as exact zeros, so a
+    polynomial may be passed as its finite coefficient list. For a
+    transcendental series supply at least L+1 coefficients. The Newton
+    coefficients of D z are the integers of `taylor_newton`.
+    """
+    return LatticeSeq(tuple(taylor_newton(b, L).lattice_values(L + 1)))

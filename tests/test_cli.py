@@ -9,6 +9,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -555,7 +556,8 @@ def test_cli_galois_refuses_float_roots_before_verifying(tmp_path, monkeypatch, 
 
 def test_cli_residual_reads_only_the_entries_it_reports(tmp_path, monkeypatch, capsys):
     # Residual n reads z_0..z_{n+order}, so --length L needs the first L+order+1
-    # entries of a lattice solution however many the document stores.
+    # entries of a lattice solution, and b_0..b_{L+order} of a taylor one,
+    # however many the document stores.
     seen = []
 
     def recording(original):
@@ -565,12 +567,32 @@ def test_cli_residual_reads_only_the_entries_it_reports(tmp_path, monkeypatch, c
 
         return wrapper
 
+    def recording_taylor(original):
+        # Hands the series over as an iterable that counts the coefficients drawn from it.
+        def wrapper(eq, b, length):
+            drawn = []
+
+            class Drawn:
+                def __iter__(self):
+                    for x in b:
+                        drawn.append(x)
+                        yield x
+
+            result = original(eq, Drawn(), length)
+            seen.append(len(drawn))
+            return result
+
+        return wrapper
+
     monkeypatch.setattr(cli, "lin_residuals", recording(cli.lin_residuals))
     monkeypatch.setattr(cli, "nonlin_residuals", recording(cli.nonlin_residuals))
+    monkeypatch.setattr(cli, "taylor_residuals", recording_taylor(cli.taylor_residuals))
     harmonic = [str(v) for v in lin_step(parse_spec(HARMONIC_DOC), (0, 1), 60).values]
     square = [str(v) for v in nonlin_step(parse_spec(SQUARE_DOC), (Fraction(1, 2),), 60).values]
+    cosine = [str(Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else 0) for k in range(61)]
     cases = [
         (dict(HARMONIC_DOC, solution={"lattice": harmonic}), 2),
+        (dict(HARMONIC_DOC, solution={"taylor": cosine}), 2),
         (dict(SQUARE_DOC, solution={"lattice": square}), 1),
         (dict(SQUARE_DOC, solution={"lattice": square[:7] + ["1"] * 54}), 1),
         (dict(SQUARE_DOC, solution={"taylor": ["1"] * 61}), 1),

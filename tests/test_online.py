@@ -489,6 +489,45 @@ def test_lattice_solution_is_the_image_of_the_taylor_solution():
         assert nonlin_step(eq, init.values, L) == taylor_to_lattice(taylor_solution_nonlinear(eq, zeta_init, L), L)
 
 
+def test_sweep_taylor_residuals_match_the_lattice_route():
+    # taylor_residuals on the series integers against the oracles lin_residuals and
+    # nonlin_residuals of taylor_to_lattice(b, L + order): on series solutions, on one
+    # perturbed coefficient, on polynomial prefixes shorter than L + order + 1 (the
+    # Newton integers zero-padded), and at L = 0.
+    rng = random.Random(32)
+    kinds = {"linear": 0, "nonlinear": 0, "short": 0, "perturbed nonzero": 0, "L = 0": 0}
+    for i in range(60):
+        wide = i % 3 == 2
+        rat = wide_rat if wide else rand_rat
+        if i % 2 == 0:
+            eq = sweep_linear(rng)
+            if eq.c0.is_zero:
+                eq = LinearOde(eq.coeffs, c0=PolyCoeff.from_pairs([(rng.randrange(3), rat(rng) or Fraction(1))]))
+            order, oracle, solve = eq.order, lin_residuals, taylor_solution_linear
+        else:
+            m, degree = rng.randrange(1, 3), rng.randrange(2, 4)
+            coeffs = [PolyCoeff.from_pairs((p, rat(rng)) for p in rng.sample(range(3), rng.randrange(0, 3))) for _ in range(degree)]
+            eq = NonlinearOde(m, (*coeffs, PolyCoeff.from_pairs([(0, rat(rng) or Fraction(1)), (1, rat(rng))])))
+            order, oracle, solve = m, nonlin_residuals, taylor_solution_nonlinear
+        kinds["linear" if i % 2 == 0 else "nonlinear"] += 1
+        L = 0 if i % 5 == 0 else rng.randrange(1, 8 if wide else 13)
+        kinds["L = 0"] += L == 0
+        b = list(solve(eq, [rat(rng) for _ in range(order)], L + order + rng.randrange(0, 3)).coeffs)
+        s = rng.randrange(order, L + order + 1)  # b_s enters the top-derivative term at n = s - order
+        perturbed = b[:s] + [b[s] + rat(rng) + Fraction(1, 7)] + b[s + 1 :]
+        short = [rat(rng) for _ in range(rng.randrange(1, L + order + 1))]
+        for prefix in (b, perturbed, short):
+            series = TaylorCoeffs(tuple(prefix))
+            table = odes.taylor_residuals(eq, series, L)
+            assert table == oracle(eq, taylor_to_lattice(series, L + order))
+            assert len(table) == L + 1 and all(type(r) is Fraction for r in table)
+        assert odes.taylor_residuals(eq, TaylorCoeffs(tuple(b)), L) == [0] * (L + 1)
+        kinds["short"] += len(short) < L + order + 1
+        kinds["perturbed nonzero"] += any(odes.taylor_residuals(eq, TaylorCoeffs(tuple(perturbed)), L))
+    assert kinds["linear"] == kinds["nonlinear"] == 30 and kinds["short"] == 60
+    assert kinds["L = 0"] >= 10 and kinds["perturbed nonzero"] == 60
+
+
 def test_residual_ignores_entries_beyond_its_window():
     rng = random.Random(24)
     for make, residual, order in (
