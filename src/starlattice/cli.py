@@ -148,8 +148,12 @@ def cmd_residual(args) -> int:
     """Residual table of the document's solution for n = 0..length; exit 1 when an entry is nonzero.
 
     Residual n reads entries 0..n+order only. A `taylor` solution goes to
-    `odes.taylor_residuals` on its integers, without building the lattice
-    image; a `lattice` one must store z_0..z_{length+order}.
+    `odes.taylor_residuals`, which evaluates the equation's Newton-space
+    defect on the series integers and reads out only that defect, so the
+    lattice image of the series is never built (it is the functor image of
+    the continuous residual). A `lattice` one must store z_0..z_{length+order}
+    and goes to the stencil (`lin_residuals`) or the defect
+    (`nonlin_residuals`) on its numerators.
     """
     document = _load_document(args.input)
     eq = parse_spec(document)

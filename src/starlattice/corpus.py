@@ -7,8 +7,11 @@ the hypergeometric equation at its regular point, a first-order quadratic
 equation with a two-parameter solution family, and the Hermite and Jacobi
 polynomial equations.
 
-The residual tables run on the integers of the forward map, through
-`odes.taylor_residuals`, and build no lattice image. The termwise image in
+The residual tables go through `odes.taylor_residuals`: the equation's
+Newton-space defect on the integers of the forward map, read out alone.
+For a series solution that defect is zero, so no lattice image and no
+Pascal row is built (the forward map sends the continuous residual to the
+discrete one). The termwise image in
 the Jacobi extras goes through `transforms.taylor_to_lattice`, and the
 Jacobi shifted form through its Newton readout, `transforms.ScaledNewton`.
 `gauss_sum` keeps the literal sum over (n)_k as a cross-check of the

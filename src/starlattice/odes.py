@@ -28,20 +28,30 @@ so every W_k is an integer (the proof is in its docstring) and no index
 builds a `Fraction`. `transforms.ScaledNewton` maps W back to Taylor
 coefficients or to lattice values with one division per entry.
 
-Linear residuals are evaluated online: a term c t^p z^(l) reads only the
-entries n-p..n-p+l, through the binomial formula for (Delta^l z)_{n-p}.
-`_LinearStencil` collects those binomial weights once per equation, scaled
-to integers and summed per power of t, so index n costs one integer dot
-product per power; `lin_step`, `lin_residual` and `lin_residuals` all
-evaluate through it. The nonlinear residuals are the Newton-space defect of
-the recurrence that `solve_newton` solves, scaled to integers and read out
-through `transforms.ScaledNewton` like the solution. Both evaluators run on
-the equation scaled once to integer coefficients and on the sequence scaled
-to integer numerators over one denominator, and divide once per index.
-`lin_residuals` and `nonlin_residuals` scale a lattice sequence so;
-`taylor_residuals` hands a Taylor solution to the same stencil and defect
-loops as the integers W_k = k! D b_k of its lattice image, and forms no
-lattice `Fraction`.
+Linear residuals of a lattice sequence are evaluated online: a term
+c t^p z^(l) reads only the entries n-p..n-p+l, through the binomial formula
+for (Delta^l z)_{n-p}. `_LinearStencil` collects those binomial weights
+once per equation, scaled to integers and summed per power of t, so index n
+costs one integer dot product per power; `lin_step`, `lin_residual` and
+`lin_residuals` all evaluate through it. The nonlinear residuals are the
+Newton-space defect of the recurrence that `solve_newton` solves, scaled to
+integers and read out through `transforms.ScaledNewton` like the solution.
+Both evaluators run on the equation scaled once to integer coefficients and
+on the sequence scaled to integer numerators over one denominator, and
+divide once per index.
+
+A Taylor solution b never becomes a lattice sequence: `taylor_residuals`
+takes the integers W_k = k! D b_k, the Newton coefficients of D times its
+lattice image, and evaluates a Newton-space defect for both kinds of
+equation. For a nonlinear one this is the defect above with W as w. For a
+linear one it is the equation's own Taylor-space defect: the forward map is
+a functor, F(t^p g^(l))_n = (n)_p (Delta^l F g)_{n-p}, so the residual
+table of F b is F R, R the continuous residual of b, and its Newton
+coefficients k! R_k cost O(terms) integer products each. Only the defect
+goes through the Pascal rule, and the defect of a series solution is zero,
+so checking one builds no lattice image at all. The stencil route of
+`lin_residuals` on `taylor_to_lattice(b, L + N)` is the independent
+cross-check of this one.
 `lin_residual_kernel` keeps the paper's whole-sequence route, through
 `star.monomial_star_kernel`, as the cross-check of `lin_residual`; no
 production path calls it.
@@ -266,16 +276,37 @@ def lin_residual_kernel(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
     return acc + eq.c0.image_at(n)
 
 
-def _lin_residual_table(eq: LinearOde, D: int, Z, count: int) -> list[Fraction]:
-    """Residuals at n = 0..count-1 of z = Z / D, for integers Z: one integer sum per index, divided once by D E."""
-    stencil = _LinearStencil.of(eq)
-    return [Fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(count)]
-
-
 def lin_residuals(eq: LinearOde, z: LatticeSeq) -> list[Fraction]:
-    """Residuals for every index with all needed entries stored, on Z = z * D with D the common denominator of z."""
+    """Residuals for every index with all needed entries stored, on Z = z * D with D the common denominator of z.
+
+    One integer stencil sum per index, divided once by D E. The Taylor
+    route of `taylor_residuals` never runs the stencil, so this is its
+    independent cross-check.
+    """
+    stencil = _LinearStencil.of(eq)
     D, Z = over_common_denominator(z.values)
-    return _lin_residual_table(eq, D, Z, z.last_index - eq.order + 1)
+    return [Fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(z.last_index - eq.order + 1)]
+
+
+def _lin_residual_newton(eq: LinearOde, D: int, W, count: int) -> ScaledNewton:
+    """The residuals at n = 0..count-1 as scaled Newton coefficients rho_k with c = E D.
+
+    W are the integers k! D b_k of a series prefix b, at least count + N of
+    them, N the order. The forward map F sends t^p g^(l) to
+    (n)_p (Delta^l F g)_{n-p}, so the lattice residual of F b is F R, R the
+    continuous residual of b, whose Newton coefficients are k! R_k. With the
+    integer form (l, p, C), (r, G) over E,
+    rho_k = E D k! R_k = D k! G_k + sum C (k)_p W_{k-p+l},
+    `solve_newton`'s right-hand side on the sources X_l = W[l:].
+    """
+    form = _IntegerForm.of(eq.coeffs, eq.c0)
+    gamma = {r: D * g for r, g in form.c0}
+    sources = [W[l:] for l in range(eq.order + 1)]
+    rho, k_factorial = [], 1
+    for k in range(count):
+        rho.append(_newton_rhs(gamma, form.terms, sources, k, k_factorial))
+        k_factorial *= k + 1
+    return ScaledNewton(form.E * D, 1, tuple(rho))
 
 
 def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNewton:
@@ -293,10 +324,11 @@ def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNe
     gamma = {r: scale[0] * g for r, g in form.c0}
     terms = [(j, p, c * scale[j]) for j, p, c in form.terms]
     powers: list[list[int]] = [[] for _ in range(N - 1)]  # w^(*2) .. w^(*N)
+    sources = (None, w, *powers)
     rho, k_factorial = [], 1
     for k in range(count):
         extend_binomial_powers(w, powers)
-        rho.append(form.E * scale[1] * w[k + eq.m] - _newton_rhs(gamma, terms, w, powers, k, k_factorial))
+        rho.append(form.E * scale[1] * w[k + eq.m] - _newton_rhs(gamma, terms, sources, k, k_factorial))
         k_factorial *= k + 1
     return ScaledNewton(scale[0] * form.E, 1, tuple(rho))
 
@@ -306,7 +338,8 @@ def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
     if n < 0 or n + eq.m > z.last_index:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + eq.m}, stored 0..{z.last_index}")
     D, Z = over_common_denominator(z.values[: n + eq.m + 1])
-    return _nonlin_residual_newton(eq, D, lattice_to_newton(Z), n + 1).lattice_values()[n]
+    defect = _nonlin_residual_newton(eq, D, lattice_to_newton(Z), n + 1)
+    return Fraction(defect.lattice_numerators(n + 1)[n], defect.c)  # the defect has E = 1
 
 
 def nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:
@@ -320,21 +353,24 @@ def taylor_residuals(eq: LinearOde | NonlinearOde, b: TaylorCoeffs, length: int)
 
     The same rationals as `lin_residuals` or `nonlin_residuals` of
     `taylor_to_lattice(b, length + order)`, and like it this reads only
-    b_0..b_{length+order}, but no lattice `Fraction` is formed: the integers
-    W_k = k! D b_k of `transforms.taylor_newton` are the Newton coefficients
-    of D z. A linear equation runs its stencil on their lattice numerators
-    D z_n; a nonlinear one takes W as the w of its Newton-space defect,
-    zero-padded past a polynomial prefix.
+    b_0..b_{length+order}, but the lattice image of b is never formed: the
+    integers W_k = k! D b_k of `transforms.taylor_newton`, zero-padded past
+    a polynomial prefix, are the Newton coefficients of D z, and both kinds
+    of equation evaluate a Newton-space defect on them. Since the forward
+    map is a functor, F(t^p g^(l))_n = (n)_p (Delta^l F g)_{n-p}, the
+    residual table of F b is F R, R the continuous residual of b, so the
+    linear defect is k! R_k, scaled to integers. The nonlinear one takes W
+    as the w of the recurrence `solve_newton` solves. Only the defect goes
+    through the Pascal rule, and that of a series solution is zero.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     linear = isinstance(eq, LinearOde)
     needed = length + (eq.order if linear else eq.m) + 1
     newton = taylor_newton(b, needed - 1)
-    if linear:
-        return _lin_residual_table(eq, newton.c, newton.lattice_numerators(needed), length + 1)
-    w = list(newton.W) + [0] * (needed - len(newton.W))
-    return _nonlin_residual_newton(eq, newton.c, w, length + 1).lattice_values()
+    W = list(newton.W) + [0] * (needed - len(newton.W))
+    defect = (_lin_residual_newton if linear else _nonlin_residual_newton)(eq, newton.c, W, length + 1)
+    return defect.lattice_values()
 
 
 def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
@@ -467,21 +503,24 @@ def solve_newton(m: int, coeffs, zeta_init, L: int) -> ScaledNewton:
     terms = [(j, p, (x * E).numerator * E ** (m + p - 1)) for j, p, x in rest]
     W = [(c * x).numerator * factorial(k) * E**k for k, x in enumerate(zeta)]
     powers: list[list[int]] = [[] for _ in range(len(coeffs) - 2)]  # W^(*2) .. W^(*N)
+    sources = (None, W, *powers)
     k_factorial = 1
     for k in range(L - m + 1):
         extend_binomial_powers(W, powers)
-        W.append(_newton_rhs(gamma, terms, W, powers, k, k_factorial))
+        W.append(_newton_rhs(gamma, terms, sources, k, k_factorial))
         k_factorial *= k + 1
     return ScaledNewton(c, E, tuple(W))
 
 
-def _newton_rhs(gamma: dict, terms, w, powers, k: int, k_factorial: int) -> int:
-    """k! gamma_k + sum A (k)_p (w^(*j))_{k-p} over the terms (j, p, A) with p <= k.
+def _newton_rhs(gamma: dict, terms, sources, k: int, k_factorial: int) -> int:
+    """k! gamma_k + sum A (k)_p X_j[k-p] over the terms (j, p, A) with p <= k.
 
-    The Newton-space right-hand side at k: the solver appends it, the residuals subtract it.
+    The Newton-space right-hand side at k on the source sequences X_j = sources[j].
+    With X_j = w^(*j) the solver appends it and the nonlinear defect subtracts it;
+    with X_l = W[l:] it is the linear defect itself.
     """
     acc = k_factorial * gamma.get(k, 0)
     for j, p, A in terms:
         if p <= k:
-            acc += A * perm(k, p) * (w if j == 1 else powers[j - 2])[k - p]
+            acc += A * perm(k, p) * sources[j][k - p]
     return acc

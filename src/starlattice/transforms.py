@@ -19,12 +19,13 @@ The exact maps run on integers: the falling-factorial basis is of binomial
 type, so a rational sequence needs one common denominator, and
 `ScaledNewton` holds the integers W_k = k! c E^k zeta_k together with the
 readouts that divide once per entry. `taylor_newton` builds W_k = k! D b_k,
-which `taylor_to_lattice` reads out as lattice values and the residual
-tables of a Taylor solution (`odes.taylor_residuals`) take as integers,
-without forming a `Fraction`; `inverse_transform` takes W from the
-difference table of D z_n. The star powers, the nonlinear solver and its
-residuals, and the Jacobi shifted form read their integers out through the
-same class.
+which `taylor_to_lattice` reads out as lattice values; the residual tables
+of a Taylor solution (`odes.taylor_residuals`) evaluate a Newton-space
+defect on W instead and read out only the defect, which is zero for a
+series solution. `inverse_transform` takes W from the difference table of
+D z_n. The star powers, the nonlinear solver, the residual defects and the
+Jacobi shifted form read their integers out through the same class, whose
+lattice readouts cut the zero tail of W before the Pascal rule.
 """
 
 from __future__ import annotations
@@ -121,8 +122,17 @@ class ScaledNewton:
         return out
 
     def lattice_numerators(self, length: int | None = None) -> list[int]:
-        """S_n = c E^n z_n for n < length (default len(W)): the Pascal rule `newton_to_lattice(W, E, length)`."""
-        return newton_to_lattice(self.W, self.E, length)
+        """S_n = c E^n z_n for n < length (default len(W)): the Pascal rule `newton_to_lattice(W, E, length)`.
+
+        The rule reads W as zero past its end, so the zero tail of W is cut
+        off first: the numerators of K nonzero leading entries cost
+        O(length K), and an all-zero W, such as the defect of an exact
+        solution, costs no Pascal row at all.
+        """
+        K = len(self.W)
+        while K and not self.W[K - 1]:
+            K -= 1
+        return newton_to_lattice(self.W[:K], self.E, len(self.W) if length is None else length)
 
     def lattice_values(self, length: int | None = None) -> list[Fraction]:
         """z_n = S_n / (c E^n) for n < length (default len(W)), with S the `lattice_numerators`."""

@@ -30,8 +30,10 @@ from starlattice import (
     inverse_transform,
     odes,
     taylor_to_lattice,
+    transforms,
 )
 from starlattice.cli import run
+from starlattice.corpus import hypergeometric_case
 from starlattice.fourier import ConstNonlinearOde, constrained_convolution, fourier_step
 from starlattice.galois import ConstLinearEq, FundamentalSystem, apply_operator, modified_wronskian
 from starlattice.odes import (
@@ -526,6 +528,91 @@ def test_sweep_taylor_residuals_match_the_lattice_route():
         kinds["perturbed nonzero"] += any(odes.taylor_residuals(eq, TaylorCoeffs(tuple(perturbed)), L))
     assert kinds["linear"] == kinds["nonlinear"] == 30 and kinds["short"] == 60
     assert kinds["L = 0"] >= 10 and kinds["perturbed nonzero"] == 60
+    # Shapes the loop above reaches rarely or never: t-powers past the order (t^3 z'),
+    # a Jacobi-type lead (1 - t^2) z'', inhomogeneous monomials above L, transcendental
+    # prefixes at L up to 60, and a perturbation in each of the last order + 1 coefficients.
+    rng = random.Random(33)
+    shapes = dict.fromkeys(("reach", "jacobi", "c0 above L", "nonlinear"), 0)
+    long_prefixes = 0
+    for i in range(24):
+        shape = tuple(shapes)[i % 4]
+        L = rng.randrange(40, 61) if i % 8 < 4 else rng.randrange(0, 12)
+        eq = structured_equation(rng, shape, L)
+        linear = isinstance(eq, LinearOde)
+        order, oracle, solve = (
+            (eq.order, lin_residuals, taylor_solution_linear) if linear else (eq.m, nonlin_residuals, taylor_solution_nonlinear)
+        )
+        b = list(solve(eq, [rand_rat(rng) for _ in range(order)], L + order).coeffs)
+        series = TaylorCoeffs(tuple(b))
+        assert odes.taylor_residuals(eq, series, L) == oracle(eq, taylor_to_lattice(series, L + order)) == [0] * (L + 1)
+        for s in range(L, L + order + 1):  # b_s first enters the residual at n = s - order
+            perturbed = TaylorCoeffs(tuple(b[:s] + [b[s] + rand_rat(rng) + Fraction(1, 7)] + b[s + 1 :]))
+            table = odes.taylor_residuals(eq, perturbed, L)
+            assert table == oracle(eq, taylor_to_lattice(perturbed, L + order))
+            assert all(type(r) is Fraction for r in table)
+            first = max(s - order, 0)
+            assert table[:first] == [0] * first
+            assert s < order or table[first] != 0
+        shapes[shape] += 1
+        long_prefixes += L >= 40
+    assert list(shapes.values()) == [6] * 4 and long_prefixes == 12
+
+
+def structured_equation(rng: random.Random, shape: str, L: int) -> LinearOde | NonlinearOde:
+    """One equation of the named shape; every lead has a nonzero constant term, so the origin is ordinary."""
+    if shape == "jacobi":  # (1 - t^2) z'' + (beta - alpha - (alpha + beta + 2) t) z' + lambda z = 0
+        alpha, beta = rand_rat(rng), rand_rat(rng)
+        return LinearOde(
+            (
+                PolyCoeff.constant(rand_rat(rng) or 1),
+                PolyCoeff.from_pairs([(0, beta - alpha), (1, -(alpha + beta + 2))]),
+                PolyCoeff.from_pairs([(0, 1), (2, -1)]),
+            )
+        )
+    high = PolyCoeff.from_pairs([(rng.randrange(0, 3), rand_rat(rng)), (L + rng.randrange(1, 4), rand_rat(rng) or 1)])
+    if shape == "nonlinear":  # t^3 in every power's coefficient, a_0 with a monomial above L
+        rest = [PolyCoeff.from_pairs([(rng.randrange(0, 3), rand_rat(rng)), (3, rand_rat(rng) or 1)]) for _ in range(rng.randrange(1, 3))]
+        lead = PolyCoeff.from_pairs([(0, rand_rat(rng) or 1), (3, rand_rat(rng))])
+        return NonlinearOde(rng.randrange(1, 3), (high, *rest, lead))
+    N = rng.randrange(1, 3)
+    reach = 3 if shape == "reach" else 1
+    coeffs = [PolyCoeff.from_pairs([(rng.randrange(0, 3), rand_rat(rng)), (reach, rand_rat(rng) or 1)]) for _ in range(N)]
+    lead = PolyCoeff.from_pairs([(0, rand_rat(rng) or 1), (reach, rand_rat(rng) or 1)])
+    return LinearOde((*coeffs, lead), c0=high if shape == "c0 above L" else PolyCoeff.from_pairs([(0, rand_rat(rng))]))
+
+
+def test_taylor_residuals_of_a_solution_build_no_pascal_image(monkeypatch):
+    # The residual table of a series solution is the lattice image of a zero defect, so the
+    # Pascal rule must only ever see an empty W; the lattice image of b itself would read
+    # L + order + 1 of them. A perturbed solution shows that the recorder sees the calls.
+    widths: list[int] = []
+    pascal = transforms.newton_to_lattice
+
+    def recording(w, *args):
+        widths.append(len(w))
+        return pascal(w, *args)
+
+    monkeypatch.setattr(transforms, "newton_to_lattice", recording)
+    L = 60
+    hyper = hypergeometric_case(Fraction(1, 4), Fraction(-2, 3), Fraction(7, 4), length=L)
+    riccati, riccati_init = FAULT_EQUATIONS["riccati"]
+    forced, forced_init = FAULT_EQUATIONS["forced m=2"]
+    jacobi = structured_equation(random.Random(34), "jacobi", L)
+    solutions = [
+        (hyper.equation, hyper.solutions[0]),
+        (jacobi, taylor_solution_linear(jacobi, [Fraction(1, 3), Fraction(-2, 5)], L + 4)),
+        (riccati, taylor_solution_nonlinear(riccati, riccati_init, L + 1)),
+        (forced, taylor_solution_nonlinear(forced, forced_init, L + 3)),
+    ]
+    for eq, b in solutions:
+        assert len(b.coeffs) >= L + (eq.order if isinstance(eq, LinearOde) else eq.m) + 1
+        widths.clear()
+        assert odes.taylor_residuals(eq, b, L) == [0] * (L + 1)
+        assert widths == [0]
+        widths.clear()
+        bumped = TaylorCoeffs(b.coeffs[:L] + (b.coeffs[L] + 1,) + b.coeffs[L + 1 :])
+        assert any(odes.taylor_residuals(eq, bumped, L))
+        assert widths and max(widths) > 0
 
 
 def test_residual_ignores_entries_beyond_its_window():

@@ -18,7 +18,7 @@ from starlattice import (
 )
 from starlattice.galois import QuadExt
 from starlattice.odes import delta_power
-from starlattice.transforms import lattice_to_newton, newton_to_lattice
+from starlattice.transforms import ScaledNewton, lattice_to_newton, newton_to_lattice
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
@@ -213,6 +213,35 @@ def test_newton_to_lattice_sweep_over_exact_and_float_scalars():
         got = newton_to_lattice(floats, E, n)
         assert got == padded_call(floats, E, n, 0.0) == [float(v) for v in newton_to_lattice(ints, E, n)]
         assert all(type(v) is float for v in got)
+
+
+def test_scaled_newton_readouts_ignore_trailing_zeros():
+    """The Pascal rule reads W as zero past its end, so cutting its zero tail changes no readout.
+
+    Lengths below, at and past len(W), E in {1, 2, 5}, and W all zeros;
+    `taylor_coeffs` still returns one entry per stored W_k.
+    """
+    rng = random.Random(2033)
+    for i in range(36):
+        E = (1, 2, 5)[i % 3]
+        head = [] if i % 4 == 0 else [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(1, 8))]
+        W = head + [0] * rng.randrange(0 if head and i % 4 == 1 else 1, 6)
+        c = rng.randrange(1, 50)
+        scaled = ScaledNewton(c, E, tuple(W))
+        for length in (rng.randrange(0, len(W)), len(W), len(W) + rng.randrange(1, 6)):
+            numerators = scaled.lattice_numerators(length)
+            assert numerators == weighted_binomial_sums(W + [0] * (length - len(W)), E)[:length]
+            assert all(type(s) is int for s in numerators)
+            values = scaled.lattice_values(length)
+            assert values == [Fraction(s, c * E**n) for n, s in enumerate(numerators)]
+            assert all(type(v) is Fraction for v in values)
+        assert scaled.lattice_numerators() == newton_to_lattice(W, E)
+        assert scaled.lattice_values() == scaled.lattice_values(len(W))
+        zeta = scaled.taylor_coeffs()
+        assert zeta == [Fraction(w, c * factorial(k) * E**k) for k, w in enumerate(W)]
+        assert all(type(x) is Fraction for x in zeta)
+    assert ScaledNewton(3, 2, ()).lattice_numerators(4) == [0] * 4
+    assert ScaledNewton(3, 2, ()).taylor_coeffs() == []
 
 
 def rand_height(rng: random.Random) -> Fraction:
