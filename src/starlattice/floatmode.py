@@ -4,8 +4,12 @@ Verification stays exact elsewhere; nothing here feeds back into it. The
 convolution route runs the Newton maps of `transforms` and the Cauchy
 product of `series` on floats. They are the very maps the exact paths run:
 the difference table and the Pascal rule only add and subtract, so they
-form no factorial or binomial. Only the scaling between Newton and series
-coefficients forms l!, which leaves double range past l = 170.
+form no factorial or binomial. Both are prefix sums in C, the difference
+table by signed anti-diagonals and the Pascal rule by columns, so each
+float entry is one IEEE addition, with the bits of the row-by-row table
+(an exactly cancelled zero Newton coefficient may come out as -0.0). Only
+the scaling between Newton and series coefficients forms l!, which leaves
+double range past l = 170.
 
 The direct power route evaluates the closed kernel term-by-term over all
 index tuples, exactly like its exact counterpart; per-tuple weights are

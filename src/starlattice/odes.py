@@ -35,7 +35,9 @@ once per equation, scaled to integers and summed per power of t, so index n
 costs one integer dot product per power; `lin_step`, `lin_residual` and
 `lin_residuals` all evaluate through it. The nonlinear residuals are the
 Newton-space defect of the recurrence that `solve_newton` solves, scaled to
-integers and read out through `transforms.ScaledNewton` like the solution.
+integers and read out through `transforms.ScaledNewton` like the solution;
+`nonlin_residual` needs one entry only, so it takes it as a binomial dot
+product over the nonzero head of the defect instead of a Pascal table.
 Both evaluators run on the equation scaled once to integer coefficients and
 on the sequence scaled to integer numerators over one denominator, and
 divide once per index.
@@ -339,7 +341,12 @@ def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
         raise IndexOutOfRange(f"residual at n={n} needs index {n + eq.m}, stored 0..{z.last_index}")
     D, Z = over_common_denominator(z.values[: n + eq.m + 1])
     defect = _nonlin_residual_newton(eq, D, lattice_to_newton(Z), n + 1)
-    return Fraction(defect.lattice_numerators(n + 1)[n], defect.c)  # the defect has E = 1
+    # The defect has E = 1, so S_n = sum_l C(n, l) rho_l over the nonzero head of rho.
+    S, binomial = 0, 1
+    for l, rho in enumerate(defect.head()):
+        S += binomial * rho
+        binomial = binomial * (n - l) // (l + 1)
+    return Fraction(S, defect.c)
 
 
 def nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:

@@ -13,7 +13,16 @@ are the leading entries (Delta^l z)_0 of the forward-difference table, so
 z_n = sum_l C(n,l) w_l. The table and its inverse, the Pascal rule of
 `newton_to_lattice`, only add and subtract (and scale by an integer E), so
 each is written once for every scalar: integers, Fraction, quadratic surds,
-complex and float. The exact paths and the float route share them.
+complex and float. The exact paths and the float route share them. Both
+run as prefix sums, one C-level `itertools.accumulate` per line of the
+table and no Python call per entry: `lattice_to_newton` walks the
+difference table by anti-diagonals, which are running sums once diagonal n
+carries the sign (-1)^n, and `newton_to_lattice` with E = 1 builds the
+Pascal table column by column, each column the running sum of the one
+above. Each entry is the single addition or subtraction of the row-by-row
+table, up to an exact negation, so exact results are unchanged and float
+ones keep their bits, except the sign of an exactly cancelled zero in the
+difference table.
 
 The exact maps run on integers: the falling-factorial basis is of binomial
 type, so a rational sequence needs one common denominator, and
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import factorial, perm
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .rational import over_common_denominator
 from .sequences import FourierSeq, LatticeSeq, TaylorCoeffs
@@ -59,10 +68,10 @@ def recip_factorial(k: int) -> Fraction:
 
 
 def difference_rows(values):
-    """Rows Delta^0 z, Delta^1 z, ... of the forward-difference table.
+    """Rows Delta^0 z, Delta^1 z, ... of the forward-difference table, for `odes.delta_power`.
 
     Row l has len(values) - l entries; only the current row is held, so
-    reading the leading entries costs O(len) memory, not the whole table.
+    reading row l costs O(len) memory, not the whole table.
     """
     row = list(values)
     while row:
@@ -71,32 +80,64 @@ def difference_rows(values):
 
 
 def lattice_to_newton(z) -> list:
-    """Newton coefficients w_l = (Delta^l z)_0 for l = 0..len(z)-1."""
-    return [row[0] for row in difference_rows(z)]
+    """Newton coefficients w_l = (Delta^l z)_0 for l = 0..len(z)-1, by anti-diagonals of the difference table.
+
+    Anti-diagonal n holds A_n[l] = (Delta^l z)_{n-l}, l = 0..n, so
+    A_n[l] = A_n[l-1] - A_{n-1}[l-1] and w_n = A_n[n]. With the signs
+    G_n = (-1)^n A_n the subtraction becomes a running sum,
+    G_n[l] = G_n[l-1] + G_{n-1}[l-1], one C-level `accumulate` per n.
+    Every entry is the same single difference as in `difference_rows`, up
+    to an exact negation, so integers, rationals and surds give the same
+    values; float rounding is symmetric in sign, so every nonzero float
+    keeps its bits and only a zero may differ in sign (x + (-x) is +0.0
+    whatever the sign of x).
+    """
+    out, diagonal = [], []
+    for n, z_n in enumerate(z):
+        if n % 2:
+            diagonal = list(accumulate(diagonal, initial=-z_n))
+            out.append(-diagonal[-1])
+        else:
+            diagonal = list(accumulate(diagonal, initial=z_n))
+            out.append(diagonal[-1])
+    return out
 
 
 def newton_to_lattice(w, E: int = 1, length: int | None = None) -> list:
-    """z_n = sum_l C(n,l) E^(n-l) w_l for n < length (default len(w)), with w zero past its end.
+    """z_n = sum_l C(n,l) E^(n-l) w_l for n < length (default len(w)), with w a sequence, zero past its end.
 
-    z_n is entry 0 of row n of the Pascal table T_0 = w, T_{n+1}[l] = E T_n[l] + T_n[l+1].
-    Row n needs min(len(w), length - n) entries, so past len(w) a row keeps its
-    width (the zero past the end makes its last entry E times the one before)
-    and a polynomial costs O(length len(w)). No binomial or factorial is
-    formed, so float input stays inside the double range wherever its sums
-    do, and integer input stays integer.
+    These are the entries T_0[n] of the table T_l[0] = w_l,
+    T_l[n+1] = E T_l[n] + T_{l+1}[n]. Only w_0..w_{K-1}, K = min(len(w),
+    length), enter, and T_K is zero. For E = 1 the column T_{K-1} is
+    constant and each lower column is the running sum of the one above,
+    one C-level `accumulate` per l down to T_0 = z, at O(length K) cost.
+    For E != 1 the rows T_.[n] go down the table as a comprehension, whose
+    width stays K while n <= length - K (a running sum with a Python
+    function per entry is slower). Either way the rule only adds and
+    scales by E: no binomial or factorial is formed, so float input stays
+    inside the double range wherever its sums do, and integer input stays
+    integer.
     """
-    row = list(w)
     if length is None:
-        length = len(row)
-    del row[length:]  # z_n reads w_0..w_n only
+        length = len(w)
+    K = min(len(w), length)
+    if not K:
+        return [0] * length
+    if E == 1:
+        top = w[K - 1]
+        column = [top] + [top + 0] * (length - K)  # top + T_K: a float -0.0 becomes 0.0, as in the rows
+        for l in range(K - 2, -1, -1):
+            column = list(accumulate(column, initial=w[l]))
+        return column
+    row = list(w[:K])
     out = []
-    for _ in range(length - len(row)):
+    for _ in range(length - K):
         row.append(0)
         out.append(row[0])
-        row = list(map(add, row, islice(row, 1, None))) if E == 1 else [E * a + b for a, b in zip(row, row[1:])]
+        row = [E * a + b for a, b in zip(row, row[1:])]
     while row:
         out.append(row[0])
-        row = list(map(add, row, islice(row, 1, None))) if E == 1 else [E * a + b for a, b in zip(row, row[1:])]
+        row = [E * a + b for a, b in zip(row, row[1:])]
     return out
 
 
@@ -121,18 +162,21 @@ class ScaledNewton:
             denominator *= (k + 1) * self.E
         return out
 
-    def lattice_numerators(self, length: int | None = None) -> list[int]:
-        """S_n = c E^n z_n for n < length (default len(W)): the Pascal rule `newton_to_lattice(W, E, length)`.
-
-        The rule reads W as zero past its end, so the zero tail of W is cut
-        off first: the numerators of K nonzero leading entries cost
-        O(length K), and an all-zero W, such as the defect of an exact
-        solution, costs no Pascal row at all.
-        """
+    def head(self) -> tuple[int, ...]:
+        """W without its zero tail: every lattice readout reads W as zero past its end."""
         K = len(self.W)
         while K and not self.W[K - 1]:
             K -= 1
-        return newton_to_lattice(self.W[:K], self.E, len(self.W) if length is None else length)
+        return self.W[:K]
+
+    def lattice_numerators(self, length: int | None = None) -> list[int]:
+        """S_n = c E^n z_n for n < length (default len(W)): the Pascal rule `newton_to_lattice(W, E, length)`.
+
+        The rule runs on the `head` of W, so the numerators of K nonzero
+        leading entries cost O(length K), and an all-zero W, such as the
+        defect of an exact solution, costs no Pascal step at all.
+        """
+        return newton_to_lattice(self.head(), self.E, len(self.W) if length is None else length)
 
     def lattice_values(self, length: int | None = None) -> list[Fraction]:
         """z_n = S_n / (c E^n) for n < length (default len(W)), with S the `lattice_numerators`."""

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial, perm
+from itertools import islice
+from math import comb, factorial, isfinite, perm
+from operator import add
 
 import pytest
 
@@ -11,14 +13,16 @@ from starlattice import (
     LatticeSeq,
     TaylorCoeffs,
     falling_factorial,
+    floatmode,
     forward_transform,
     inverse_transform,
     recip_factorial,
     taylor_to_lattice,
 )
+from starlattice.floatmode import geometric_lattice
 from starlattice.galois import QuadExt
 from starlattice.odes import delta_power
-from starlattice.transforms import ScaledNewton, lattice_to_newton, newton_to_lattice
+from starlattice.transforms import ScaledNewton, difference_rows, lattice_to_newton, newton_to_lattice
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
@@ -242,6 +246,109 @@ def test_scaled_newton_readouts_ignore_trailing_zeros():
         assert all(type(x) is Fraction for x in zeta)
     assert ScaledNewton(3, 2, ()).lattice_numerators(4) == [0] * 4
     assert ScaledNewton(3, 2, ()).taylor_coeffs() == []
+
+
+def row_lattice_to_newton(z) -> list:
+    """Reference: w_l = (Delta^l z)_0, the leading entry of each row of the difference table."""
+    return [row[0] for row in difference_rows(z)]
+
+
+def row_newton_to_lattice(w, E: int = 1, length: int | None = None) -> list:
+    """Reference: the Pascal rule row by row, T_{n+1}[l] = E T_n[l] + T_n[l+1], z_n = T_n[0].
+
+    Past len(w) a row gets a zero appended before each step, so its width
+    stays len(w) and its last entry is the one before plus 0.
+    """
+    row = list(w)
+    if length is None:
+        length = len(row)
+    del row[length:]
+    out = []
+    for _ in range(length - len(row)):
+        row.append(0)
+        out.append(row[0])
+        row = list(map(add, row, islice(row, 1, None))) if E == 1 else [E * a + b for a, b in zip(row, row[1:])]
+    while row:
+        out.append(row[0])
+        row = list(map(add, row, islice(row, 1, None))) if E == 1 else [E * a + b for a, b in zip(row, row[1:])]
+    return out
+
+
+def same_entries(got: list, want: list) -> bool:
+    """Equal length, types and values, with NaN (real or complex) at the same positions."""
+    return len(got) == len(want) and all(
+        type(x) is type(y) and (x == y or (x != x and y != y)) for x, y in zip(got, want)
+    )
+
+
+def scalar_columns(rng: random.Random, size: int) -> list[list]:
+    """One column of each scalar the maps serve: int, Fraction, QuadExt behind Fraction(0) entries, complex, float.
+
+    The QuadExt and complex columns start with zeros like the generator
+    columns j >= 1 of `galois.map_solution`; the floats span many binades
+    and hold signed zeros, an infinity and a NaN.
+    """
+    zeros = rng.randrange(0, min(size, 3) + 1)
+    d = Fraction(rng.choice((2, 3, 5)))
+    floats = [rng.choice((1.0, -1.0)) * rng.random() * 10.0 ** rng.randrange(-30, 30) for _ in range(size)]
+    for special in (0.0, -0.0, float("inf"), float("nan")):
+        if size and rng.random() < 0.4:
+            floats[rng.randrange(size)] = special
+    return [
+        [rng.randrange(-2**70, 2**70) for _ in range(size)],
+        [rand_fraction(rng) for _ in range(size)],
+        [Fraction(0)] * zeros + [QuadExt(rand_fraction(rng), rand_fraction(rng), d) for _ in range(size - zeros)],
+        [0j] * zeros + [complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(size - zeros)],
+        floats,
+    ]
+
+
+def test_newton_maps_match_their_row_forms():
+    """Both maps give the row forms' values and types on every scalar, length and E.
+
+    The Pascal rule forms every float entry by the same addition, so its
+    floats are repr-identical; the anti-diagonals of the difference table
+    negate exactly, so only the sign of a zero may differ there.
+    """
+    rng = random.Random(2035)
+    cases = [[], [0] * 5, [Fraction(0)] * 4, [0.0, -0.0, 0.0], [-0.0], [2.5, -0.0]]
+    for _ in range(30):
+        cases += scalar_columns(rng, rng.randrange(1, 16))
+    for z in cases:
+        assert same_entries(lattice_to_newton(z), row_lattice_to_newton(z))
+        K = len(z)
+        for E in (1, 2, 5):
+            lengths = {None, 0, K, K + rng.randrange(1, 6)} | ({rng.randrange(0, K)} if K else set())
+            for length in lengths:
+                got, want = newton_to_lattice(z, E, length), row_newton_to_lattice(z, E, length)
+                assert same_entries(got, want)
+                assert repr(got) == repr(want)
+
+
+def test_float_star_power_is_repr_identical_to_the_row_forms(monkeypatch):
+    """The benchmark's float route gives the bits it gave through the row forms.
+
+    Geometric inputs reach past l = 170, where the route turns non-finite
+    (known defect (b)), and must do so at the same entries. On a constant
+    input the odd Newton coefficients cancel exactly and come out as -0.0,
+    not 0.0; they compare equal and the output is unchanged.
+    """
+    routes = {}
+    for maps in ((lattice_to_newton, newton_to_lattice), (row_lattice_to_newton, row_newton_to_lattice)):
+        monkeypatch.setattr(floatmode, "lattice_to_newton", maps[0])
+        monkeypatch.setattr(floatmode, "newton_to_lattice", maps[1])
+        routes[maps[0]] = [
+            floatmode.star_power_convolution(geometric_lattice(ratio, L + 1), p)
+            for L, ratio in ((171, 0.5), (240, 0.7), (600, 0.45))
+            for p in (2, 3, 4)
+        ] + [floatmode.star_power_convolution([1.5] * 10, p) for p in (1, 2, 3)]
+    assert repr(routes[lattice_to_newton]) == repr(routes[row_lattice_to_newton])
+    assert all(isfinite(x) for out in routes[lattice_to_newton][:9] for x in out[:171])
+    assert all(not isfinite(out[171]) for out in routes[lattice_to_newton][:9])
+    w, w_rows = lattice_to_newton([1.5] * 10), row_lattice_to_newton([1.5] * 10)
+    assert w == w_rows == [1.5] + [0.0] * 9
+    assert [repr(x) for x in w[1:]] == ["-0.0", "0.0"] * 4 + ["-0.0"]
+    assert [repr(x) for x in w_rows[1:]] == ["0.0"] * 9
 
 
 def rand_height(rng: random.Random) -> Fraction:
