@@ -270,6 +270,11 @@ class _Parser(argparse.ArgumentParser):
 # Largest --length any command accepts: far above every documented use (the
 # largest is bench's default of 512), so a mistyped length is refused at parse time.
 MAX_LENGTH = 10_000
+# Largest bench --arity: the kernel route recurses p - 1 calls deep, and with
+# --kernel-cap 0 the convolution route still runs p - 1 convolutions per
+# length, so a huge arity would end in a RecursionError or run unbounded.
+# This stays far below the interpreter's recursion limit.
+MAX_ARITY = 64
 # solve, fourier and corpus run the exact solvers and residual tables, whose
 # cost grows about 10x per doubling of L here because the numbers grow with L:
 # on one core of a 2-vCPU Xeon VM, z' = z^2 from 1/2 took 23 s (solve) and
@@ -309,7 +314,7 @@ COMMANDS = {
         cmd_bench,
         (
             ("--length", {**_LENGTH[1], "default": 512}),
-            ("--arity", {"type": _integer(1), "default": 3}),
+            ("--arity", {"type": _integer(1, MAX_ARITY), "default": 3}),
             ("--kernel-cap", {"type": int, "default": 512, "help": "largest L for the kernel route"}),
             _FORMAT,
             _OUT,

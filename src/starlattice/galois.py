@@ -10,8 +10,11 @@ roots, found in pure Python by Aberth-Ehrlich sweeps started from the
 Newton polygon and each proved, on integers, to be the centre of a Smith
 inclusion disc that holds exactly one root (`char_roots`).
 
-Generators are running products: each index costs one field product of
-the previous power by 1+l. `verify_fundamental` checks every index with one
+Generators of exact roots come from an integer recurrence: with 1+l =
+(u + w sqrt(d)) / T for integers u, w and w d (w = 0 for a rational root),
+(1+l)^n = (x_n + y_n sqrt(d)) / T^n, and x_n, y_n follow a Lucas-type
+recurrence on plain ints, so no index costs a field product
+(`map_solution`). `verify_fundamental` checks every index with one
 (N+1)-term dot product against the local stencil of T[Delta]
 (`odes.local_stencil`), on integer numerators for exact columns;
 `apply_operator`, the literal Delta^N z_n + sum a_i Delta^i z_n, stays as the
@@ -28,14 +31,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, frexp, inf, isqrt, ldexp, log2, perm, pi, prod
+from math import factorial, floor, frexp, inf, isqrt, lcm, ldexp, log2, perm, pi, prod
 from operator import mul
 
 from .errors import FloatOverflow, IndexOutOfRange, RootCertificationError, SingularSystem
 from .odes import LinearOde, PolyCoeff, local_stencil
 from .rational import as_rational, format_rational, over_common_denominator
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
-from .transforms import falling_factorial, lattice_to_newton
+from .transforms import lattice_to_newton
 
 # Aberth-Ehrlich converges cubically once near the roots: from the Newton
 # polygon start every root settles within 4-9 sweeps on the perfbench const
@@ -506,9 +509,15 @@ def _root_sort_key(r: RootDatum):
 def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
     """Lattice generator (n)_j (1+root)^(n-j) for n = 0..L; zero (0j for a float root) below n = j.
 
-    Exact roots keep a running power of 1+root, one field product per index.
-    Float roots take each power from complex `pow`; an entry that leaves the
-    double range raises ``FloatOverflow``, naming the root and the index.
+    An exact root a + b sqrt(d) (b = 0 for a rational one) gives 1+root =
+    (u + w sqrt(d)) / T, with T the least common denominator of 1+a, b and
+    b d, so u, w and w d are integers. Then (1+root)^k = (x_k + y_k sqrt(d)) / T^k
+    with x_{k+1} = u x_k + (w d) y_k and y_{k+1} = w x_k + u y_k, a
+    Lucas-type recurrence on plain integers (D. H. Lehmer, Ann. of Math. 31,
+    1930): entry n is (n)_j (x_{n-j} + y_{n-j} sqrt(d)) / T^(n-j), one
+    `Fraction` per part and no field product. Float roots take each power
+    from complex `pow`; an entry that leaves the double range raises
+    ``FloatOverflow``, naming the root and the index.
     """
     if not 0 <= j < root.multiplicity:
         raise ValueError(f"power j={j} must lie below the multiplicity {root.multiplicity}")
@@ -524,10 +533,18 @@ def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
                 raise FloatOverflow(f"float root {root.value}: column j={j} leaves the double range at n={n}")
             values.append(value)
         return tuple(values)
-    power = QuadExt(Fraction(1), Fraction(0), one_plus.d) if isinstance(one_plus, QuadExt) else Fraction(1)
+    surd = isinstance(one_plus, QuadExt)
+    a, b, d = (one_plus.a, one_plus.b, one_plus.d) if surd else (one_plus, Fraction(0), Fraction(0))
+    T = lcm(a.denominator, b.denominator, (b * d).denominator)
+    u, w, wd = (a * T).numerator, (b * T).numerator, (b * d * T).numerator
+    x, y, scale = 1, 0, 1
     for n in range(j, L + 1):
-        values.append(falling_factorial(n, j) * power if j else power)
-        power = power * one_plus
+        c = perm(n, j)
+        if surd:
+            values.append(QuadExt(Fraction(c * x, scale), Fraction(c * y, scale), d))
+        else:
+            values.append(Fraction(c * x, scale))
+        x, y, scale = u * x + wd * y, w * x + u * y, scale * T
     return tuple(values)
 
 

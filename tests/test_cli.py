@@ -341,6 +341,8 @@ def test_cli_rejects_zero_arity(capsys):
         ["solve", "--input", "{doc}", "--init", "1/2", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
         ["fourier", "--input", "{doc}", "--init", "1/2", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
         ["corpus", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
+        # the kernel route recurses arity - 1 deep, so a huge arity is refused too
+        ["bench", "--length", "2", "--arity", str(cli.MAX_ARITY + 1)],
     ],
 )
 def test_cli_refuses_bad_option_in_one_line(tmp_path, capsys, argv):
@@ -357,6 +359,7 @@ def test_cli_accepts_length_at_the_bound():
         (["corpus"], cli.MAX_SOLVE_LENGTH),
     ):
         assert cli._parser().parse_args(argv + ["--length", str(bound)]).length == bound
+    assert cli._parser().parse_args(["bench", "--arity", str(cli.MAX_ARITY)]).arity == cli.MAX_ARITY
 
 
 def test_cli_runs_share_one_parser_without_leaking_options(tmp_path, capsys):

@@ -397,6 +397,47 @@ def test_stencil_residual_loop_builds_no_exact_scalars(monkeypatch):
     assert built[0] == built[1] > 0
 
 
+def running_product_generator(root: RootDatum, j: int, L: int) -> tuple:
+    """(n)_j (1+root)^(n-j) for an exact root as a running product: one field product per index."""
+    one_plus = 1 + root.value
+    values = [Fraction(0)] * min(j, L + 1)
+    power = QuadExt(Fraction(1), Fraction(0), one_plus.d) if isinstance(one_plus, QuadExt) else Fraction(1)
+    for n in range(j, L + 1):
+        values.append(falling_factorial(n, j) * power if j else power)
+        power = power * one_plus
+    return tuple(values)
+
+
+def test_seeded_sweep_integer_recurrence_matches_the_running_product():
+    rng = random.Random(20261019)
+    roots = [
+        Fraction(-1),  # 1 + root = 0
+        Fraction(0),
+        QuadExt(Fraction(-1, 4), Fraction(1, 2), Fraction(-13, 12)),  # x^2 + x/2 + 1/3
+        QuadExt(Fraction(-1, 4), Fraction(-1, 2), Fraction(-13, 12)),
+        QuadExt(Fraction(0), Fraction(1, 2), Fraction(-4 * 10**300)),  # x^2 + 10^300
+        QuadExt(Fraction(-1), Fraction(3, 7), Fraction(5, 3)),  # 1 + root has no rational part
+    ]
+    for _ in range(30):
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        b, d = (Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, 9)) for top in (9, 40))
+        roots += [a, QuadExt(a, b, d)]
+    for _ in range(20):
+        roots += [r.value for r in char_roots(_random_operator(rng))]
+    seen = set()
+    for value in roots:
+        for m in (1, 2, 3):
+            root = RootDatum(value, m, exact=True)
+            for j in range(m):
+                for L in sorted({0, j - 1, j, j + 1, 40, rng.randrange(60)} - {-1}):
+                    column, expected = map_solution(root, j, L), running_product_generator(root, j, L)
+                    assert column == expected
+                    assert [type(v) for v in column] == [type(v) for v in expected]
+                    seen.add((type(value).__name__, j, L > j))
+    assert {(kind, j, True) for kind in ("Fraction", "QuadExt") for j in range(3)} <= seen
+    assert ("QuadExt", 2, False) in seen  # columns that end at or before z_j, mostly the Fraction(0) prefix
+
+
 # ---------------------------------------------------------------- square-free split
 
 
