@@ -10,13 +10,18 @@ exactly, which is what the residual evaluators check.
 
 Linear forward stepping solves the recurrence for z_{n+N}; this needs
 a_N(0) != 0, since every nonlocal term reaches at most index n+N-1 while
-the local one contributes a_N(0) * z_{n+N}. It runs on integers: the
-window z_{n-P}..z_{n+N-1} (P the largest power of t) is put over its common
-denominator D, the stencil on that window, which ends before z_{n+N},
-gives D E times the residual with that slot at zero, and one division by
-D E a_N(0) makes the only `Fraction` of the index. Scaling the whole sequence by a fixed
-power of E a_N(0) instead would grow every numerator by that factor's bits
-per index even where the reduced values stay small.
+the local one contributes a_N(0) * z_{n+N}. It runs on integers carried
+from index to index: the window z_{n-P}..z_{n+N-1} (P the largest power of
+t) as numerators Z over one denominator D kept minimal. The stencil on
+that window, which ends before z_{n+N}, gives D E times the residual with
+that slot at zero, so the new entry is that over -D E a_N(0). Every
+denominator the loop forms divides a power of c E a_N(0), c the common
+denominator of the initial values, so the entry is reduced by stripping
+only those primes, one machine digit at a time, instead of a full gcd, and
+the stepped entry is built from the reduced pair without a second one.
+Scaling the whole sequence by a fixed power of E a_N(0) instead would grow
+every numerator by that factor's bits per index even where the reduced
+values stay small.
 
 The nonlinear recurrence is solved once, in Newton space. The transform
 coefficients zeta of the lattice solution obey the same recurrence as the
@@ -64,11 +69,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 
 from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
-from .rational import as_rational, over_common_denominator
+from .rational import as_rational, coprime_fraction, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_binomial_powers
 from .star import monomial_star_kernel
@@ -384,11 +389,17 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
     """Unique sequence with the given first N values and zero residual up to L-N.
 
     The recurrence isolates z_{n+N} with coefficient a_N(0), so that constant
-    term must be nonzero: every other term reads at most z_{n+N-1}. Index n
-    puts the window z_{n-P}..z_{n+N-1} over its common denominator D, forms
-    X = D E (residual at n with z_{n+N} = 0) by the stencil on that window,
-    which ends before the slot of z_{n+N}, and appends -X / (D s) with
-    s = E a_N(0).
+    term must be nonzero: every other term reads at most z_{n+N-1}. The
+    window z_{n-P}..z_{n+N-1} is carried as integers Z over one denominator
+    D with gcd(D, Z) = 1. Index n forms X = D E (residual at n with
+    z_{n+N} = 0) by the stencil on Z, which ends before the slot of
+    z_{n+N}, and the entry x / q = -X / (D s) with s = E a_N(0), sign folded
+    into x. By induction every D divides (c s)^k, c the common denominator
+    of the initial values, so `_strip_common_factor` reduces x / q over the
+    primes of c s alone, and the reduced pair is the stepped `Fraction`.
+    The next window is Z s (less its first entry once it slides) and x over
+    q; the factor g it cancelled is all a common factor of that window can
+    hold, so gcd(g, Z s) makes it minimal again, and g = 1 needs no gcd.
     """
     N = eq.order
     if eq.coeffs[-1].constant_term == 0:
@@ -400,11 +411,49 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
         raise IndexOutOfRange(f"length L={L} shorter than the {N} initial values")
     stencil = _LinearStencil.of(eq)
     s = stencil.rows[0][1][N]  # E a_N(0), the weight of the unknown z_{n+N} in the row of p = 0
+    sign, s = (-1, s) if s > 0 else (1, -s)
+    D, Z = over_common_denominator(values)
+    base = _one_digit_power(D * s)
     for n in range(L - N + 1):
-        start = max(0, n - stencil.reach)
-        D, Z = over_common_denominator(values[start : n + N])
-        values.append(Fraction(-stencil.scaled_residual(Z, start, n, D), D * s))
+        x, q, g = _strip_common_factor(sign * stencil.scaled_residual(Z, n + N - len(Z), n, D), D * s, base)
+        values.append(coprime_fraction(x, q))
+        if n >= stencil.reach:
+            del Z[0]  # the window slides: z_{n-P} leaves it
+        Z = [z * s for z in Z]
+        if g > 1:
+            common = gcd(g, *Z)
+            if common > 1:
+                Z = [z // common for z in Z]
+            g //= common
+        Z.append(x * g)
+        D = q * g
     return LatticeSeq(tuple(values))
+
+
+def _one_digit_power(m: int) -> int:
+    """The largest power of m below 2^30, one CPython digit, or m itself when m is 1 or past that."""
+    power = m
+    while 1 < m and power * m < 1 << 30:
+        power *= m
+    return power
+
+
+def _strip_common_factor(x: int, q: int, base: int) -> tuple[int, int, int]:
+    """(x / g, q / g, g) with g = gcd(x, q), for q > 0 whose primes all divide base.
+
+    Each round divides out h = gcd(x, q, B), B a power of base, from the
+    residues of x and q mod B: one pass over each when B is one digit,
+    where gcd(x, q) runs a Lehmer gcd on both (Knuth, TAOCP Vol. 2,
+    4.5.2). h = 1 leaves no prime of base in both, so none of q. A round
+    that strips all of B squares it, so heavy cancellation takes
+    logarithmically many rounds.
+    """
+    g, B = 1, base
+    while (h := gcd(x % B, q % B, B)) != 1:
+        x, q, g = x // h, q // h, g * h
+        if h == B:
+            B *= B
+    return x, q, g
 
 
 def nonlin_step(eq: NonlinearOde, init, L: int) -> LatticeSeq:

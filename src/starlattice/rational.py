@@ -5,7 +5,10 @@ which already guarantees the canonical invariants (positive denominator,
 reduced to lowest terms). Floats are rejected at the boundary so that no
 inexact value can leak into an exact computation. Hot exact kernels put a
 list of rationals over one common denominator and work on the integer
-numerators, dividing once at the end.
+numerators, dividing once at the end. A kernel that has already reduced
+its quotient builds it with `coprime_fraction`, which skips the gcd that
+`Fraction` would run again; this module is the only one that reaches into
+the `Fraction` slots.
 """
 
 from __future__ import annotations
@@ -78,6 +81,21 @@ def over_common_denominator(values) -> tuple[int, list[int]]:
     """(D, [x * D for x in values]) with D the least common denominator of the values."""
     D = lcm(*(x.denominator for x in values))
     return D, [x.numerator * (D // x.denominator) for x in values]
+
+
+def coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """The `Fraction` numerator/denominator, trusted to be in lowest terms with denominator > 0.
+
+    What `Fraction._from_coprime_ints` does in CPython 3.12+: set the two
+    slots that `Fraction` itself fills after its gcd (named alike in
+    3.10-3.13), so the caller's reduction is not repeated. Not checked here:
+    a caller that passes a common factor or a nonpositive denominator gets a
+    value that compares and hashes wrongly.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
 
 
 def format_float(value: float) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -10,11 +11,15 @@ from starlattice import (
     LatticeSeq,
     PochhammerPole,
     SingularAtOrigin,
+    TaylorCoeffs,
+    corpus,
     falling_factorial,
     inverse_transform,
     taylor_to_lattice,
 )
+from starlattice.cli import run
 from starlattice.corpus import (
+    CorpusCase,
     damped_case,
     gauss_sum,
     gaussian_case,
@@ -218,3 +223,41 @@ def test_run_corpus_report():
     for case in report["cases"]:
         assert case["residuals_zero"] is True
         assert case["max_abs_residual"] == "0"
+
+
+def perturbed_sine_cases(length: int, delta: Fraction) -> list[CorpusCase]:
+    """The harmonic sine series, z'' + z = 0, off by delta in one coefficient.
+
+    Its residual table is F R, R_k = (k+2)(k+1) b_{k+2} + b_k the continuous
+    residual, so moving b_{length+2} by delta moves only R_length, by
+    (length+2)(length+1) delta, and leaves the residual (length+2)! delta at
+    the last checked index n = length alone. Moving b_3 moves R_1 by 6 delta
+    and R_3 by delta: the residual at n is 6 delta n + delta (n)_3.
+    """
+    harmonic = harmonic_case(length=length)
+    sine = harmonic.solutions[0].coeffs
+
+    def off_at(k: int) -> tuple[TaylorCoeffs, ...]:
+        return (TaylorCoeffs(sine[:k] + (sine[k] + delta,) + sine[k + 1 :]),)
+
+    return [
+        CorpusCase("sine-off-at-the-last-index", harmonic.equation, off_at(length + 2)),
+        harmonic,
+        CorpusCase("sine-off-at-b3", harmonic.equation, off_at(3)),
+    ]
+
+
+def test_run_corpus_fails_a_perturbed_case_and_the_cli_exits_1(monkeypatch, tmp_path):
+    length, delta = 8, Fraction(-1, 3)
+    monkeypatch.setattr(corpus, "standard_cases", lambda length: perturbed_sine_cases(length, delta))
+    report = run_corpus(length)
+    assert report["all_pass"] is False
+    verdicts = [(c["name"], c["residuals_zero"], c["max_abs_residual"]) for c in report["cases"]]
+    assert verdicts == [
+        ("sine-off-at-the-last-index", False, format_rational(factorial(length + 2) * abs(delta))),
+        ("harmonic", True, "0"),
+        ("sine-off-at-b3", False, format_rational(abs(delta) * (6 * length + falling_factorial(length, 3)))),
+    ]
+    out = tmp_path / "report.json"
+    assert run(["corpus", "--length", str(length), "--out", str(out)]) == 1
+    assert json.loads(out.read_text()) == {"command": "corpus", **report}

@@ -8,7 +8,7 @@ from math import copysign, factorial, isqrt
 
 import pytest
 
-from starlattice import LatticeSeq, RootCertificationError, SingularSystem, TaylorCoeffs, taylor_to_lattice
+from starlattice import FloatOverflow, LatticeSeq, RootCertificationError, SingularSystem, TaylorCoeffs, taylor_to_lattice
 from starlattice.deltaops import SYMMETRIC_DIFFERENCE, apply_stencil
 from starlattice import galois, series
 from starlattice.galois import (
@@ -812,3 +812,34 @@ def test_root_wronskian_is_exact_in_one_quadratic_field():
     half, p, q = values
     assert report.wronskian == (p - half) ** 2 * (q - half) ** 2 * (q - p)
     assert report.wronskian == modified_wronskian(report.system)
+
+
+def test_smith_certificate_refuses_discs_that_overlap_past_the_squared_radii():
+    # x^2 - 1 with centres +-t: r = 2 |t^2 - 1| / (2t) each, d = 2t. At t = 11/16,
+    # r = 0.767 and d = 1.375, so r^2 + r^2 < d^2 <= (r + r)^2: d^2 beats the sum of
+    # the squared radii, yet the discs overlap. At t = 3/4, d exceeds 2r = 1.167.
+    with pytest.raises(RootCertificationError):
+        galois._smith_certificate([-1, 0, 1], [complex(0.6875), complex(-0.6875)])
+    galois._smith_certificate([-1, 0, 1], [complex(0.75), complex(-0.75)])
+
+
+def test_smith_radius_is_n_not_sqrt_n_times_the_quotient():
+    # x^3 - x with centres 0 and +-t: r_0 = 0 and r_t = 3 |t^2 - 1| / (2t). At
+    # t = 3/4, r_t = 0.875 reaches the centre 0 at distance 0.75, while a radius
+    # smaller by sqrt(3), 0.505, would leave every pair disjoint. At t = 7/8,
+    # r_t = 0.402 and the three discs are disjoint.
+    with pytest.raises(RootCertificationError):
+        galois._smith_certificate([0, -1, 0, 1], [complex(0.75), complex(0.0), complex(-0.75)])
+    galois._smith_certificate([0, -1, 0, 1], [complex(0.875), complex(0.0), complex(-0.875)])
+
+
+def test_repeated_roots_give_a_vanishing_wronskian():
+    # (x - 1)^2 given as two simple roots at 1: both columns are 2^n, so the
+    # residuals pass and the Wronskian, exactly zero, fails the report.
+    eq = ConstLinearEq((Fraction(1), Fraction(-2)))
+    report = verify_fundamental(eq, 8, [RootDatum(Fraction(1), 1, True)] * 2)
+    assert report.residuals_ok and not report.wronskian_nonzero and not report.ok
+    assert report.wronskian is None
+    # As doubles the repeat leaves no complex Wronskian to report, so it is refused.
+    with pytest.raises(FloatOverflow):
+        verify_fundamental(eq, 8, [RootDatum(complex(1.0), 1, False)] * 2)

@@ -8,14 +8,18 @@ the mark of a route selected by name: each oracle is a function of its own.
 `__init__.__all__` lists each name that `__init__` imports, once. Only
 `transforms` and `floatmode` name the Pascal-rule map `newton_to_lattice`:
 every exact map divides its Newton-space integers back through
-`transforms.ScaledNewton`. Every module imports only the standard library
+`transforms.ScaledNewton`. Only `rational` names the private `Fraction`
+slots `_numerator` and `_denominator`, in `coprime_fraction`, the one place
+that builds a `Fraction` without its gcd. Every module imports only the standard library
 and the package itself, and no test imports numpy. No check imports the
-modules.
+modules. Every edit in the mutation list of `tools/mutants.py` still
+applies to exactly one place, so the list cannot go stale unnoticed.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -102,6 +106,19 @@ def test_only_transforms_and_floatmode_name_newton_to_lattice():
     assert naming == ["floatmode.py", "transforms.py"]
 
 
+def test_only_rational_touches_the_fraction_slots():
+    # An attribute, or a string as getattr/setattr would take it, counts alike.
+    slots = {"_numerator", "_denominator"}
+    naming = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(_tree(path)))
+        names = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        names |= {node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        if names & slots:
+            naming.append(path.name)
+    assert naming == ["rational.py"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_imports_only_the_standard_library(path):
     # The package has no runtime dependency: every import is stdlib or the package itself.
@@ -121,3 +138,18 @@ def test_tests_do_not_import_numpy():
         names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
         names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert not any(name.partition(".")[0] == "numpy" for name in names), path.name
+
+
+def test_every_listed_mutant_applies_to_exactly_one_place():
+    root = PACKAGE.parents[1]
+    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mutants  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(mutants)
+    finally:
+        del sys.modules[spec.name]
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 13
+    for m in mutants.MUTANTS:
+        assert (root / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
+        assert m.tests and all((root / t.partition("::")[0]).is_file() for t in m.tests), m.name

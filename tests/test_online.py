@@ -17,7 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, lcm, perm, prod
 
 import pytest
 
@@ -52,6 +52,7 @@ from starlattice.odes import (
     taylor_solution_linear,
     taylor_solution_nonlinear,
 )
+from starlattice.rational import coprime_fraction, over_common_denominator
 from starlattice.series import extend_binomial_powers, pow_trunc
 from starlattice.star import monomial_star, star_multiply, star_power, star_power_kernel
 from starlattice.transforms import falling_factorial, lattice_to_newton
@@ -420,12 +421,17 @@ def test_sweep_integer_linear_stencil_matches_the_fraction_loop():
 
 
 def test_lin_step_builds_one_fraction_per_stepped_index(monkeypatch):
+    """Entries normalised by `Fraction` or built by `coprime_fraction` (which bypasses `Fraction.__new__`) both count."""
     built = []
 
     class CountedFraction(Fraction):
         def __new__(cls, *args, **kwargs):
             built.append(args)
             return super().__new__(cls, *args, **kwargs)
+
+    def counted_coprime_fraction(*args):
+        built.append(args)
+        return coprime_fraction(*args)
 
     eq = LinearOde(
         (
@@ -437,10 +443,102 @@ def test_lin_step_builds_one_fraction_per_stepped_index(monkeypatch):
     )
     init, L = (Fraction(1, 2), Fraction(-1, 3)), 40
     monkeypatch.setattr(odes, "Fraction", CountedFraction)
+    monkeypatch.setattr(odes, "coprime_fraction", counted_coprime_fraction)
     z = lin_step(eq, init, L).values
     assert 0 < len(built) <= L - eq.order + 1
     monkeypatch.undo()
     assert z == tuple(reference_lin_step(eq, init, L))
+
+
+def linear_ode(*coeffs, c0=()) -> LinearOde:
+    """a_0..a_N and c_0 as lists of (power, coefficient) pairs."""
+    return LinearOde(tuple(PolyCoeff.from_pairs(a) for a in coeffs), c0=PolyCoeff.from_pairs(c0))
+
+
+BIG_PRIME = 2**31 - 1  # an initial denominator past one 30-bit digit
+
+
+def carried_window_cases(rng: random.Random):
+    """(name, eq, init, L) for the carried window of `lin_step`, in the shapes its reduction must meet.
+
+    - negative lead weight s = E a_N(0);
+    - initial denominators whose lcm is past 2^30, so the prime base has several digits;
+    - zero entries after growing denominators: z'' + 2z' - 5/4 z = 0 steps z_{n+2} = 9/4 z_n,
+      so from (1, 0) every odd entry is 0 over a window denominator 4^k, which takes
+      several stripping rounds once 4^k passes the one-digit base 2^28;
+    - integer-valued entries: z_{n+1} = 2 z_n with s = 2, and the image of a Hermite
+      polynomial under a lead of 3, where each index cancels all of q;
+    - N = 1 with P = 0, a one-entry window;
+    - `c0` terms, and seeded equations over the same shapes.
+    """
+    yield "zeros", linear_ode([(0, Fraction(-5, 4))], [(0, 2)], [(0, 1)]), [1, 0], 90
+    yield "zeros, negative lead", linear_ode([(0, Fraction(5, 4))], [(0, -2)], [(0, -1)]), [Fraction(1, 3), 0], 90
+    yield "integer doubling", linear_ode([(0, -2)], [(0, 2)]), [3], 40
+    hermite_m4 = linear_ode([(0, 24)], [(1, -6)], [(0, 3)])  # 3 (z'' - 2t z' + 8z) = 0
+    yield "integer hermite", hermite_m4, [12, 12], 50  # z_0, z_1 of the image of H_4 = 16t^4 - 48t^2 + 12
+    yield "one-entry window", linear_ode([(0, 2)], [(0, 3)], c0=[(0, 1)]), [Fraction(1, 7)], 60
+    yield "one-entry window, wide", linear_ode([(0, Fraction(2, 5))], [(0, Fraction(-3, 11))], c0=[(0, 1)]), [Fraction(1, BIG_PRIME)], 40
+    wide_init = [Fraction(1, BIG_PRIME), Fraction(-5, 3**19 * 7)]
+    yield "wide base", linear_ode([(0, 1)], [(1, Fraction(1, 2))], [(0, Fraction(-7, 3)), (2, 1)], c0=[(1, 2)]), wide_init, 60
+    for i in range(60):
+        eq = sweep_linear(rng)
+        N = eq.order
+        dens = rng.choice(((1,), (2, 3), (BIG_PRIME, 3**19, 2**31), (5**14, 7)))
+        init = [Fraction(rng.randrange(-10**3, 10**3), rng.choice(dens)) for _ in range(N)]
+        if i % 5 == 0:
+            init[-1] = Fraction(0)
+        yield f"seeded {i}", eq, init, rng.randrange(N - 1, 70 if i % 3 == 0 else 25)
+
+
+def test_sweep_carried_window_lin_step_matches_the_fraction_loop():
+    negative_leads, wide, zeros, integers_after_fractions, one_entry, c0s = 0, 0, 0, 0, 0, 0
+    for name, eq, init, L in carried_window_cases(random.Random(32)):
+        z = lin_step(eq, init, L).values
+        assert z == tuple(reference_lin_step(eq, init, L)), name
+        for v in z[eq.order :]:
+            assert type(v) is Fraction and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1, name
+        stencil = odes._LinearStencil.of(eq)
+        negative_leads += stencil.rows[0][1][eq.order] < 0
+        wide += lcm(*(Fraction(v).denominator for v in init)) > 2**30
+        zeros += any(v == 0 for v in z[eq.order :])
+        integers_after_fractions += any(z[n].denominator > 1 and z[n + 1].denominator == 1 for n in range(len(z) - 1))
+        one_entry += eq.order == 1 and stencil.reach == 0
+        c0s += not eq.c0.is_zero
+    assert min(negative_leads, wide, zeros, integers_after_fractions, one_entry, c0s) >= 3
+
+
+def test_lin_step_carries_the_minimal_window(monkeypatch):
+    """At every index the window is the one a rebuild would give: z_{n-P}..z_{n+N-1} over the lcm of their denominators."""
+    scaled_residual, seen = odes._LinearStencil.scaled_residual, []
+
+    def recording(self, Z, start, n, D):
+        seen.append((list(Z), start, n, D))
+        return scaled_residual(self, Z, start, n, D)
+
+    monkeypatch.setattr(odes._LinearStencil, "scaled_residual", recording)
+    for name, eq, init, L in carried_window_cases(random.Random(33)):
+        seen.clear()
+        z = lin_step(eq, init, L).values
+        N, reach = eq.order, odes._LinearStencil.of(eq).reach
+        assert [n for _, _, n, _ in seen] == list(range(L - N + 1)), name
+        for Z, start, n, D in seen:
+            assert start == max(0, n - reach), name
+            assert (D, Z) == over_common_denominator(z[start : n + N]), name
+
+
+def test_strip_common_factor_is_the_gcd_over_the_primes_of_its_base():
+    assert odes._one_digit_power(1) == 1 and odes._one_digit_power(BIG_PRIME) == BIG_PRIME
+    assert odes._one_digit_power(4) == 2**28 and odes._one_digit_power(2**15 * 3) == 2**15 * 3
+    rng = random.Random(34)
+    for i in range(400):
+        m = rng.choice((1, 2, 6, 35, 2**15 * 3, BIG_PRIME * 10))
+        base = odes._one_digit_power(m)
+        primes = [p for p in (2, 3, 5, 7, BIG_PRIME) if m % p == 0]
+        q = prod(p ** rng.randrange(0, 90) for p in primes)  # up to 90 factors of each: many rounds
+        x = rng.choice((0, 1, -1)) if i % 7 == 0 else rng.randrange(-(2**200), 2**200)
+        x *= prod(p ** rng.randrange(0, 90) for p in primes)
+        g = gcd(x, q)
+        assert odes._strip_common_factor(x, q, base) == (x // g, q // g, g)
 
 
 FAULT_EQUATIONS = {

@@ -1,0 +1,197 @@
+"""Mutation kill matrix for the verification verdicts.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # only these
+    python3 tools/mutants.py --list     # names, files and killing tests
+
+Each mutant is one exact text replacement in one file under `src/`: a
+small edit that would make a verdict wrong or a result inexact. For each,
+the runner copies `src/`, `tests/` and `pyproject.toml` to a temporary
+directory, applies the edit there (the checkout is never touched) and runs
+the test files that should kill it with `pytest -x`. A mutant survives
+when those tests still pass. First the same tests run on the unmutated
+copy, since a suite that fails anyway kills everything.
+
+Prints one row per mutant and exits 1 on a survivor, on an edit whose old
+text does not occur exactly once, or on a failing baseline; 0 when every
+mutant is killed. The list is append-only: code that changes a mutated
+line gets its mutant's texts updated, never the mutant dropped, and new
+verification code adds mutants here. Standard library only; not part of
+the tier-1 suite, since it takes minutes.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest paths or node ids, relative to the root
+
+
+MUTANTS = (
+    Mutant(
+        "smith-lens-overlap",
+        "src/starlattice/galois.py",
+        "if gap <= 0 or gap * gap <= 4 * bounds[i] * bounds[j]:",
+        "if gap <= 0:",
+        ("tests/test_galois.py",),
+    ),
+    Mutant(
+        "smith-radius-sqrt-n",
+        "src/starlattice/galois.py",
+        "bounds.append(-(-((n * n * (re * re + im * im)) << _RADIUS_BITS) // den))",
+        "bounds.append(-(-((n * (re * re + im * im)) << _RADIUS_BITS) // den))",
+        ("tests/test_galois.py",),
+    ),
+    Mutant(
+        "wronskian-nonzero-always",
+        "src/starlattice/galois.py",
+        "nonzero = not (w.is_zero if isinstance(w, QuadExt) else w == 0)",
+        "nonzero = True",
+        ("tests/test_galois.py",),
+    ),
+    Mutant(
+        "corpus-all-pass-always",
+        "src/starlattice/corpus.py",
+        "all_pass = all_pass and passed",
+        "all_pass = True",
+        ("tests/test_corpus.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "corpus-ignores-last-residual",
+        "src/starlattice/corpus.py",
+        "passed = all(r == 0 for r in flat)",
+        "passed = all(r == 0 for r in flat[:-1])",
+        ("tests/test_corpus.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "stencil-vanishes-skips-last-index",
+        "src/starlattice/galois.py",
+        "for n in range(len(Z) - N))",
+        "for n in range(len(Z) - N - 1))",
+        ("tests/test_galois.py",),
+    ),
+    Mutant(
+        "taylor-residuals-read-one-short",
+        "src/starlattice/odes.py",
+        "newton = taylor_newton(b, needed - 1)",
+        "newton = taylor_newton(b, needed - 2)",
+        ("tests/test_online.py", "tests/test_corpus.py"),
+    ),
+    Mutant(
+        "taylor-residuals-pad-one-short",
+        "src/starlattice/odes.py",
+        "W = list(newton.W) + [0] * (needed - len(newton.W))",
+        "W = list(newton.W) + [0] * (needed - 1 - len(newton.W))",
+        ("tests/test_online.py", "tests/test_corpus.py"),
+    ),
+    Mutant(
+        "float-residual-bound-loose",
+        "src/starlattice/galois.py",
+        "FLOAT_SOLUTION_RESIDUAL_BOUND = 1e-9",
+        "FLOAT_SOLUTION_RESIDUAL_BOUND = 1e-3",
+        ("tests/test_galois.py",),
+    ),
+    Mutant(
+        "surd-column-rational-part-only",
+        "src/starlattice/galois.py",
+        "for part in _rational_parts(sol))",
+        "for part in _rational_parts(sol)[:1])",
+        ("tests/test_galois.py",),
+    ),
+    Mutant(
+        "common-field-ignores-second-surd",
+        "src/starlattice/galois.py",
+        "if len(ds) > 1 or any(isinstance(v, complex) for v in values):",
+        "if len(ds) > 2 or any(isinstance(v, complex) for v in values):",
+        ("tests/test_galois.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "lin-step-strips-one-round",
+        "src/starlattice/odes.py",
+        "while (h := gcd(x % B, q % B, B)) != 1:",
+        "if (h := gcd(x % B, q % B, B)) != 1:",
+        ("tests/test_online.py",),
+    ),
+    Mutant(
+        "lin-step-window-not-reminimised",
+        "src/starlattice/odes.py",
+        "common = gcd(g, *Z)",
+        "common = 1",
+        ("tests/test_online.py",),
+    ),
+)
+
+
+def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[int, float]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode, time.perf_counter() - start
+
+
+def copy_tree(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def check(mutant: Mutant) -> str:
+    """killed, survived or an error, for one mutant on a fresh copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        path = tree / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"error: old text occurs {text.count(mutant.old)} times"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        code, seconds = run_tests(tree, mutant.tests)
+    verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error: pytest exit {code}")
+    return f"{verdict} ({seconds:.0f} s)"
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name:36s} {m.file:28s} {' '.join(m.tests)}")
+        return 0
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="mutant-baseline-") as tmp:
+        copy_tree(Path(tmp))
+        code, seconds = run_tests(Path(tmp), tests)
+    print(f"{'baseline (no mutant)':36s} {'passed' if code == 0 else f'FAILED, pytest exit {code}'} ({seconds:.0f} s)")
+    if code != 0:
+        return 1
+    bad = 0
+    for m in chosen:
+        verdict = check(m)
+        bad += not verdict.startswith("killed")
+        print(f"{m.name:36s} {verdict}", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
