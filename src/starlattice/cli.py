@@ -35,7 +35,7 @@ from .odes import (
 )
 from .rational import format_float, format_rational, parse_rational
 from .sequences import LatticeSeq, TaylorCoeffs
-from .specio import as_const_nonlinear, parse_solution, parse_spec, to_document
+from .specio import parse_solution, parse_spec, to_document
 
 def _as_float(value, where: str) -> float | complex:
     """An exact value in doubles for --mode float; one beyond the double range raises FloatOverflow."""
@@ -197,9 +197,11 @@ def cmd_fourier(args) -> int:
     eq = parse_spec(_load_document(args.input))
     if not isinstance(eq, NonlinearOde):
         raise SchemaError("type", "fourier works on constant-coefficient nonlinear documents")
-    const_eq = as_const_nonlinear(eq)
-    init = _parse_init(args.init, const_eq.m, "the coefficient recurrence")
-    zeta = fourier_step(const_eq, init, args.length)
+    for j, poly in enumerate(eq.coeffs):
+        if any(power != 0 for power, _ in poly.monomials):
+            raise SchemaError(f"coeffs[{j}]", "transform-domain stepping needs constant coefficients")
+    init = _parse_init(args.init, eq.m, "the coefficient recurrence")
+    zeta = fourier_step(eq, init, args.length)
     _emit(_series_table("zeta", zeta.coeffs, args), args.out)
     return 0
 

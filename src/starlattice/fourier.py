@@ -1,7 +1,7 @@
 """Auxiliary dynamics on the transform coefficients.
 
-For a constant-coefficient equation z^(m) = sum_j a_j z^j + b_0, the
-coefficient stream obeys
+For a `NonlinearOde` z^(m) = sum_j a_j z^j with constant a_j, b_0 = a_0
+the free term, the coefficient stream obeys
 
     (n+m)!/n! * zeta_{n+m} = sum_{j>=2} a_j * conv_j(zeta, n) + a_1 zeta_n + b_0 [n = 0],
 
@@ -13,46 +13,25 @@ reproduces the lattice recurrence exactly.
 
 conv_j(zeta, n) is coefficient n of the Cauchy power zeta^j, so the stream
 is the Taylor-coefficient recurrence of the same equation: `fourier_step`
-hands it to `odes.solve_newton`, which runs it on integer scaled Newton
-coefficients k! c E^k zeta_k and divides once per entry.
-`constrained_convolution` and `fourier_solution` keep the paper's literal
-formulas as its cross-checks.
+hands the `NonlinearOde` that `nonlin_step` and `taylor_solution_nonlinear`
+read to `odes.solve_newton`, which runs on integer scaled Newton
+coefficients k! c E^k zeta_k and divides once per entry. With polynomial
+a_j(t) the stream is still the inverse transform of `nonlin_step`'s
+solution; only the formula above needs constant coefficients, and the CLI
+refuses any other. `constrained_convolution` and `fourier_solution` keep
+the paper's literal formulas as its cross-checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, LengthMismatch
-from .odes import PolyCoeff, solve_newton
+from .odes import NonlinearOde, solve_newton
 from .rational import as_rational
 from .sequences import FourierSeq, TaylorCoeffs
 from .series import pow_trunc
 from .transforms import recip_factorial
-
-
-@dataclass(frozen=True)
-class ConstNonlinearOde:
-    """z^(m) = sum_{j=1}^{N} a_j z^j + b0 with rational constants."""
-
-    m: int
-    a: tuple[Fraction, ...]  # a_1 .. a_N
-    b0: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(as_rational(v) for v in self.a))
-        object.__setattr__(self, "b0", as_rational(self.b0))
-        if self.m < 1:
-            raise ValueError("derivative order m must be positive")
-        if not self.a:
-            raise ValueError("degree must be at least 1")
-        if self.a[-1] == 0 and len(self.a) > 1:
-            raise ValueError("leading coefficient a_N must be nonzero (drop it instead)")
-
-    @property
-    def degree(self) -> int:
-        return len(self.a)
 
 
 def constrained_convolution(zeta, j: int, n: int) -> Fraction:
@@ -64,15 +43,14 @@ def constrained_convolution(zeta, j: int, n: int) -> Fraction:
     return sum((power[s] * head[n - s] for s in range(n + 1)), Fraction(0))
 
 
-def fourier_step(eq: ConstNonlinearOde, zeta_init, L: int) -> FourierSeq:
-    """Coefficient stream zeta_0..zeta_L from the first m values."""
+def fourier_step(eq: NonlinearOde, zeta_init, L: int) -> FourierSeq:
+    """Coefficient stream zeta_0..zeta_L of eq from the first m values."""
     zeta = [as_rational(v) for v in zeta_init]
     if len(zeta) != eq.m:
         raise LengthMismatch(f"need exactly {eq.m} initial coefficients, got {len(zeta)}")
     if L < eq.m - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {eq.m} initial coefficients")
-    coeffs = [PolyCoeff.constant(c) for c in (eq.b0, *eq.a)]
-    return FourierSeq(tuple(solve_newton(eq.m, coeffs, zeta, L).taylor_coeffs()))
+    return FourierSeq(tuple(solve_newton(eq, zeta, L).taylor_coeffs()))
 
 
 def fourier_solution(b: TaylorCoeffs, n: int) -> Fraction:

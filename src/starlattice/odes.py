@@ -470,7 +470,7 @@ def nonlin_step(eq: NonlinearOde, init, L: int) -> LatticeSeq:
     if L < m - 1:
         raise IndexOutOfRange(f"length L={L} shorter than the {m} initial values")
     zeta = inverse_transform(LatticeSeq(values)).coeffs
-    return LatticeSeq(tuple(solve_newton(m, eq.coeffs, zeta, L).lattice_values()))
+    return LatticeSeq(tuple(solve_newton(eq, zeta, L).lattice_values()))
 
 
 def local_stencil(eq: LinearOde) -> tuple[Fraction, ...] | None:
@@ -520,15 +520,16 @@ def taylor_solution_nonlinear(eq: NonlinearOde, init, L: int) -> TaylorCoeffs:
     b = [as_rational(v) for v in init]
     if len(b) != eq.m:
         raise ValueError(f"need exactly {eq.m} initial Taylor coefficients, got {len(b)}")
-    return TaylorCoeffs(tuple(solve_newton(eq.m, eq.coeffs, b, L).taylor_coeffs()[: L + 1]))
+    return TaylorCoeffs(tuple(solve_newton(eq, b, L).taylor_coeffs()[: L + 1]))
 
 
-def solve_newton(m: int, coeffs, zeta_init, L: int) -> ScaledNewton:
-    """Solve z^(m) = sum_{j=0}^N a_j(t) z^j for zeta_0..zeta_L on integers.
+def solve_newton(eq: NonlinearOde, zeta_init, L: int) -> ScaledNewton:
+    """Solve eq, z^(m) = sum_{j=0}^N a_j(t) z^j, for zeta_0..zeta_L on integers.
 
-    ``coeffs`` are a_0..a_N as `PolyCoeff`, ``zeta_init`` the m coefficients
-    zeta_0..zeta_{m-1}. Multiplying coefficient k of the equation by k!
-    turns the Cauchy powers of zeta into binomial powers of w_k = k! zeta_k:
+    ``zeta_init`` holds the m coefficients zeta_0..zeta_{m-1}; `nonlin_step`,
+    `taylor_solution_nonlinear` and `fourier.fourier_step` all solve here.
+    Multiplying coefficient k of the equation by k! turns the Cauchy powers
+    of zeta into binomial powers of w_k = k! zeta_k:
 
         w_{k+m} = k! gamma_k + sum_{j>=1, p} a_{j,p} (k)_p (w^(*j))_{k-p},
 
@@ -549,6 +550,7 @@ def solve_newton(m: int, coeffs, zeta_init, L: int) -> ScaledNewton:
     W_0..W_{k+m-1} are integers because C(k,i) is. So the loop runs on
     integers alone and divides nowhere.
     """
+    m, coeffs = eq.m, eq.coeffs
     zeta = [as_rational(v) for v in zeta_init]
     c = lcm(*(x.denominator for x in zeta))
     a0 = [(r, c * g) for r, g in coeffs[0].monomials]

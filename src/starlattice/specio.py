@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .galois import ConstLinearEq
-from .fourier import ConstNonlinearOde
 from .odes import LinearOde, NonlinearOde, PolyCoeff
 from .rational import format_rational, parse_rational
 
@@ -127,17 +126,3 @@ def to_document(eq: Equation) -> dict:
             "c0": [[p, format_rational(c)] for p, c in eq.c0.monomials],
         }
     return {"type": "nonlinear", "m": eq.m, "coeffs": coeffs}
-
-
-def as_const_nonlinear(eq: NonlinearOde) -> ConstNonlinearOde:
-    """Reduce a constant-coefficient nonlinear equation to its scalar form."""
-    a = []
-    for j, poly in enumerate(eq.coeffs):
-        for power, _ in poly.monomials:
-            if power != 0:
-                raise SchemaError(
-                    f"coeffs[{j}]", "transform-domain stepping needs constant coefficients"
-                )
-        if j >= 1:
-            a.append(poly.constant_term)
-    return ConstNonlinearOde(eq.m, tuple(a), b0=eq.coeffs[0].constant_term)

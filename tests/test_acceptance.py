@@ -38,7 +38,7 @@ from starlattice.deltaops import (
     validate_stencil,
 )
 from starlattice.floatmode import bench_star_power, geometric_lattice, star_power_convolution
-from starlattice.fourier import ConstNonlinearOde, fourier_solution, fourier_step
+from starlattice.fourier import fourier_solution, fourier_step
 from starlattice.galois import (
     ConstLinearEq,
     apply_operator,
@@ -142,13 +142,12 @@ def test_criterion_06_morphism_homomorphy():
 
 
 def test_criterion_07_fourier_dynamics():
-    eq = ConstNonlinearOde(1, (Fraction(0), Fraction(1)))
-    zeta = fourier_step(eq, (1,), 30)
-    assert zeta.coeffs == (Fraction(1),) * 31
     from starlattice.odes import NonlinearOde, PolyCoeff
 
-    lattice_eq = NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), PolyCoeff.constant(1)))
-    assert forward_transform(zeta) == nonlin_step(lattice_eq, (1,), 30)
+    eq = NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), PolyCoeff.constant(1)))
+    zeta = fourier_step(eq, (1,), 30)
+    assert zeta.coeffs == (Fraction(1),) * 31
+    assert forward_transform(zeta) == nonlin_step(eq, (1,), 30)
     rng = random.Random(107)
     for _ in range(50):
         length = rng.randrange(1, 22)

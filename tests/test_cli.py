@@ -19,11 +19,10 @@ import starlattice
 from starlattice import IndexOutOfRange, RootCertificationError, SchemaError, StarLatticeError
 from starlattice import cli, galois
 from starlattice.cli import run
-from starlattice.fourier import ConstNonlinearOde
 from starlattice.galois import ConstLinearEq, verify_fundamental
 from starlattice.odes import LinearOde, NonlinearOde, lin_step, nonlin_step
 from starlattice.rational import format_float, format_rational
-from starlattice.specio import as_const_nonlinear, parse_solution, parse_spec, to_document
+from starlattice.specio import parse_solution, parse_spec, to_document
 
 GAUSSIAN_DOC = {"type": "linear", "order": 1, "coeffs": [[[1, "1"]], [[0, "1"]]], "c0": []}
 HARMONIC_DOC = {
@@ -55,9 +54,7 @@ def test_parse_spec_square_equation():
     eq = parse_spec(SQUARE_DOC)
     assert isinstance(eq, NonlinearOde)
     assert eq.m == 1 and eq.degree == 2
-    const = as_const_nonlinear(eq)
-    assert isinstance(const, ConstNonlinearOde)
-    assert const.a == (Fraction(0), Fraction(1))
+    assert [poly.monomials for poly in eq.coeffs] == [(), (), ((0, Fraction(1)),)]
 
 
 def test_parse_spec_const_linear():
@@ -348,6 +345,36 @@ def test_cli_rejects_zero_arity(capsys):
 def test_cli_refuses_bad_option_in_one_line(tmp_path, capsys, argv):
     path = write_doc(tmp_path, SQUARE_DOC)
     assert_one_line_usage_error(run([path if a == "{doc}" else a for a in argv]), capsys)
+
+
+T_DEPENDENT_DOC = {"type": "nonlinear", "m": 1, "coeffs": [[], [[1, "1"]], [[0, "1"]]]}  # z' = t z + z^2
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        # Without its check, fourier would print the stream of z' = z^2 and exit 0.
+        (T_DEPENDENT_DOC, ["fourier", "--init", "1"], "coeffs[1]: transform-domain stepping needs constant coefficients"),
+        (
+            {"type": "nonlinear", "m": 1, "coeffs": [[[0, "1"], [2, "1/3"]], [], [[0, "1"]]]},
+            ["fourier", "--init", "1"],
+            "coeffs[0]: transform-domain stepping needs constant coefficients",
+        ),
+        # The document is refused before --init is read.
+        (T_DEPENDENT_DOC, ["fourier"], "coeffs[1]: transform-domain stepping needs constant coefficients"),
+        (CONST_DOC, ["fourier", "--init", "1"], "type: fourier works on constant-coefficient nonlinear documents"),
+        (HARMONIC_DOC, ["galois"], "type: galois works on const_linear documents"),
+        (CONST_DOC, ["solve", "--init", "1,0"], "type: solve works on linear/nonlinear documents"),
+        (dict(CONST_DOC, solution={"lattice": ["1", "0", "-1"]}), ["residual"], "type: residual works on linear/nonlinear documents"),
+        (SQUARE_DOC, ["residual"], "solution: residual verification needs a solution block"),
+    ],
+    ids=["fourier-t-coeff", "fourier-t-in-a0", "fourier-t-before-init", "fourier-type", "galois-type", "solve-type", "residual-type", "residual-no-solution"],
+)
+def test_cli_refuses_a_document_the_command_cannot_read(tmp_path, capsys, doc, argv, message):
+    path = write_doc(tmp_path, doc)
+    code = run([argv[0], "--input", path, "--length", "4", *argv[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
     assert capsys.readouterr().out == ""
 
 

@@ -6,61 +6,60 @@ from math import factorial
 
 import pytest
 
-from starlattice import TaylorCoeffs, forward_transform
-from starlattice.fourier import ConstNonlinearOde, constrained_convolution, fourier_solution, fourier_step
+from starlattice import IndexOutOfRange, LengthMismatch, TaylorCoeffs, forward_transform, inverse_transform
+from starlattice.fourier import constrained_convolution, fourier_solution, fourier_step
 from starlattice.odes import NonlinearOde, PolyCoeff, nonlin_step
+
+
+def const_ode(m: int, *coeffs) -> NonlinearOde:
+    """z^(m) = sum_j a_j z^j with constant a_0..a_N."""
+    return NonlinearOde(m, tuple(PolyCoeff.constant(c) for c in coeffs))
 
 
 def test_linear_degenerate_case():
     # z' = z gives the scalar recurrence (n+1) zeta_{n+1} = zeta_n.
-    eq = ConstNonlinearOde(1, (Fraction(1),))
+    eq = const_ode(1, 0, 1)
     zeta = fourier_step(eq, (1,), 12)
     assert zeta.coeffs == tuple(Fraction(1, factorial(n)) for n in range(13))
 
 
 def test_square_equation_all_ones():
-    eq = ConstNonlinearOde(1, (Fraction(0), Fraction(1)))
+    eq = const_ode(1, 0, 0, 1)
     zeta = fourier_step(eq, (1,), 30)
     assert zeta.coeffs == (Fraction(1),) * 31
 
 
 def test_zero_dynamics():
-    eq = ConstNonlinearOde(1, (Fraction(0), Fraction(1)))
+    eq = const_ode(1, 0, 0, 1)
     zeta = fourier_step(eq, (0,), 8)
     assert zeta.coeffs == (Fraction(0),) * 9
 
 
 def test_inhomogeneous_term_only_at_origin():
-    # z' = b0: solution z = b0 t + c, stream (c, b0, 0, 0, ...).
-    eq = ConstNonlinearOde(1, (Fraction(0),), b0=Fraction(5, 2))
-    zeta = fourier_step(eq, (Fraction(3),), 6)
-    assert zeta.coeffs == (Fraction(3), Fraction(5, 2), 0, 0, 0, 0, 0)
+    # z' = 2z + 5/2: z = (c + 5/4) e^(2t) - 5/4, stream ((c + 5/4) 2^n / n! - 5/4 [n = 0]).
+    # b0 enters the recurrence at n = 0 only. (z' = b0 alone has a_N = 0 and is no NonlinearOde.)
+    eq = const_ode(1, Fraction(5, 2), 2)
+    zeta = fourier_step(eq, (Fraction(3),), 12)
+    scale = Fraction(3) + Fraction(5, 4)
+    assert zeta.coeffs == tuple(scale * 2**n / factorial(n) - (Fraction(5, 4) if n == 0 else 0) for n in range(13))
 
 
 def test_consistency_with_lattice_stepping():
-    cases = [
-        # (fourier eq, lattice eq, m)
-        (
-            ConstNonlinearOde(1, (Fraction(0), Fraction(1))),
-            NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), PolyCoeff.constant(1))),
-        ),
-        (
-            ConstNonlinearOde(1, (Fraction(2), Fraction(-1))),
-            NonlinearOde(1, (PolyCoeff(()), PolyCoeff.constant(2), PolyCoeff.constant(-1))),
-        ),
-        (
-            ConstNonlinearOde(2, (Fraction(1),), b0=Fraction(1, 3)),
-            NonlinearOde(2, (PolyCoeff.constant(Fraction(1, 3)), PolyCoeff.constant(1))),
-        ),
-    ]
+    # One equation object serves both routes.
     L = 30
-    for feq, leq in cases:
-        m = feq.m
-        init = tuple(Fraction(1, k + 1) for k in range(m))
-        zeta = fourier_step(feq, init, L)
-        z = forward_transform(zeta)
-        z_init = z.values[:m]
-        assert nonlin_step(leq, z_init, L) == z
+    for eq in (const_ode(1, 0, 0, 1), const_ode(1, 0, 2, -1), const_ode(2, Fraction(1, 3), 1)):
+        init = tuple(Fraction(1, k + 1) for k in range(eq.m))
+        z = forward_transform(fourier_step(eq, init, L))
+        assert nonlin_step(eq, z.values[: eq.m], L) == z
+
+
+def test_time_dependent_equation_streams_the_lattice_solution():
+    # z'' = t z + (1 - t^2/3) z^2 + 1/2: the library runs any NonlinearOde, and the
+    # stream is the inverse transform of the lattice solution of the same object.
+    a = (PolyCoeff.constant(Fraction(1, 2)), PolyCoeff(((1, 1),)), PolyCoeff(((0, 1), (2, Fraction(-1, 3)))))
+    eq = NonlinearOde(2, a)
+    zeta = inverse_transform(nonlin_step(eq, (Fraction(1, 2), Fraction(-2, 3)), 24))
+    assert fourier_step(eq, zeta.coeffs[:2], 24) == zeta
 
 
 def test_constrained_convolution_degenerate():
@@ -90,6 +89,9 @@ def test_fourier_solution_collapses_to_coefficients():
 
 
 def test_init_length_validation():
-    eq = ConstNonlinearOde(2, (Fraction(1),))
-    with pytest.raises(Exception):
+    eq = const_ode(2, 0, 1)
+    with pytest.raises(LengthMismatch, match=r"^need exactly 2 initial coefficients, got 1$"):
         fourier_step(eq, (1,), 10)
+    with pytest.raises(IndexOutOfRange, match=r"^length L=0 shorter than the 2 initial coefficients$"):
+        fourier_step(eq, (1, 2), 0)
+    assert len(fourier_step(eq, (1, 2), 1).coeffs) == 2

@@ -34,7 +34,7 @@ from starlattice import (
 )
 from starlattice.cli import run
 from starlattice.corpus import hypergeometric_case
-from starlattice.fourier import ConstNonlinearOde, constrained_convolution, fourier_step
+from starlattice.fourier import constrained_convolution, fourier_step
 from starlattice.galois import ConstLinearEq, FundamentalSystem, apply_operator, modified_wronskian
 from starlattice.odes import (
     LinearOde,
@@ -291,9 +291,9 @@ def test_sweep_fourier_stream_matches_taylor_coefficients():
         b0 = rand_rat(rng)
         L = rng.randrange(m - 1, 16)
         init = [rand_rat(rng) for _ in range(m)]
-        zeta = fourier_step(ConstNonlinearOde(m, tuple(a), b0), init, L)
-        cont = NonlinearOde(m, tuple(PolyCoeff.constant(c) for c in [b0] + a))
-        assert zeta.coeffs == taylor_solution_nonlinear(cont, init, L).coeffs
+        eq = NonlinearOde(m, tuple(PolyCoeff.constant(c) for c in [b0] + a))
+        zeta = fourier_step(eq, init, L)
+        assert zeta.coeffs == taylor_solution_nonlinear(eq, init, L).coeffs
         # The stream obeys the per-index definition through constrained_convolution.
         for n in range(L - m + 1):
             rhs = sum((a_j * constrained_convolution(zeta, j, n) for j, a_j in enumerate(a, 1)), Fraction(0))
@@ -346,7 +346,7 @@ def test_sweep_integer_solver_matches_fraction_streams():
         L = rng.randrange(m - 1, 9 if wide else 16)
         zero = i % 4 < 2
         init = [Fraction(0) if zero else rat(rng) for _ in range(m)]
-        solution = solve_newton(m, eq.coeffs, init, L)
+        solution = solve_newton(eq, init, L)
         assert all(type(w) is int for w in solution.W)
         if zero:
             assert solution.c == 1
@@ -355,9 +355,8 @@ def test_sweep_integer_solver_matches_fraction_streams():
         z = LatticeSeq(tuple(rat(rng) for _ in range(m + rng.randrange(1, 8))))
         assert nonlin_residuals(eq, z) == reference_nonlin_residuals(eq, z)
         a = tuple(rat(rng) for _ in range(eq.degree - 1)) + (rat(rng) or Fraction(1),)
-        feq = ConstNonlinearOde(m, a, rat(rng))
-        coeffs = [PolyCoeff.constant(c) for c in (feq.b0, *feq.a)]
-        assert fourier_step(feq, init, max(L, m - 1)).coeffs == tuple(reference_taylor(m, coeffs, init, max(L, m - 1)))
+        coeffs = tuple(PolyCoeff.constant(c) for c in (rat(rng), *a))
+        assert fourier_step(NonlinearOde(m, coeffs), init, L).coeffs == tuple(reference_taylor(m, coeffs, init, L))
 
 
 def test_sweep_integer_star_powers_match_the_fraction_route():

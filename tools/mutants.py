@@ -135,6 +135,90 @@ MUTANTS = (
         "common = 1",
         ("tests/test_online.py",),
     ),
+    Mutant(
+        "fourier-accepts-t-dependent-document",
+        "src/starlattice/cli.py",
+        'raise SchemaError(f"coeffs[{j}]", "transform-domain stepping needs constant coefficients")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "fourier-accepts-any-document-type",
+        "src/starlattice/cli.py",
+        'raise SchemaError("type", "fourier works on constant-coefficient nonlinear documents")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "galois-accepts-any-document-type",
+        "src/starlattice/cli.py",
+        'raise SchemaError("type", "galois works on const_linear documents")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "solve-accepts-const-linear",
+        "src/starlattice/cli.py",
+        'raise SchemaError("type", "solve works on linear/nonlinear documents")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "residual-accepts-const-linear",
+        "src/starlattice/cli.py",
+        'raise SchemaError("type", "residual works on linear/nonlinear documents")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "residual-without-solution-block",
+        "src/starlattice/cli.py",
+        'raise SchemaError("solution", "residual verification needs a solution block")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "grid-root-unchecked",
+        "src/starlattice/galois.py",
+        "return root if poly_eval(poly, root) == 0 else None",
+        "return root",
+        ("tests/test_galois.py",),
+    ),
+    Mutant(
+        "residual-short-lattice-one-off",
+        "src/starlattice/cli.py",
+        "elif len(values) < needed:",
+        "elif len(values) < needed - 1:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli-float-range-unchecked",
+        "src/starlattice/cli.py",
+        "if not cmath.isfinite(x):",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "map-solution-float-range-unchecked",
+        "src/starlattice/galois.py",
+        "if not cmath.isfinite(value):",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "nonlin-residuals-one-short",
+        "src/starlattice/odes.py",
+        "z.last_index - eq.m + 1).lattice_values()",
+        "z.last_index - eq.m).lattice_values()",
+        ("tests/test_odes.py",),
+    ),
+    Mutant(
+        "nonlin-residual-reads-one-back",
+        "src/starlattice/odes.py",
+        "w[k + eq.m]",
+        "w[k + eq.m - 1]",
+        ("tests/test_odes.py",),
+    ),
 )
 
 
