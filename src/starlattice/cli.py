@@ -163,8 +163,7 @@ def cmd_residual(args) -> int:
     if isinstance(eq, ConstLinearEq):
         raise SchemaError("type", "residual works on linear/nonlinear documents")
     kind, values = solution
-    order = eq.order if isinstance(eq, LinearOde) else eq.m
-    needed = args.length + order + 1
+    needed = args.length + eq.order + 1
     if kind == "taylor":
         residuals = taylor_residuals(eq, TaylorCoeffs(values), args.length)
     elif len(values) < needed:
@@ -183,12 +182,9 @@ def cmd_solve(args) -> int:
     eq = parse_spec(_load_document(args.input))
     if isinstance(eq, ConstLinearEq):
         raise SchemaError("type", "solve works on linear/nonlinear documents")
-    if isinstance(eq, LinearOde):
-        init = _parse_init(args.init, eq.order, "a linear equation")
-        z = lin_step(eq, init, args.length)
-    else:
-        init = _parse_init(args.init, eq.m, "a nonlinear equation")
-        z = nonlin_step(eq, init, args.length)
+    linear = isinstance(eq, LinearOde)
+    init = _parse_init(args.init, eq.order, "a linear equation" if linear else "a nonlinear equation")
+    z = (lin_step if linear else nonlin_step)(eq, init, args.length)
     _emit(_series_table("z", z.values, args), args.out)
     return 0
 
@@ -317,7 +313,7 @@ COMMANDS = {
         (
             ("--length", {**_LENGTH[1], "default": 512}),
             ("--arity", {"type": _integer(1, MAX_ARITY), "default": 3}),
-            ("--kernel-cap", {"type": int, "default": 512, "help": "largest L for the kernel route"}),
+            ("--kernel-cap", {"type": _integer(0), "default": 512, "help": "largest L for the kernel route"}),
             _FORMAT,
             _OUT,
         ),

@@ -18,7 +18,8 @@ read to `odes.solve_newton`, which runs on integer scaled Newton
 coefficients k! c E^k zeta_k and divides once per entry. With polynomial
 a_j(t) the stream is still the inverse transform of `nonlin_step`'s
 solution; only the formula above needs constant coefficients, and the CLI
-refuses any other. `constrained_convolution` and `fourier_solution` keep
+refuses any other. The initial values are checked by the one rule of
+every `odes` solver. `constrained_convolution` and `fourier_solution` keep
 the paper's literal formulas as its cross-checks.
 """
 
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, LengthMismatch
-from .odes import NonlinearOde, solve_newton
+from .odes import NonlinearOde, _initial, solve_newton
 from .rational import as_rational
 from .sequences import FourierSeq, TaylorCoeffs
 from .series import pow_trunc
@@ -44,13 +44,8 @@ def constrained_convolution(zeta, j: int, n: int) -> Fraction:
 
 
 def fourier_step(eq: NonlinearOde, zeta_init, L: int) -> FourierSeq:
-    """Coefficient stream zeta_0..zeta_L of eq from the first m values."""
-    zeta = [as_rational(v) for v in zeta_init]
-    if len(zeta) != eq.m:
-        raise LengthMismatch(f"need exactly {eq.m} initial coefficients, got {len(zeta)}")
-    if L < eq.m - 1:
-        raise IndexOutOfRange(f"length L={L} shorter than the {eq.m} initial coefficients")
-    return FourierSeq(tuple(solve_newton(eq, zeta, L).taylor_coeffs()))
+    """Coefficient stream zeta_0..zeta_L of eq from the first m values, checked by `odes._initial`."""
+    return FourierSeq(tuple(solve_newton(eq, _initial(eq, zeta_init, L, "coefficients"), L).taylor_coeffs()))
 
 
 def fourier_solution(b: TaylorCoeffs, n: int) -> Fraction:

@@ -62,24 +62,27 @@ cross-check of this one.
 `lin_residual_kernel` keeps the paper's whole-sequence route, through
 `star.monomial_star_kernel`, as the cross-check of `lin_residual`; no
 production path calls it.
+
+Both equation classes have an ``order`` N (m for a nonlinear one). Every
+solver, `fourier.fourier_step` too, takes exactly N initial values and
+L >= N - 1 through `_initial`; every residual at n reads z_0..z_{n+N}
+through `_check_index`, the tables at n = 0 too, so none is ever empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 
-from .errors import IndexOutOfRange, NotForwardSolvable, OrderTooLarge
+from .errors import IndexOutOfRange, LengthMismatch, NotForwardSolvable, OrderTooLarge
 from .rational import as_rational, coprime_fraction, over_common_denominator
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_binomial_powers
 from .star import monomial_star_kernel
 from .transforms import (
     ScaledNewton,
-    difference_rows,
     falling_factorial,
     inverse_transform,
     lattice_to_newton,
@@ -177,16 +180,38 @@ class NonlinearOde:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def order(self) -> int:
+        return self.m
+
+
+def _initial(eq: LinearOde | NonlinearOde, init, L: int, what: str) -> list[Fraction]:
+    """The order-many initial values of a route solving eq up to index L >= order - 1, as rationals.
+
+    ``what`` names them in a refusal: "values", "Taylor coefficients" or "coefficients".
+    """
+    values = [as_rational(v) for v in init]
+    if len(values) != eq.order:
+        raise LengthMismatch(f"need exactly {eq.order} initial {what}, got {len(values)}")
+    if L < eq.order - 1:
+        raise IndexOutOfRange(f"length L={L} shorter than the {eq.order} initial {what}")
+    return values
+
+
+def _check_index(eq: LinearOde | NonlinearOde, z: LatticeSeq, n: int) -> None:
+    """Refuse the residual at n unless z stores z_0..z_{n+N}, all it reads, N the order of eq."""
+    if n < 0 or n + eq.order > z.last_index:
+        raise IndexOutOfRange(f"residual at n={n} needs index {n + eq.order}, stored 0..{z.last_index}")
+
 
 def delta_power(z: LatticeSeq, l: int) -> LatticeSeq:
-    """l-fold forward difference: row l of the difference table of z."""
+    """l-fold forward difference, (Delta^l z)_n = sum_k C(n,k) w_{k+l} with w the Newton coefficients of z."""
     if l < 0:
         raise ValueError("difference order must be nonnegative")
     if l > z.last_index:
         raise OrderTooLarge(f"difference order {l} exceeds stored range 0..{z.last_index}")
-    if l == 0:
-        return z
-    return LatticeSeq(tuple(next(islice(difference_rows(z.values), l, None))))
+    D, Z = over_common_denominator(z.values)
+    return LatticeSeq(tuple(ScaledNewton(D, 1, tuple(lattice_to_newton(Z)[l:])).lattice_values()))
 
 
 @dataclass(frozen=True)
@@ -259,20 +284,16 @@ def lin_residual(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
     stencil reads only the entries n-p..n-p+l of each term;
     `lin_residual_kernel` is the whole-sequence cross-check.
     """
-    N = eq.order
-    if n < 0 or n + N > z.last_index:
-        raise IndexOutOfRange(f"residual at n={n} needs index {n + N}, stored 0..{z.last_index}")
+    _check_index(eq, z, n)
     stencil = _LinearStencil.of(eq)
     start = max(0, n - stencil.reach)
-    D, Z = over_common_denominator(z.values[start : n + N + 1])
+    D, Z = over_common_denominator(z.values[start : n + eq.order + 1])
     return Fraction(stencil.scaled_residual(Z, start, n, D), D * stencil.E)
 
 
 def lin_residual_kernel(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
     """`lin_residual` by the paper's route: `delta_power` and `monomial_star_kernel` over the whole sequence."""
-    N = eq.order
-    if n < 0 or n + N > z.last_index:
-        raise IndexOutOfRange(f"residual at n={n} needs index {n + N}, stored 0..{z.last_index}")
+    _check_index(eq, z, n)
     acc = Fraction(0)
     for l, a_l in enumerate(eq.coeffs):
         if a_l.is_zero:
@@ -286,10 +307,11 @@ def lin_residual_kernel(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
 def lin_residuals(eq: LinearOde, z: LatticeSeq) -> list[Fraction]:
     """Residuals for every index with all needed entries stored, on Z = z * D with D the common denominator of z.
 
-    One integer stencil sum per index, divided once by D E. The Taylor
-    route of `taylor_residuals` never runs the stencil, so this is its
-    independent cross-check.
+    One integer stencil sum per index, divided once by D E; a z too short
+    for n = 0 is refused. The Taylor route of `taylor_residuals` never runs
+    the stencil, so this is its independent cross-check.
     """
+    _check_index(eq, z, 0)
     stencil = _LinearStencil.of(eq)
     D, Z = over_common_denominator(z.values)
     return [Fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(z.last_index - eq.order + 1)]
@@ -342,8 +364,7 @@ def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNe
 
 def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
     """(Delta^m z)_n minus the star image of the right-hand side at n."""
-    if n < 0 or n + eq.m > z.last_index:
-        raise IndexOutOfRange(f"residual at n={n} needs index {n + eq.m}, stored 0..{z.last_index}")
+    _check_index(eq, z, n)
     D, Z = over_common_denominator(z.values[: n + eq.m + 1])
     defect = _nonlin_residual_newton(eq, D, lattice_to_newton(Z), n + 1)
     # The defect has E = 1, so S_n = sum_l C(n, l) rho_l over the nonzero head of rho.
@@ -355,7 +376,8 @@ def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
 
 
 def nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:
-    """Residuals for every index with all needed entries stored, from the Newton coefficients of z * D."""
+    """Residuals for every index with all needed entries stored, from the Newton coefficients of z * D; never empty."""
+    _check_index(eq, z, 0)
     D, Z = over_common_denominator(z.values)
     return _nonlin_residual_newton(eq, D, lattice_to_newton(Z), z.last_index - eq.m + 1).lattice_values()
 
@@ -377,11 +399,11 @@ def taylor_residuals(eq: LinearOde | NonlinearOde, b: TaylorCoeffs, length: int)
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    linear = isinstance(eq, LinearOde)
-    needed = length + (eq.order if linear else eq.m) + 1
+    needed = length + eq.order + 1
     newton = taylor_newton(b, needed - 1)
     W = list(newton.W) + [0] * (needed - len(newton.W))
-    defect = (_lin_residual_newton if linear else _nonlin_residual_newton)(eq, newton.c, W, length + 1)
+    residual_newton = _lin_residual_newton if isinstance(eq, LinearOde) else _nonlin_residual_newton
+    defect = residual_newton(eq, newton.c, W, length + 1)
     return defect.lattice_values()
 
 
@@ -404,11 +426,7 @@ def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
     N = eq.order
     if eq.coeffs[-1].constant_term == 0:
         raise NotForwardSolvable("a_N(0) = 0: the recurrence does not determine z_{n+N}")
-    values = [as_rational(v) for v in init]
-    if len(values) != N:
-        raise ValueError(f"need exactly {N} initial values, got {len(values)}")
-    if L < N - 1:
-        raise IndexOutOfRange(f"length L={L} shorter than the {N} initial values")
+    values = _initial(eq, init, L, "values")
     stencil = _LinearStencil.of(eq)
     s = stencil.rows[0][1][N]  # E a_N(0), the weight of the unknown z_{n+N} in the row of p = 0
     sign, s = (-1, s) if s > 0 else (1, -s)
@@ -463,13 +481,7 @@ def nonlin_step(eq: NonlinearOde, init, L: int) -> LatticeSeq:
     their Newton coefficients; `solve_newton` extends them to zeta_0..zeta_L
     and maps them back to z_0..z_L.
     """
-    m = eq.m
-    values = [as_rational(v) for v in init]
-    if len(values) != m:
-        raise ValueError(f"need exactly {m} initial values, got {len(values)}")
-    if L < m - 1:
-        raise IndexOutOfRange(f"length L={L} shorter than the {m} initial values")
-    zeta = inverse_transform(LatticeSeq(values)).coeffs
+    zeta = inverse_transform(LatticeSeq(_initial(eq, init, L, "values"))).coeffs
     return LatticeSeq(tuple(solve_newton(eq, zeta, L).lattice_values()))
 
 
@@ -497,9 +509,7 @@ def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
     lead = eq.coeffs[-1].constant_term
     if lead == 0:
         raise NotForwardSolvable("a_N(0) = 0: origin is a singular point of the equation")
-    b = [as_rational(v) for v in init]
-    if len(b) != N:
-        raise ValueError(f"need exactly {N} initial Taylor coefficients, got {len(b)}")
+    b = _initial(eq, init, L, "Taylor coefficients")
     for s in range(L - N + 1):
         acc = eq.c0.coefficient(s)
         for l, a_l in enumerate(eq.coeffs):
@@ -512,15 +522,12 @@ def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
                 acc += coeff * b[k] * falling_factorial(k, l)
         unknown_weight = lead * falling_factorial(s + N, N)
         b.append(-acc / unknown_weight)
-    return TaylorCoeffs(tuple(b[: L + 1]))
+    return TaylorCoeffs(tuple(b))
 
 
 def taylor_solution_nonlinear(eq: NonlinearOde, init, L: int) -> TaylorCoeffs:
     """Power-series solution of z^(m) = sum_j a_j(t) z^j from m initial coefficients."""
-    b = [as_rational(v) for v in init]
-    if len(b) != eq.m:
-        raise ValueError(f"need exactly {eq.m} initial Taylor coefficients, got {len(b)}")
-    return TaylorCoeffs(tuple(solve_newton(eq, b, L).taylor_coeffs()[: L + 1]))
+    return TaylorCoeffs(tuple(solve_newton(eq, _initial(eq, init, L, "Taylor coefficients"), L).taylor_coeffs()))
 
 
 def solve_newton(eq: NonlinearOde, zeta_init, L: int) -> ScaledNewton:

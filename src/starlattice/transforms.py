@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import factorial, perm
-from operator import mul, sub
+from operator import mul
 
 from .rational import over_common_denominator
 from .sequences import FourierSeq, LatticeSeq, TaylorCoeffs
@@ -67,18 +67,6 @@ def recip_factorial(k: int) -> Fraction:
     return Fraction(1, factorial(k))
 
 
-def difference_rows(values):
-    """Rows Delta^0 z, Delta^1 z, ... of the forward-difference table, for `odes.delta_power`.
-
-    Row l has len(values) - l entries; only the current row is held, so
-    reading row l costs O(len) memory, not the whole table.
-    """
-    row = list(values)
-    while row:
-        yield row
-        row = list(map(sub, islice(row, 1, None), row))
-
-
 def lattice_to_newton(z) -> list:
     """Newton coefficients w_l = (Delta^l z)_0 for l = 0..len(z)-1, by anti-diagonals of the difference table.
 
@@ -86,11 +74,11 @@ def lattice_to_newton(z) -> list:
     A_n[l] = A_n[l-1] - A_{n-1}[l-1] and w_n = A_n[n]. With the signs
     G_n = (-1)^n A_n the subtraction becomes a running sum,
     G_n[l] = G_n[l-1] + G_{n-1}[l-1], one C-level `accumulate` per n.
-    Every entry is the same single difference as in `difference_rows`, up
-    to an exact negation, so integers, rationals and surds give the same
-    values; float rounding is symmetric in sign, so every nonzero float
-    keeps its bits and only a zero may differ in sign (x + (-x) is +0.0
-    whatever the sign of x).
+    Every entry is the same single difference as in the row-by-row table
+    (each row the differences of the one above), up to an exact negation,
+    so integers, rationals and surds give the same values; float rounding
+    is symmetric in sign, so every nonzero float keeps its bits and only a
+    zero may differ in sign (x + (-x) is +0.0 whatever the sign of x).
     """
     out, diagonal = [], []
     for n, z_n in enumerate(z):

@@ -340,6 +340,8 @@ def test_cli_rejects_zero_arity(capsys):
         ["corpus", "--length", str(cli.MAX_SOLVE_LENGTH + 1)],
         # the kernel route recurses arity - 1 deep, so a huge arity is refused too
         ["bench", "--length", "2", "--arity", str(cli.MAX_ARITY + 1)],
+        # a negative cap once ran with exit 0 and silently skipped the kernel route
+        ["bench", "--length", "8", "--kernel-cap", "-1"],
     ],
 )
 def test_cli_refuses_bad_option_in_one_line(tmp_path, capsys, argv):

@@ -9,12 +9,14 @@ import pytest
 from starlattice import (
     IndexOutOfRange,
     LatticeSeq,
+    LengthMismatch,
     NotForwardSolvable,
     OrderTooLarge,
     TaylorCoeffs,
     inverse_transform,
     taylor_to_lattice,
 )
+from starlattice.fourier import fourier_step
 from starlattice.odes import (
     LinearOde,
     NonlinearOde,
@@ -124,6 +126,37 @@ def test_lin_residual_index_guard():
     z = LatticeSeq((0, 1, 2))
     with pytest.raises(IndexOutOfRange):
         lin_residual(eq, z, 1)
+
+
+SQUARE_2 = NonlinearOde(2, (PolyCoeff(()), PolyCoeff(()), ONE))  # z'' = z^2
+
+
+def test_residual_tables_refuse_a_sequence_with_no_complete_window():
+    # An empty table would pass every "all residuals vanish" check while checking nothing.
+    z = LatticeSeq((1, 2))
+    for table, eq in ((lin_residuals, harmonic()), (nonlin_residuals, SQUARE_2)):
+        with pytest.raises(IndexOutOfRange, match=r"^residual at n=0 needs index 2, stored 0\.\.1$"):
+            table(eq, z)
+        assert len(table(eq, LatticeSeq((1, 2, 3)))) == 1
+
+
+@pytest.mark.parametrize(
+    "solve, eq, noun",
+    [
+        (lin_step, harmonic(), "values"),
+        (taylor_solution_linear, harmonic(), "Taylor coefficients"),
+        (nonlin_step, SQUARE_2, "values"),
+        (taylor_solution_nonlinear, SQUARE_2, "Taylor coefficients"),
+        (fourier_step, SQUARE_2, "coefficients"),
+    ],
+    ids=["lin_step", "taylor_solution_linear", "nonlin_step", "taylor_solution_nonlinear", "fourier_step"],
+)
+def test_every_solver_route_checks_its_initial_data_alike(solve, eq, noun):
+    with pytest.raises(LengthMismatch, match=rf"^need exactly 2 initial {noun}, got 1$"):
+        solve(eq, (1,), 5)
+    with pytest.raises(IndexOutOfRange, match=rf"^length L=0 shorter than the 2 initial {noun}$"):
+        solve(eq, (1, 2), 0)
+    assert len(solve(eq, (1, 2), 1)) == 2
 
 
 def test_lin_step_harmonic_flagship():

@@ -22,7 +22,7 @@ from starlattice import (
 from starlattice.floatmode import geometric_lattice
 from starlattice.galois import QuadExt
 from starlattice.odes import delta_power
-from starlattice.transforms import ScaledNewton, difference_rows, lattice_to_newton, newton_to_lattice
+from starlattice.transforms import ScaledNewton, lattice_to_newton, newton_to_lattice
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
@@ -249,8 +249,12 @@ def test_scaled_newton_readouts_ignore_trailing_zeros():
 
 
 def row_lattice_to_newton(z) -> list:
-    """Reference: w_l = (Delta^l z)_0, the leading entry of each row of the difference table."""
-    return [row[0] for row in difference_rows(z)]
+    """Reference: w_l = (Delta^l z)_0, the leading entry of each row of the difference table, row by row."""
+    row, out = list(z), []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
 
 
 def row_newton_to_lattice(w, E: int = 1, length: int | None = None) -> list:

@@ -219,6 +219,27 @@ MUTANTS = (
         "w[k + eq.m - 1]",
         ("tests/test_odes.py",),
     ),
+    Mutant(
+        "initial-count-unchecked",
+        "src/starlattice/odes.py",
+        "if len(values) != eq.order:",
+        "if False:",
+        ("tests/test_odes.py",),
+    ),
+    Mutant(
+        "initial-length-unchecked",
+        "src/starlattice/odes.py",
+        "if L < eq.order - 1:",
+        "if False:",
+        ("tests/test_odes.py",),
+    ),
+    Mutant(
+        "lin-residuals-table-unguarded",
+        "src/starlattice/odes.py",
+        "_check_index(eq, z, 0)\n    stencil = _LinearStencil.of(eq)",
+        "stencil = _LinearStencil.of(eq)",
+        ("tests/test_odes.py",),
+    ),
 )
 
 
