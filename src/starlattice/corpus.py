@@ -27,7 +27,7 @@ from math import comb, factorial
 from .errors import GammaPole, PochhammerPole, SingularAtOrigin
 from .rational import as_rational, format_rational, over_common_denominator
 from .sequences import TaylorCoeffs
-from .series import mul_trunc, reciprocal_trunc
+from .series import mul_trunc, pow_trunc, reciprocal_trunc
 from .odes import LinearOde, NonlinearOde, PolyCoeff, taylor_residuals, taylor_solution_linear
 from .transforms import ScaledNewton, falling_factorial, taylor_to_lattice
 
@@ -268,11 +268,7 @@ def jacobi_polynomial(m: int, alpha: Fraction, beta: Fraction) -> list[Fraction]
     half_plus = [Fraction(1, 2), Fraction(1, 2)]  # (t+1)/2
     total = [Fraction(0)] * (m + 1)
     for s in range(m + 1):
-        term = [Fraction(1)]
-        for _ in range(s):
-            term = mul_trunc(term, half_minus, m)
-        for _ in range(m - s):
-            term = mul_trunc(term, half_plus, m)
+        term = mul_trunc(pow_trunc(half_minus, s, m), pow_trunc(half_plus, m - s, m), m)
         w = _binomial_general(m + alpha, m - s) * _binomial_general(m + beta, s)
         for i, c in enumerate(term):
             total[i] += w * c

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import ConstraintViolation, IndexOutOfRange, NotADeltaOperator, NotInvertible
+from .errors import ConstraintViolation, IndexOutOfRange, NotInvertible
 from .rational import as_rational
 from .sequences import LatticeSeq
 from .series import compose_trunc, poly_eval, poly_shift
@@ -74,9 +74,7 @@ def validate_stencil(s: DeltaStencil, max_order: int) -> int:
     moment = sum((a * (k + s.l) for k, a in enumerate(s.alphas)), Fraction(0))
     if moment != 1:
         raise ConstraintViolation(f"first moment must be 1, got {moment}")
-    coeffs = symbol_coefficients(s, max_order)
-    if coeffs[1] != 1:
-        raise NotADeltaOperator(f"symbol starts with {coeffs[1]}*v instead of v")
+    coeffs = symbol_coefficients(s, max_order)  # coeffs[1] is the first moment, so the symbol starts with v
     order = max_order
     for j in range(2, max_order + 1):
         if coeffs[j] != 0:

@@ -15,10 +15,6 @@ class ConstraintViolation(StarLatticeError):
     """A stencil breaks one of its defining constraints."""
 
 
-class NotADeltaOperator(StarLatticeError):
-    """The symbol expansion of a stencil does not start with the derivative."""
-
-
 class NotInvertible(StarLatticeError):
     """A formal series with vanishing linear coefficient has no compositional inverse."""
 

@@ -1,10 +1,10 @@
 """Float evaluation paths, used only for benchmarking.
 
 Verification stays exact elsewhere; nothing here feeds back into it. The
-convolution route runs the Newton maps of `transforms` and the Cauchy
-product of `series` on floats. They are the very maps the exact paths run:
-the difference table and the Pascal rule only add and subtract, so they
-form no factorial or binomial. Both are prefix sums in C, the difference
+convolution route runs the Newton maps of `transforms`, the very maps the
+exact paths run, and between them the Cauchy power `series.pow_trunc` on
+floats. The difference table and the Pascal rule only add and subtract, so
+they form no factorial or binomial. Both are prefix sums in C, the difference
 table by signed anti-diagonals and the Pascal rule by columns, so each
 float entry is one IEEE addition, with the bits of the row-by-row table
 (an exactly cancelled zero Newton coefficient may come out as -0.0). Only
@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from operator import mul
 
-from .series import mul_trunc
+from .series import pow_trunc
 from .transforms import lattice_to_newton, newton_to_lattice
 
 
@@ -37,9 +37,7 @@ def star_power_convolution(z: list[float], p: int) -> list[float]:
     for l in range(1, len(zeta)):
         fact *= l
         zeta[l] /= fact
-    acc = zeta
-    for _ in range(p - 1):
-        acc = mul_trunc(acc, zeta, len(zeta) - 1)
+    acc = pow_trunc(zeta, p, len(zeta) - 1)
     # back to w_l = l! * acc_l, index 0 included: an entry the product
     # skipped as zero is still the exact Fraction(0) and must become 0.0
     fact = 1.0
@@ -50,7 +48,10 @@ def star_power_convolution(z: list[float], p: int) -> list[float]:
 
 
 def star_power_kernel(z: list[float], p: int) -> list[float]:
-    """Literal tuple sum over the closed kernel; slow by design."""
+    """Literal tuple sum over the closed kernel; slow by design, and a timing subject only.
+
+    Its alternating sum cancels: at p = 3 on the geometric 0.6 input it is off by about 1e-11 at L = 10, 1 at L = 30.
+    """
     if p < 1:
         raise ValueError("arity must be at least 1")
     L = len(z) - 1

@@ -18,17 +18,16 @@ read to `odes.solve_newton`, which runs on integer scaled Newton
 coefficients k! c E^k zeta_k and divides once per entry. With polynomial
 a_j(t) the stream is still the inverse transform of `nonlin_step`'s
 solution; only the formula above needs constant coefficients, and the CLI
-refuses any other. The initial values are checked by the one rule of
-every `odes` solver. `constrained_convolution` and `fourier_solution` keep
-the paper's literal formulas as its cross-checks.
+refuses any other. `solve_newton` checks the initial values, as for every
+`odes` solver. `constrained_convolution` (through `series.pow_trunc`) and
+`fourier_solution` keep the paper's literal formulas as its cross-checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .odes import NonlinearOde, _initial, solve_newton
-from .rational import as_rational
+from .odes import NonlinearOde, solve_newton
 from .sequences import FourierSeq, TaylorCoeffs
 from .series import pow_trunc
 from .transforms import recip_factorial
@@ -36,16 +35,14 @@ from .transforms import recip_factorial
 
 def constrained_convolution(zeta, j: int, n: int) -> Fraction:
     """conv_j at index n: sum_s [x^s] Z(x)^(j-1) * zeta_{n-s}, Z the prefix zeta_0..zeta_n."""
-    if j == 1:
-        return as_rational(zeta[n])
     head = [zeta[l] for l in range(n + 1)]
     power = pow_trunc(head, j - 1, n)
     return sum((power[s] * head[n - s] for s in range(n + 1)), Fraction(0))
 
 
 def fourier_step(eq: NonlinearOde, zeta_init, L: int) -> FourierSeq:
-    """Coefficient stream zeta_0..zeta_L of eq from the first m values, checked by `odes._initial`."""
-    return FourierSeq(tuple(solve_newton(eq, _initial(eq, zeta_init, L, "coefficients"), L).taylor_coeffs()))
+    """Coefficient stream zeta_0..zeta_L of eq from the first m values, checked by `odes.solve_newton`."""
+    return FourierSeq(tuple(solve_newton(eq, zeta_init, L).taylor_coeffs()))
 
 
 def fourier_solution(b: TaylorCoeffs, n: int) -> Fraction:

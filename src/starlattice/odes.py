@@ -40,9 +40,8 @@ once per equation, scaled to integers and summed per power of t, so index n
 costs one integer dot product per power; `lin_step`, `lin_residual` and
 `lin_residuals` all evaluate through it. The nonlinear residuals are the
 Newton-space defect of the recurrence that `solve_newton` solves, scaled to
-integers and read out through `transforms.ScaledNewton` like the solution;
-`nonlin_residual` needs one entry only, so it takes it as a binomial dot
-product over the nonzero head of the defect instead of a Pascal table.
+integers and read out through `transforms.ScaledNewton` like the solution,
+`nonlin_residual` included: it reads the last entry of the table up to n.
 Both evaluators run on the equation scaled once to integer coefficients and
 on the sequence scaled to integer numerators over one denominator, and
 divide once per index.
@@ -341,8 +340,9 @@ def _lin_residual_newton(eq: LinearOde, D: int, W, count: int) -> ScaledNewton:
 def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNewton:
     """The residuals at n = 0..count-1 as scaled Newton coefficients rho_k with c = D^N E.
 
-    w are the integer Newton coefficients of D z, at least count + m of them;
-    N is the degree and E the common denominator of the coefficients. The
+    w are the integer Newton coefficients of D z, at least count of them,
+    read as zero past their end; N is the degree and E the common
+    denominator of the coefficients. The
     residuals have the Newton coefficients rho_k / (D^N E), where the bracket in
     rho_k = E D^(N-1) w_{k+m} - [D^N k! G_k + sum C_{j,p} D^(N-j) (k)_p (w^(*j))_{k-p}]
     is `solve_newton`'s right-hand side.
@@ -357,7 +357,8 @@ def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNe
     rho, k_factorial = [], 1
     for k in range(count):
         extend_binomial_powers(w, powers)
-        rho.append(form.E * scale[1] * w[k + eq.m] - _newton_rhs(gamma, terms, sources, k, k_factorial))
+        ahead = w[k + eq.m] if k + eq.m < len(w) else 0
+        rho.append(form.E * scale[1] * ahead - _newton_rhs(gamma, terms, sources, k, k_factorial))
         k_factorial *= k + 1
     return ScaledNewton(scale[0] * form.E, 1, tuple(rho))
 
@@ -366,13 +367,7 @@ def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
     """(Delta^m z)_n minus the star image of the right-hand side at n."""
     _check_index(eq, z, n)
     D, Z = over_common_denominator(z.values[: n + eq.m + 1])
-    defect = _nonlin_residual_newton(eq, D, lattice_to_newton(Z), n + 1)
-    # The defect has E = 1, so S_n = sum_l C(n, l) rho_l over the nonzero head of rho.
-    S, binomial = 0, 1
-    for l, rho in enumerate(defect.head()):
-        S += binomial * rho
-        binomial = binomial * (n - l) // (l + 1)
-    return Fraction(S, defect.c)
+    return _nonlin_residual_newton(eq, D, lattice_to_newton(Z), n + 1).lattice_values()[n]
 
 
 def nonlin_residuals(eq: NonlinearOde, z: LatticeSeq) -> list[Fraction]:
@@ -388,8 +383,8 @@ def taylor_residuals(eq: LinearOde | NonlinearOde, b: TaylorCoeffs, length: int)
     The same rationals as `lin_residuals` or `nonlin_residuals` of
     `taylor_to_lattice(b, length + order)`, and like it this reads only
     b_0..b_{length+order}, but the lattice image of b is never formed: the
-    integers W_k = k! D b_k of `transforms.taylor_newton`, zero-padded past
-    a polynomial prefix, are the Newton coefficients of D z, and both kinds
+    integers W_k = k! D b_k of `transforms.taylor_newton`, zero past a
+    polynomial prefix, are the Newton coefficients of D z, and both kinds
     of equation evaluate a Newton-space defect on them. Since the forward
     map is a functor, F(t^p g^(l))_n = (n)_p (Delta^l F g)_{n-p}, the
     residual table of F b is F R, R the continuous residual of b, so the
@@ -401,8 +396,10 @@ def taylor_residuals(eq: LinearOde | NonlinearOde, b: TaylorCoeffs, length: int)
         raise ValueError("length must be nonnegative")
     needed = length + eq.order + 1
     newton = taylor_newton(b, needed - 1)
-    W = list(newton.W) + [0] * (needed - len(newton.W))
-    residual_newton = _lin_residual_newton if isinstance(eq, LinearOde) else _nonlin_residual_newton
+    linear = isinstance(eq, LinearOde)
+    # The nonlinear defect reads W_{k+m} as zero past W, so m never sizes a list.
+    W = list(newton.W) + [0] * (length + 1 + (eq.order if linear else 0) - len(newton.W))
+    residual_newton = _lin_residual_newton if linear else _nonlin_residual_newton
     defect = residual_newton(eq, newton.c, W, length + 1)
     return defect.lattice_values()
 
@@ -533,8 +530,9 @@ def taylor_solution_nonlinear(eq: NonlinearOde, init, L: int) -> TaylorCoeffs:
 def solve_newton(eq: NonlinearOde, zeta_init, L: int) -> ScaledNewton:
     """Solve eq, z^(m) = sum_{j=0}^N a_j(t) z^j, for zeta_0..zeta_L on integers.
 
-    ``zeta_init`` holds the m coefficients zeta_0..zeta_{m-1}; `nonlin_step`,
-    `taylor_solution_nonlinear` and `fourier.fourier_step` all solve here.
+    ``zeta_init`` holds the m coefficients zeta_0..zeta_{m-1}, checked by
+    `_initial`; `nonlin_step`, `taylor_solution_nonlinear` and
+    `fourier.fourier_step` all solve here.
     Multiplying coefficient k of the equation by k! turns the Cauchy powers
     of zeta into binomial powers of w_k = k! zeta_k:
 
@@ -558,10 +556,11 @@ def solve_newton(eq: NonlinearOde, zeta_init, L: int) -> ScaledNewton:
     integers alone and divides nowhere.
     """
     m, coeffs = eq.m, eq.coeffs
-    zeta = [as_rational(v) for v in zeta_init]
+    zeta = _initial(eq, zeta_init, L, "coefficients")
     c = lcm(*(x.denominator for x in zeta))
-    a0 = [(r, c * g) for r, g in coeffs[0].monomials]
-    rest = [(j, p, a / c ** (j - 1)) for j, a_j in enumerate(coeffs[1:], 1) for p, a in a_j.monomials]
+    # A power r > L - m first enters W_{r+m}, past W_L, so it never sizes E or E^(m+r-1).
+    a0 = [(r, c * g) for r, g in coeffs[0].monomials if r <= L - m]
+    rest = [(j, p, a / c ** (j - 1)) for j, a_j in enumerate(coeffs[1:], 1) for p, a in a_j.monomials if p <= L - m]
     E = lcm(*(x.denominator for _, x in a0), *(x.denominator for _, _, x in rest))
     # E x is an integer for each x above, and every exponent m + r - 1, m + p - 1 is >= 0.
     gamma = {r: (x * E).numerator * E ** (m + r - 1) for r, x in a0}

@@ -32,6 +32,9 @@ class _Entries:
 
     _slot: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, self._slot, _coerce(self._items()))
+
     def _items(self) -> tuple[Fraction, ...]:
         return getattr(self, self._slot)
 
@@ -65,23 +68,14 @@ class LatticeSeq(_Entries):
     values: tuple[Fraction, ...]
     _slot = "values"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _coerce(self.values))
-
 
 @dataclass(frozen=True)
 class FourierSeq(_Entries):
     coeffs: tuple[Fraction, ...]
     _slot = "coeffs"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce(self.coeffs))
-
 
 @dataclass(frozen=True)
 class TaylorCoeffs(_Entries):
     coeffs: tuple[Fraction, ...]
     _slot = "coeffs"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce(self.coeffs))

@@ -3,9 +3,9 @@
 Coefficient lists are indexed by power (index 0 = constant term). The
 truncated series and polynomial routines stay in `Fraction` arithmetic;
 truncation degree D means coefficients 0..D are kept. `mul_trunc` only
-adds and multiplies its inputs, so the float route in `floatmode` runs it
-on floats as well, between the two shared Newton maps of `transforms`; an
-entry it never accumulates into stays the exact `Fraction(0)`.
+adds and multiplies its inputs, so the float route in `floatmode` runs
+`pow_trunc` on floats as well, between the two shared Newton maps of
+`transforms`; an entry it never accumulates into stays the exact `Fraction(0)`.
 
 `extend_binomial_powers` is the one exact star-power loop. It works on
 Newton coefficients w_k = k! zeta_k, where the Cauchy product of
@@ -13,8 +13,10 @@ coefficient series becomes the binomial convolution sum_i C(k,i) u_i v_{k-i}
 (the falling-factorial basis is of binomial type). Its weights are
 integers, so its callers (`odes.solve_newton`, the nonlinear residuals and
 `star.star_power`) keep their powers on integers and never normalise a
-fraction per index. `pow_trunc` serves the `fourier.constrained_convolution`
-oracle.
+fraction per index. `pow_trunc`, the one power on series coefficients,
+serves `floatmode`, `corpus` and the `fourier.constrained_convolution`
+oracle: floats cannot take binomial weights, as C(k, k/2) leaves the
+double range near k = 1030.
 """
 
 from __future__ import annotations
@@ -43,19 +45,15 @@ def mul_trunc(a: list[Fraction], b: list[Fraction], D: int) -> list[Fraction]:
 
 
 def pow_trunc(a: list[Fraction], e: int, D: int) -> list[Fraction]:
-    """a(x)^e modulo x^(D+1) by repeated squaring; never multiplies by the unit series."""
+    """a(x)^e modulo x^(D+1) as e - 1 successive products res * a, no squaring; the unit series for e = 0."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     if e == 0:
         return [Fraction(1)] + [Fraction(0)] * D
-    res = None
     base = list(a[: D + 1]) + [Fraction(0)] * (D + 1 - len(a))
-    while e:
-        if e & 1:
-            res = base if res is None else mul_trunc(res, base, D)
-        e >>= 1
-        if e:
-            base = mul_trunc(base, base, D)
+    res = base
+    for _ in range(e - 1):
+        res = mul_trunc(res, base, D)
     return res
 
 

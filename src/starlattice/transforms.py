@@ -39,6 +39,7 @@ lattice readouts cut the zero tail of W before the Pascal rule.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -150,21 +151,18 @@ class ScaledNewton:
             denominator *= (k + 1) * self.E
         return out
 
-    def head(self) -> tuple[int, ...]:
-        """W without its zero tail: every lattice readout reads W as zero past its end."""
-        K = len(self.W)
-        while K and not self.W[K - 1]:
-            K -= 1
-        return self.W[:K]
-
     def lattice_numerators(self, length: int | None = None) -> list[int]:
         """S_n = c E^n z_n for n < length (default len(W)): the Pascal rule `newton_to_lattice(W, E, length)`.
 
-        The rule runs on the `head` of W, so the numerators of K nonzero
-        leading entries cost O(length K), and an all-zero W, such as the
-        defect of an exact solution, costs no Pascal step at all.
+        The rule reads W as zero past its end, so it runs on W without its
+        zero tail: the numerators of K nonzero leading entries cost
+        O(length K), and an all-zero W, such as the defect of an exact
+        solution, costs no Pascal step at all.
         """
-        return newton_to_lattice(self.head(), self.E, len(self.W) if length is None else length)
+        K = len(self.W)
+        while K and not self.W[K - 1]:
+            K -= 1
+        return newton_to_lattice(self.W[:K], self.E, len(self.W) if length is None else length)
 
     def lattice_values(self, length: int | None = None) -> list[Fraction]:
         """z_n = S_n / (c E^n) for n < length (default len(W)), with S the `lattice_numerators`."""
@@ -195,7 +193,7 @@ def taylor_newton(b: TaylorCoeffs, L: int) -> ScaledNewton:
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    D, B = over_common_denominator(list(islice(b, L + 1)))
+    D, B = over_common_denominator(list(islice(b, min(L + 1, sys.maxsize))))  # no sequence holds more
     W = map(mul, B, accumulate(range(1, len(B)), mul, initial=1))  # k! D b_k
     return ScaledNewton(D, 1, tuple(W))
 

@@ -16,7 +16,7 @@ import pytest
 import test_fixtures as fixture_cases
 
 import starlattice
-from starlattice import IndexOutOfRange, RootCertificationError, SchemaError, StarLatticeError
+from starlattice import IndexOutOfRange, RootCertificationError, SchemaError, StarLatticeError, TaylorCoeffs, taylor_to_lattice
 from starlattice import cli, galois
 from starlattice.cli import run
 from starlattice.galois import ConstLinearEq, verify_fundamental
@@ -584,6 +584,35 @@ def test_cli_galois_refuses_float_roots_before_verifying(tmp_path, monkeypatch, 
     assert captured.err == (
         "error: --mode: equation has non-exact roots; rerun with --mode float or --allow-float-roots\n"
     )
+
+
+def test_cli_solve_leaves_out_a_monomial_past_the_requested_length(tmp_path, capsys):
+    # t^(10^18) first reaches index 10^18 + 1, so --length 5 prints the stream of the
+    # document without it, at once, instead of forming a power E^(10^18).
+    plain = {"type": "nonlinear", "m": 1, "coeffs": [[[0, "1/3"]], [[0, "1"]]]}
+    high = {"type": "nonlinear", "m": 1, "coeffs": [[[0, "1/3"], [10**18, "1/2"]], [[0, "1"]]]}
+    outputs = []
+    for doc in (plain, high):
+        assert run(["solve", "--input", write_doc(tmp_path, doc), "--length", "5", "--init", "1"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    assert outputs[0].err == "" and len(outputs[0].out.splitlines()) == 7
+
+
+@pytest.mark.parametrize("m", [10**12, 10**19])
+def test_cli_taylor_residual_with_a_huge_order_reads_the_prefix_as_zero_beyond(tmp_path, capsys, m):
+    # z^(m) = 1 + z on the prefix 1 + 2t + t^2/3: residual n reads b_{n+m}, zero past the
+    # prefix, so the table is that of the lattice image at m = 50, where every entry is stored.
+    doc = {"type": "nonlinear", "m": m, "coeffs": [[[0, "1"]], [[0, "1"]]], "solution": {"taylor": ["1", "2", "1/3"]}}
+    lattice = [str(v) for v in taylor_to_lattice(TaylorCoeffs((1, 2, Fraction(1, 3))), 4 + 50).values]
+    outputs = []
+    for document in (doc, dict(doc, m=50, solution={"lattice": lattice})):
+        code = run(["residual", "--input", write_doc(tmp_path, document), "--length", "4"])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    code, captured = outputs[0]
+    assert code == 1 and captured.err == ""
+    assert captured.out.splitlines()[-4:] == ["1,-4", "2,-20/3", "3,-10", "4,-14"]
 
 
 def test_cli_residual_reads_only_the_entries_it_reports(tmp_path, monkeypatch, capsys):

@@ -31,6 +31,7 @@ from starlattice.odes import (
     nonlin_residuals,
     nonlin_step,
     taylor_solution_linear,
+    solve_newton,
     taylor_solution_nonlinear,
 )
 
@@ -148,8 +149,9 @@ def test_residual_tables_refuse_a_sequence_with_no_complete_window():
         (nonlin_step, SQUARE_2, "values"),
         (taylor_solution_nonlinear, SQUARE_2, "Taylor coefficients"),
         (fourier_step, SQUARE_2, "coefficients"),
+        (lambda eq, init, L: solve_newton(eq, init, L).W, SQUARE_2, "coefficients"),
     ],
-    ids=["lin_step", "taylor_solution_linear", "nonlin_step", "taylor_solution_nonlinear", "fourier_step"],
+    ids=["lin_step", "taylor_solution_linear", "nonlin_step", "taylor_solution_nonlinear", "fourier_step", "solve_newton"],
 )
 def test_every_solver_route_checks_its_initial_data_alike(solve, eq, noun):
     with pytest.raises(LengthMismatch, match=rf"^need exactly 2 initial {noun}, got 1$"):
@@ -157,6 +159,23 @@ def test_every_solver_route_checks_its_initial_data_alike(solve, eq, noun):
     with pytest.raises(IndexOutOfRange, match=rf"^length L=0 shorter than the 2 initial {noun}$"):
         solve(eq, (1, 2), 0)
     assert len(solve(eq, (1, 2), 1)) == 2
+
+
+def test_solve_newton_leaves_out_powers_past_the_last_index():
+    # z' = 1/3 + z + z^2 plus (1/2) t^r z: W_{k+1} reads t^r only from k = r on, so at L = 5
+    # r = 5 changes nothing, not even E (6 with it, 3 without), while r = 4 reaches W_5.
+    L = 5
+    base = solve_newton(NonlinearOde(1, (PolyCoeff.constant(Fraction(1, 3)), ONE, ONE)), (1,), L)
+
+    def with_power(r):
+        linear = PolyCoeff(((0, Fraction(1)), (r, Fraction(1, 2))))
+        return solve_newton(NonlinearOde(1, (PolyCoeff.constant(Fraction(1, 3)), linear, ONE)), (1,), L)
+
+    assert base.E == with_power(L).E == 3
+    assert with_power(L).taylor_coeffs() == base.taylor_coeffs()
+    assert with_power(L).lattice_values() == base.lattice_values()
+    assert with_power(L - 1).taylor_coeffs()[:L] == base.taylor_coeffs()[:L]
+    assert with_power(L - 1).taylor_coeffs()[L] == base.taylor_coeffs()[L] + Fraction(1, 2 * L)
 
 
 def test_lin_step_harmonic_flagship():
@@ -194,6 +213,12 @@ def test_nonlin_residual_trivial():
     eq = NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), ONE))
     z = LatticeSeq((0,) * 6)
     assert nonlin_residuals(eq, z) == [0] * 5  # one residual per n = 0..5 - m
+
+
+def test_nonlin_residual_is_entry_n_of_the_table():
+    # z' = z^2 steps 1, 2, 5, 16, 65; a last entry 60 puts the defect -5 at n = 3 only.
+    eq, z = square_eq(), LatticeSeq((1, 2, 5, 16, 60))
+    assert nonlin_residuals(eq, z) == [nonlin_residual(eq, z, n) for n in range(4)] == [0, 0, 0, -5]
 
 
 def test_nonlin_step_square_equation():

@@ -96,8 +96,8 @@ MUTANTS = (
     Mutant(
         "taylor-residuals-pad-one-short",
         "src/starlattice/odes.py",
-        "W = list(newton.W) + [0] * (needed - len(newton.W))",
-        "W = list(newton.W) + [0] * (needed - 1 - len(newton.W))",
+        "W = list(newton.W) + [0] * (length + 1 + (eq.order if linear else 0) - len(newton.W))",
+        "W = list(newton.W) + [0] * (length + (eq.order if linear else 0) - len(newton.W))",
         ("tests/test_online.py", "tests/test_corpus.py"),
     ),
     Mutant(
@@ -239,6 +239,20 @@ MUTANTS = (
         "_check_index(eq, z, 0)\n    stencil = _LinearStencil.of(eq)",
         "stencil = _LinearStencil.of(eq)",
         ("tests/test_odes.py",),
+    ),
+    Mutant(
+        "nonlin-residual-readout-one-back",
+        "src/starlattice/odes.py",
+        "lattice_values()[n]",
+        "lattice_values()[n - 1]",
+        ("tests/test_odes.py",),
+    ),
+    Mutant(
+        "nonlin-defect-reads-past-the-prefix",
+        "src/starlattice/odes.py",
+        "w[k + eq.m] if k + eq.m < len(w) else 0",
+        "w[k + eq.m] if k + eq.m < len(w) else 1",
+        ("tests/test_cli.py",),
     ),
 )
 
