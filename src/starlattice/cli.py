@@ -119,11 +119,10 @@ def _parse_init(text: str | None, count: int, what: str) -> tuple[Fraction, ...]
 
 
 def _series_table(name: str, values, args) -> str:
+    cells = [_render(v, args.mode, name, n) for n, v in enumerate(values)]
     if args.format == "csv":
-        return _csv_text(["n", name], [[n, _render(v, args.mode, name, n)] for n, v in enumerate(values)])
-    return _json_text(
-        {"command": args.command, name: [_render(v, args.mode, name, n) for n, v in enumerate(values)]}
-    )
+        return _csv_text(["n", name], list(enumerate(cells)))
+    return _json_text({"command": args.command, name: cells})
 
 
 def cmd_discretize(args) -> int:

@@ -361,7 +361,7 @@ def run_corpus(length: int = 20) -> dict:
         flat = [r for table in tables for r in table]
         passed = all(r == 0 for r in flat)
         all_pass = all_pass and passed
-        worst = max((abs(r) for r in flat), default=Fraction(0))
+        worst = Fraction(0) if passed else max(map(abs, flat))
         report_cases.append(
             {
                 "name": case.name,

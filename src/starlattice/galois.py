@@ -31,12 +31,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, frexp, inf, isqrt, lcm, ldexp, log2, perm, pi, prod
+from math import factorial, floor, frexp, gcd, inf, isqrt, lcm, ldexp, log2, perm, pi, prod
 from operator import mul
 
 from .errors import FloatOverflow, IndexOutOfRange, RootCertificationError, SingularSystem
 from .odes import LinearOde, PolyCoeff, local_stencil
-from .rational import as_rational, format_rational, over_common_denominator
+from .rational import as_rational, coprime_fraction, format_rational, over_common_denominator, reduced_fraction
 from .series import poly_deflate, poly_derivative, poly_divmod, poly_eval, poly_gcd, poly_trim
 from .transforms import lattice_to_newton
 
@@ -515,7 +515,11 @@ def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
     with x_{k+1} = u x_k + (w d) y_k and y_{k+1} = w x_k + u y_k, a
     Lucas-type recurrence on plain integers (D. H. Lehmer, Ann. of Math. 31,
     1930): entry n is (n)_j (x_{n-j} + y_{n-j} sqrt(d)) / T^(n-j), one
-    `Fraction` per part and no field product. Float roots take each power
+    `Fraction` per part and no field product. For a rational root u/T is in
+    lowest terms, so x_k = u^k is prime to T^k and only (n)_j can share a
+    factor with T^k: entry n is reduced by g = gcd((n)_j, T^k), a gcd
+    against a small number (u = 0 only with T = 1). The parts of a surd
+    entry each take a `reduced_fraction`. Float roots take each power
     from complex `pow`; an entry that leaves the double range raises
     ``FloatOverflow``, naming the root and the index.
     """
@@ -541,9 +545,10 @@ def map_solution(root: RootDatum, j: int, L: int) -> tuple[Scalar, ...]:
     for n in range(j, L + 1):
         c = perm(n, j)
         if surd:
-            values.append(QuadExt(Fraction(c * x, scale), Fraction(c * y, scale), d))
+            values.append(QuadExt(reduced_fraction(c * x, scale), reduced_fraction(c * y, scale), d))
         else:
-            values.append(Fraction(c * x, scale))
+            g = gcd(c, scale)
+            values.append(coprime_fraction(c // g * x, scale // g))
         x, y, scale = u * x + wd * y, w * x + u * y, scale * T
     return tuple(values)
 

@@ -76,7 +76,7 @@ from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 
 from .errors import IndexOutOfRange, LengthMismatch, NotForwardSolvable, OrderTooLarge
-from .rational import as_rational, coprime_fraction, over_common_denominator
+from .rational import as_rational, coprime_fraction, over_common_denominator, reduced_fraction
 from .sequences import LatticeSeq, TaylorCoeffs
 from .series import extend_binomial_powers
 from .star import monomial_star_kernel
@@ -287,7 +287,7 @@ def lin_residual(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
     stencil = _LinearStencil.of(eq)
     start = max(0, n - stencil.reach)
     D, Z = over_common_denominator(z.values[start : n + eq.order + 1])
-    return Fraction(stencil.scaled_residual(Z, start, n, D), D * stencil.E)
+    return reduced_fraction(stencil.scaled_residual(Z, start, n, D), D * stencil.E)
 
 
 def lin_residual_kernel(eq: LinearOde, z: LatticeSeq, n: int) -> Fraction:
@@ -313,7 +313,7 @@ def lin_residuals(eq: LinearOde, z: LatticeSeq) -> list[Fraction]:
     _check_index(eq, z, 0)
     stencil = _LinearStencil.of(eq)
     D, Z = over_common_denominator(z.values)
-    return [Fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(z.last_index - eq.order + 1)]
+    return [reduced_fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(z.last_index - eq.order + 1)]
 
 
 def _lin_residual_newton(eq: LinearOde, D: int, W, count: int) -> ScaledNewton:
@@ -493,7 +493,7 @@ def local_stencil(eq: LinearOde) -> tuple[Fraction, ...] | None:
         return None
     stencil = _LinearStencil.of(eq)
     ((_, weights),) = stencil.rows  # weights[j] multiplies z_{n+j}
-    return tuple(Fraction(w, stencil.E) for w in reversed(weights))
+    return tuple(reduced_fraction(w, stencil.E) for w in reversed(weights))
 
 
 def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:

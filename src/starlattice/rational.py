@@ -5,10 +5,17 @@ which already guarantees the canonical invariants (positive denominator,
 reduced to lowest terms). Floats are rejected at the boundary so that no
 inexact value can leak into an exact computation. Hot exact kernels put a
 list of rationals over one common denominator and work on the integer
-numerators, dividing once at the end. A kernel that has already reduced
-its quotient builds it with `coprime_fraction`, which skips the gcd that
-`Fraction` would run again; this module is the only one that reaches into
-the `Fraction` slots.
+numerators, dividing once at the end.
+
+An integer pair becomes a `Fraction` through one of two constructors, so
+each quotient is reduced once and only where a factor can cancel (the
+classical rule for rational arithmetic: P. Henrici, J. ACM 3, 1956; Knuth,
+TAOCP Vol. 2, 4.5.1). `reduced_fraction` runs one gcd, and none for a zero
+numerator, which gets a shared exact zero: the entries of a vanishing
+residual table cost no gcd at all. `coprime_fraction` runs none, for a
+caller that knows its pair is already in lowest terms. `parse_rational`
+reads a literal through `reduced_fraction`. This module is the only one
+that reaches into the `Fraction` slots.
 """
 
 from __future__ import annotations
@@ -16,13 +23,13 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import RationalParseError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 # Longest digit string a literal may hold. CPython 3.11 refuses int(str) past
 # 4300 digits; `decimal` converts past that, at a cost that grows like the
 # square of the length: 0.5 s for 10^5 digits and 49 s for 10^6 on one core
@@ -42,17 +49,17 @@ def _parse_int(digits: str, text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (q > 0) into an exact rational."""
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    """Parse "p" or "p/q" (q > 0) into an exact rational, in lowest terms by one gcd."""
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if match is None:
         raise RationalParseError(f"not a rational literal: {text!r}")
-    num, _, den = s.partition("/")
-    if not den:
-        return Fraction(_parse_int(num, text))
+    num, den = match.groups()
+    if den is None:
+        return coprime_fraction(_parse_int(num, text), 1)
     q = _parse_int(den, text)
     if q == 0:
         raise RationalParseError(f"zero denominator: {text!r}")
-    return Fraction(_parse_int(num, text), q)
+    return reduced_fraction(_parse_int(num, text), q)
 
 
 def format_rational(value: Fraction) -> str:
@@ -96,6 +103,22 @@ def coprime_fraction(numerator: int, denominator: int) -> Fraction:
     value._numerator = numerator
     value._denominator = denominator
     return value
+
+
+_ZERO = Fraction(0)
+
+
+def reduced_fraction(numerator: int, denominator: int) -> Fraction:
+    """The `Fraction` numerator/denominator for denominator > 0, by one gcd and none for a zero numerator.
+
+    Equal to `Fraction(numerator, denominator)` in value, type, hash and
+    string, without its argument dispatch. Every zero is one shared exact
+    `Fraction(0)`, which is safe since a `Fraction` is immutable.
+    """
+    if not numerator:
+        return _ZERO
+    g = gcd(numerator, denominator)
+    return coprime_fraction(numerator // g, denominator // g)
 
 
 def format_float(value: float) -> str:

@@ -33,12 +33,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_rational_at(value, path: str) -> Fraction:
-    _require(isinstance(value, str), path, "rationals must be strings like \"p/q\"")
-    try:
-        return parse_rational(value)
-    except Exception as exc:
-        raise SchemaError(path, str(exc)) from exc
+def _parse_rational_at(value, path: str, index: int | None = None) -> Fraction:
+    """One rational entry; the label ``path[index]`` is formatted only when the entry is refused."""
+    cause = None
+    if not isinstance(value, str):
+        message = "rationals must be strings like \"p/q\""
+    else:
+        try:
+            return parse_rational(value)
+        except Exception as exc:
+            message, cause = str(exc), exc
+    raise SchemaError(path if index is None else f"{path}[{index}]", message) from cause
+
+
+def _parse_rationals(values: list, path: str) -> tuple[Fraction, ...]:
+    return tuple(_parse_rational_at(v, path, i) for i, v in enumerate(values))
 
 
 def _parse_poly(value, path: str) -> PolyCoeff:
@@ -67,10 +76,7 @@ def parse_solution(document: dict) -> tuple[str, tuple[Fraction, ...]] | None:
     kind = next(iter(keys))
     values = block[kind]
     _require(isinstance(values, list) and values, f"solution.{kind}", "must be a nonempty list")
-    parsed = tuple(
-        _parse_rational_at(v, f"solution.{kind}[{i}]") for i, v in enumerate(values)
-    )
-    return kind, parsed
+    return kind, _parse_rationals(values, f"solution.{kind}")
 
 
 def parse_spec(document) -> Equation:
@@ -93,8 +99,7 @@ def parse_spec(document) -> Equation:
     if kind == "const_linear":
         coeffs = document.get("coeffs")
         _require(isinstance(coeffs, list) and coeffs, "coeffs", "must be a nonempty list")
-        a = tuple(_parse_rational_at(v, f"coeffs[{i}]") for i, v in enumerate(coeffs))
-        return ConstLinearEq(a)
+        return ConstLinearEq(_parse_rationals(coeffs, "coeffs"))
 
     coeffs = document.get("coeffs")
     _require(isinstance(coeffs, list) and len(coeffs) >= 2, "coeffs", "must list a_0..a_N, N >= 1")

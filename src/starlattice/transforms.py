@@ -27,12 +27,13 @@ difference table.
 The exact maps run on integers: the falling-factorial basis is of binomial
 type, so a rational sequence needs one common denominator, and
 `ScaledNewton` holds the integers W_k = k! c E^k zeta_k together with the
-readouts that divide once per entry. `taylor_newton` builds W_k = k! D b_k,
-which `taylor_to_lattice` reads out as lattice values; the residual tables
-of a Taylor solution (`odes.taylor_residuals`) evaluate a Newton-space
-defect on W instead and read out only the defect, which is zero for a
-series solution. `inverse_transform` takes W from the difference table of
-D z_n. The star powers, the nonlinear solver, the residual defects and the
+readouts that divide once per entry, each quotient a `reduced_fraction`:
+one gcd per nonzero entry and none for a zero one. `taylor_newton` builds
+W_k = k! D b_k, which `taylor_to_lattice` reads out as lattice values; the
+residual tables of a Taylor solution (`odes.taylor_residuals`) evaluate a
+Newton-space defect on W instead and read out only the defect, which is
+zero for a series solution. `inverse_transform` takes W from the
+difference table of D z_n. The star powers, the nonlinear solver, the residual defects and the
 Jacobi shifted form read their integers out through the same class, whose
 lattice readouts cut the zero tail of W before the Pascal rule.
 """
@@ -46,7 +47,7 @@ from itertools import accumulate, islice
 from math import factorial, perm
 from operator import mul
 
-from .rational import over_common_denominator
+from .rational import coprime_fraction, over_common_denominator, reduced_fraction
 from .sequences import FourierSeq, LatticeSeq, TaylorCoeffs
 
 
@@ -65,7 +66,7 @@ def recip_factorial(k: int) -> Fraction:
     """
     if k < 0:
         return Fraction(0)
-    return Fraction(1, factorial(k))
+    return coprime_fraction(1, factorial(k))
 
 
 def lattice_to_newton(z) -> list:
@@ -136,7 +137,9 @@ class ScaledNewton:
 
     w_k = k! zeta_k = W_k / (c E^k) are the Newton coefficients (Delta^k z)_0
     of the lattice sequence z whose transform coefficients are zeta. Both
-    readouts divide once per entry.
+    readouts divide once per entry through `reduced_fraction`, so an entry
+    costs one gcd, and a zero entry, such as each one of the defect of an
+    exact solution, costs none.
     """
 
     c: int
@@ -147,7 +150,7 @@ class ScaledNewton:
         """zeta_k = W_k / (k! c E^k): the transform, equally the Taylor, coefficients."""
         out, denominator = [], self.c
         for k, w in enumerate(self.W):
-            out.append(Fraction(w, denominator))
+            out.append(reduced_fraction(w, denominator))
             denominator *= (k + 1) * self.E
         return out
 
@@ -168,7 +171,7 @@ class ScaledNewton:
         """z_n = S_n / (c E^n) for n < length (default len(W)), with S the `lattice_numerators`."""
         out, denominator = [], self.c
         for s in self.lattice_numerators(length):
-            out.append(Fraction(s, denominator))
+            out.append(reduced_fraction(s, denominator))
             denominator *= self.E
         return out
 

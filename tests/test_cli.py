@@ -75,6 +75,18 @@ def test_parse_spec_rejects_bad_rational():
     with pytest.raises(SchemaError) as err:
         parse_spec(bad)
     assert "coeffs[1]" in str(err.value)
+    # The first bad entry of a list is named, whatever makes it bad and whatever follows it.
+    for values, message in (
+        (["1", "2", "3/0", "x"], "solution.taylor[2]: zero denominator: '3/0'"),
+        (["1", 2, "x"], 'solution.taylor[1]: rationals must be strings like "p/q"'),
+        (["1/2", "1/3", "1_0"], "solution.taylor[2]: not a rational literal: '1_0'"),
+    ):
+        with pytest.raises(SchemaError) as err:
+            parse_solution({"solution": {"taylor": values}})
+        assert str(err.value) == message
+    with pytest.raises(SchemaError) as err:
+        parse_spec({"type": "const_linear", "coeffs": ["1", "-2/4", None]})
+    assert str(err.value) == 'coeffs[2]: rationals must be strings like "p/q"'
 
 
 def test_parse_spec_rejects_unknown_field():

@@ -10,7 +10,10 @@ the mark of a route selected by name: each oracle is a function of its own.
 every exact map divides its Newton-space integers back through
 `transforms.ScaledNewton`. Only `rational` names the private `Fraction`
 slots `_numerator` and `_denominator`, in `coprime_fraction`, the one place
-that builds a `Fraction` without its gcd. Every module imports only the standard library
+that builds a `Fraction` without its gcd. `transforms`, `odes`,
+`galois.map_solution` and `rational.parse_rational` call `Fraction` with
+no integer pair: their quotients go through `rational.reduced_fraction`
+(one gcd) or `coprime_fraction`. Every module imports only the standard library
 and the package itself, and no test imports numpy. No check imports the
 modules. Every edit in the mutation list of `tools/mutants.py` still
 applies to exactly one place, so the list cannot go stale unnoticed.
@@ -119,6 +122,21 @@ def test_only_rational_touches_the_fraction_slots():
     assert naming == ["rational.py"]
 
 
+def test_exact_readouts_build_no_fraction_from_an_integer_pair():
+    scopes = {"transforms.py": None, "odes.py": None, "galois.py": "map_solution", "rational.py": "parse_rational"}
+    pairs = []
+    for name, function in scopes.items():
+        tree = _tree(PACKAGE / name)
+        if function is not None:
+            (tree,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+        pairs += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _names(node.func) == {"Fraction"} and len(node.args) == 2
+        ]
+    assert pairs == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_imports_only_the_standard_library(path):
     # The package has no runtime dependency: every import is stdlib or the package itself.
@@ -149,7 +167,7 @@ def test_every_listed_mutant_applies_to_exactly_one_place():
         spec.loader.exec_module(mutants)
     finally:
         del sys.modules[spec.name]
-    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 30
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 34
     for m in mutants.MUTANTS:
         assert (root / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
         assert m.tests and all((root / t.partition("::")[0]).is_file() for t in m.tests), m.name

@@ -254,6 +254,34 @@ MUTANTS = (
         "w[k + eq.m] if k + eq.m < len(w) else 1",
         ("tests/test_cli.py",),
     ),
+    Mutant(
+        "reduced-fraction-skips-gcd",
+        "src/starlattice/rational.py",
+        "g = gcd(numerator, denominator)",
+        "g = 1",
+        ("tests/test_rational.py",),
+    ),
+    Mutant(
+        "parse-rational-skips-gcd",
+        "src/starlattice/rational.py",
+        "return reduced_fraction(_parse_int(num, text), q)",
+        "return coprime_fraction(_parse_int(num, text), q)",
+        ("tests/test_rational.py::test_parse_rational_table",),
+    ),
+    Mutant(
+        "corpus-worst-scan-inverted",
+        "src/starlattice/corpus.py",
+        "worst = Fraction(0) if passed else",
+        "worst = Fraction(0) if not passed else",
+        ("tests/test_corpus.py::test_run_corpus_fails_a_perturbed_case_and_the_cli_exits_1",),
+    ),
+    Mutant(
+        "map-solution-rational-unreduced",
+        "src/starlattice/galois.py",
+        "g = gcd(c, scale)",
+        "g = 1",
+        ("tests/test_galois.py::test_seeded_sweep_integer_recurrence_matches_the_running_product",),
+    ),
 )
 
 
