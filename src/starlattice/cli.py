@@ -130,7 +130,7 @@ def cmd_discretize(args) -> int:
     equation = to_document(eq)
     payload = {"command": "discretize", "equation": equation, "kind": equation["type"]}
     if isinstance(eq, NonlinearOde):
-        constant = all(p == 0 for poly in eq.coeffs for p, _ in poly.monomials)
+        constant = all(poly.is_constant for poly in eq.coeffs)
         payload |= {"m": eq.m, "degree": eq.degree, "local_stencil": None, "nonlocal": eq.degree >= 2 or not constant}
     else:
         stencil = local_stencil(eq.as_linear_ode() if isinstance(eq, ConstLinearEq) else eq)
@@ -193,7 +193,7 @@ def cmd_fourier(args) -> int:
     if not isinstance(eq, NonlinearOde):
         raise SchemaError("type", "fourier works on constant-coefficient nonlinear documents")
     for j, poly in enumerate(eq.coeffs):
-        if any(power != 0 for power, _ in poly.monomials):
+        if not poly.is_constant:
             raise SchemaError(f"coeffs[{j}]", "transform-domain stepping needs constant coefficients")
     init = _parse_init(args.init, eq.m, "the coefficient recurrence")
     zeta = fourier_step(eq, init, args.length)

@@ -11,18 +11,18 @@ float entry is one IEEE addition, with the bits of the row-by-row table
 the scaling between Newton and series coefficients forms l!, which leaves
 double range past l = 170.
 
-The direct power route evaluates the closed kernel term-by-term over all
-index tuples, exactly like its exact counterpart; per-tuple weights are
-built as binomial chains to avoid bare factorials. Its cost is
+The direct power route is the exact oracle's tuple sum over the closed
+kernel, `star.closed_kernel_sum`, run on floats: the same binomial chains
+off a float Pascal table, so no bare factorial is formed. Its cost is
 O(L^(p+1))-ish by construction, which is the point of the benchmark.
 """
 
 from __future__ import annotations
 
 import time
-from operator import mul
 
 from .series import pow_trunc
+from .star import closed_kernel_sum
 from .transforms import lattice_to_newton, newton_to_lattice
 
 
@@ -48,46 +48,13 @@ def star_power_convolution(z: list[float], p: int) -> list[float]:
 
 
 def star_power_kernel(z: list[float], p: int) -> list[float]:
-    """Literal tuple sum over the closed kernel; slow by design, and a timing subject only.
+    """`star.closed_kernel_sum` on floats; slow by design, and a timing subject only.
 
     Its alternating sum cancels: at p = 3 on the geometric 0.6 input it is off by about 1e-11 at L = 10, 1 at L = 30.
     """
     if p < 1:
         raise ValueError("arity must be at least 1")
-    L = len(z) - 1
-    y = [(-z[k] if k % 2 else z[k]) for k in range(L + 1)]
-    # binomial rows and last-level weights C(r, k) * (p-1)^(r-k)
-    binom = [[0.0] * (L + 1) for _ in range(L + 1)]
-    for r in range(L + 1):
-        binom[r][0] = 1.0
-        for k in range(1, r + 1):
-            binom[r][k] = binom[r - 1][k - 1] + (binom[r - 1][k] if k <= r - 1 else 0.0)
-    base = float(p - 1)
-    weights = [[0.0] * (r + 1) for r in range(L + 1)]
-    for r in range(L + 1):
-        pw = 1.0
-        for k in range(r, -1, -1):
-            weights[r][k] = binom[r][k] * pw
-            pw *= base
-    out = []
-    for n in range(L + 1):
-        total = 0.0
-
-        def rec(level: int, rem: int, chain: float) -> float:
-            if level == p - 1:
-                wrow = weights[rem]
-                return chain * sum(map(mul, y[: rem + 1], wrow))
-            crow = binom[rem]
-            acc = 0.0
-            for k in range(rem + 1):
-                yk = y[k]
-                if yk != 0.0:
-                    acc += rec(level + 1, rem - k, chain * crow[k] * yk)
-            return acc
-
-        total = rec(0, n, 1.0)
-        out.append(-total if n % 2 else total)
-    return out
+    return closed_kernel_sum(z, p, 1.0)
 
 
 def geometric_lattice(ratio: float, length: int) -> list[float]:

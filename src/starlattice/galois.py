@@ -135,11 +135,21 @@ class QuadExt:
         )
 
 
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The rational r >= 0 with r^2 = x, or None when x is not a rational square."""
+    num, den = isqrt(max(x.numerator, 0)), isqrt(x.denominator)
+    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
+
+
 def _lift(value, d: Fraction) -> QuadExt:
+    """value in Q(sqrt(d)); a surd of e with e / d = r^2, r > 0 rational, is b sqrt(e) = (b r) sqrt(d)."""
     if isinstance(value, QuadExt):
-        if value.d != d and value.b != 0:
+        if value.d == d or value.b == 0:
+            return QuadExt(value.a, value.b, d)
+        r = _rational_sqrt(value.d / d)
+        if r is None:
             raise ValueError(f"mixed extensions sqrt({value.d}) and sqrt({d})")
-        return QuadExt(value.a, value.b, d)
+        return QuadExt(value.a, value.b * r, d)
     return QuadExt(as_rational(value), Fraction(0), d)
 
 
@@ -456,9 +466,9 @@ def _factor_roots(poly: list[Fraction]) -> list[Scalar]:
         c0, c1, c2 = poly
         beta, gamma = c1 / c2, c0 / c2
         disc = beta * beta - 4 * gamma
-        sqrt_num, sqrt_den = isqrt(max(disc.numerator, 0)), isqrt(disc.denominator)
-        if sqrt_num**2 == disc.numerator and sqrt_den**2 == disc.denominator:
-            roots += [(-beta + sign * Fraction(sqrt_num, sqrt_den)) / 2 for sign in (1, -1)]
+        root = _rational_sqrt(disc)
+        if root is not None:
+            roots += [(-beta + sign * root) / 2 for sign in (1, -1)]
         else:
             roots += [QuadExt(-beta / 2, sign, disc) for sign in (Fraction(1, 2), Fraction(-1, 2))]
     return roots
@@ -616,19 +626,17 @@ def _det(rows: list[list]) -> Scalar:
 def _common_field(values: list) -> list:
     """Lift to a common field: rationals, one quadratic extension, or complex.
 
-    An exact value beyond the double range has no complex lift and raises
-    FloatOverflow.
+    Surds of d and e lie in one field when e / d is a rational square; they
+    are lifted into Q(sqrt(d)), d that of the first surd. An exact value
+    beyond the double range has no complex lift and raises FloatOverflow.
     """
-    ds = {v.d for v in values if isinstance(v, QuadExt)}
-    if len(ds) > 1 or any(isinstance(v, complex) for v in values):
-        try:
-            return [complex(v) for v in values]
-        except OverflowError:
-            raise FloatOverflow("an exact value leaves the double range when converted to complex") from None
-    if ds:
-        d = ds.pop()
-        return [_lift(v, d) for v in values]
-    return values
+    ds = [v.d for v in values if isinstance(v, QuadExt)]
+    if not any(isinstance(v, complex) for v in values) and all(e == ds[0] or _rational_sqrt(e / ds[0]) for e in ds):
+        return [_lift(v, ds[0]) for v in values] if ds else values
+    try:
+        return [complex(v) for v in values]
+    except OverflowError:
+        raise FloatOverflow("an exact value leaves the double range when converted to complex") from None
 
 
 def modified_wronskian(sys: FundamentalSystem) -> Scalar:

@@ -126,6 +126,11 @@ class PolyCoeff:
     def is_zero(self) -> bool:
         return not self.monomials
 
+    @property
+    def is_constant(self) -> bool:
+        """Whether no power of t occurs: the zero polynomial counts as constant."""
+        return all(power == 0 for power, _ in self.monomials)
+
     def coefficient(self, power: int) -> Fraction:
         """Coefficient of t^power; a zero is built only when the power is absent."""
         for p, coeff in self.monomials:
@@ -489,7 +494,7 @@ def local_stencil(eq: LinearOde) -> tuple[Fraction, ...] | None:
     recurrence sum_l a_l Delta^l z_n = 0, the one row of `_LinearStencil`
     over E; the returned tuple is descending in the shift.
     """
-    if any(p != 0 for a in eq.coeffs for p, _ in a.monomials):
+    if not all(a.is_constant for a in eq.coeffs):
         return None
     stencil = _LinearStencil.of(eq)
     ((_, weights),) = stencil.rows  # weights[j] multiplies z_{n+j}

@@ -3,12 +3,16 @@
 The product is defined on the falling-factorial basis by p_i * p_j = p_{i+j};
 on coefficients it is the Cauchy convolution, so `star_power` runs
 inverse-transform, convolve, forward-transform. Its oracle
-`star_power_kernel` evaluates the closed-form power kernel
+`star_power_kernel` sums the closed-form power kernel
 
     K(n; k_1..k_p) = (-1)^n n! (p-1)^(n-s) / (n-s)!,   s = k_1+...+k_p <= n,
 
-and a literal multi-sum over shift indices serves as the kernel's own
-oracle; `monomial_star_kernel` is likewise the oracle of `monomial_star`.
+over every index tuple. That sum, `closed_kernel_sum`, is written once for
+any scalar: binomial chains off one Pascal table, int weights for exact
+input, and `floatmode.star_power_kernel` runs it on floats as the slow
+timing subject of `bench`. A literal multi-sum over shift indices serves as
+the kernel's own oracle; `monomial_star_kernel` is likewise the oracle of
+`monomial_star`.
 Everything is triangular: entry n of any product depends only on entries
 0..n of the factors, so truncation at a common length is exact.
 `star_power` runs on integers: the Newton coefficients of D z (D the common
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add, mul
 
 from .errors import ArityZero, LengthMismatch
 from .rational import over_common_denominator
@@ -85,29 +90,49 @@ def star_power(z: LatticeSeq, p: int) -> LatticeSeq:
     return LatticeSeq(tuple(ScaledNewton(D**p, 1, tuple(powers[-1] if powers else w)).lattice_values()))
 
 
+def closed_kernel_sum(z, p: int, one) -> list:
+    """z^(*p) summed over every index tuple of the closed kernel, in the scalar of ``one``.
+
+    With y_k = (-1)^k z_k, K turns entry n into (-1)^n times the sum over
+    k_1 + ... + k_p <= n of the multinomial n! / (k_1! ... k_p! (n-s)!),
+    times (p-1)^(n-s) y_(k_1) ... y_(k_p). The multinomial is a chain of
+    binomials C(r, k) off one Pascal table, r the budget left, and the last
+    level is one dot product with the weights C(r, k) (p-1)^(r-k); a zero
+    y_k prunes its subtree. ``one`` is 1 for exact input (int weights) or
+    1.0 for floats, whose table comes from the same additions, so an
+    oversized one holds inf rather than raising.
+    """
+    L = len(z) - 1
+    y = [-v if k % 2 else v for k, v in enumerate(z)]
+    binom = [[one]]
+    for _ in range(L):
+        row = binom[-1]
+        binom.append([one, *map(add, row, row[1:]), one])
+    powers = [one]
+    for _ in range(L):
+        powers.append(powers[-1] * (p - 1))
+    weights = [list(map(mul, row, reversed(powers[: r + 1]))) for r, row in enumerate(binom)]
+
+    def tuple_sum(level: int, rem: int, chain):
+        if level == p - 1:
+            return chain * sum(map(mul, y[: rem + 1], weights[rem]))
+        crow = binom[rem]
+        acc = 0 * one
+        for k in range(rem + 1):
+            yk = y[k]
+            if yk:
+                acc += tuple_sum(level + 1, rem - k, chain * crow[k] * yk)
+        return acc
+
+    totals = [tuple_sum(0, n, one) for n in range(L + 1)]
+    return [-total if n % 2 else total for n, total in enumerate(totals)]
+
+
 def star_power_kernel(z: LatticeSeq, p: int) -> LatticeSeq:
     """p-fold star power summed over the closed kernel: the oracle of `star_power`."""
     if p < 1:
         raise ArityZero("star power needs arity >= 1; the unit is the all-ones sequence")
-    L = z.last_index
-    scaled = [z[k] * recip_factorial(k) * (-1 if k % 2 else 1) for k in range(L + 1)]
-    out = []
-    for n in range(L + 1):
-        total = Fraction(0)
-
-        def rec(level: int, budget: int, prod: Fraction) -> None:
-            nonlocal total
-            if level == p:
-                s = n - budget
-                total += prod * (p - 1) ** budget * falling_factorial(n, s)
-            else:
-                for k in range(budget + 1):
-                    if scaled[k]:
-                        rec(level + 1, budget - k, prod * scaled[k])
-
-        rec(0, n, Fraction(1))
-        out.append(total if n % 2 == 0 else -total)
-    return LatticeSeq(tuple(out))
+    return LatticeSeq(tuple(closed_kernel_sum(z.values, p, 1)))
 
 
 def star_kernel_closed(args: StarKernelArgs) -> Fraction:

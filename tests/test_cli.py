@@ -381,8 +381,19 @@ T_DEPENDENT_DOC = {"type": "nonlinear", "m": 1, "coeffs": [[], [[1, "1"]], [[0, 
         (CONST_DOC, ["solve", "--init", "1,0"], "type: solve works on linear/nonlinear documents"),
         (dict(CONST_DOC, solution={"lattice": ["1", "0", "-1"]}), ["residual"], "type: residual works on linear/nonlinear documents"),
         (SQUARE_DOC, ["residual"], "solution: residual verification needs a solution block"),
+        (HARMONIC_DOC, ["solve", "--init", "1"], "--init: expected 2 values, got 1"),
     ],
-    ids=["fourier-t-coeff", "fourier-t-in-a0", "fourier-t-before-init", "fourier-type", "galois-type", "solve-type", "residual-type", "residual-no-solution"],
+    ids=[
+        "fourier-t-coeff",
+        "fourier-t-in-a0",
+        "fourier-t-before-init",
+        "fourier-type",
+        "galois-type",
+        "solve-type",
+        "residual-type",
+        "residual-no-solution",
+        "solve-init-count",
+    ],
 )
 def test_cli_refuses_a_document_the_command_cannot_read(tmp_path, capsys, doc, argv, message):
     path = write_doc(tmp_path, doc)
@@ -882,3 +893,30 @@ def test_cli_bench_csv_bytes(monkeypatch, capsys):
         "64,3,2.5000000000000001e-05,9.9999999999999995e-07,False\n"
         "512,3,0.25,,\n"
     )
+
+
+def test_cli_bench_json_bytes(monkeypatch, capsys):
+    # json.dumps writes the floats by repr, None as null and the bools as true/false.
+    rows = [
+        {"length": 8, "arity": 3, "convolution_seconds": 0.00123, "kernel_seconds": 0.5, "kernel_slower": True},
+        {"length": 64, "arity": 3, "convolution_seconds": 2.5e-05, "kernel_seconds": 1e-06, "kernel_slower": False},
+        {"length": 512, "arity": 3, "convolution_seconds": 0.25, "kernel_seconds": None, "kernel_slower": None},
+    ]
+    monkeypatch.setattr(cli, "bench_star_power", lambda p, sizes, kernel_cap: rows)
+    assert run(["bench", "--length", "8", "--format", "json"]) == 0
+    entries = [
+        (8, "0.00123", "0.5", "true"),
+        (64, "2.5e-05", "1e-06", "false"),
+        (512, "0.25", "null", "null"),
+    ]
+    body = ",\n".join(
+        "    {\n"
+        '      "arity": 3,\n'
+        f'      "convolution_seconds": {conv},\n'
+        f'      "kernel_seconds": {kernel},\n'
+        f'      "kernel_slower": {slower},\n'
+        f'      "length": {length}\n'
+        "    }"
+        for length, conv, kernel, slower in entries
+    )
+    assert capsys.readouterr().out == '{\n  "command": "bench",\n  "rows": [\n' + body + "\n  ]\n}\n"

@@ -16,8 +16,12 @@ a non-unit leading coefficient with a t^2 term, a t-term on z' and an
 inhomogeneity) by the code before the integer stencil of `lin_step`, and
 the `--mode float` tables of `residual` and `fourier` (`hermite-residual-float`,
 `square-fourier-float`) by the `csv.writer` code that the joined-line CSV
-writer replaced. Every file under `tests/fixtures/expected/` belongs to a
-case. They are never rewritten to make a failing case pass.
+writer replaced. The `two-discriminants` cases ((x^2 - 2x - 1)(x^2 - 1/2)^2:
+roots in Q(sqrt 2) written through sqrt(2) and sqrt(8)) pin the exact
+Wronskian 49/2*sqrt(2) that the lift between square classes gives; their
+`--mode float` file was written by the code before that lift, which
+printed the same double. Every file under `tests/fixtures/expected/`
+belongs to a case. They are never rewritten to make a failing case pass.
 """
 
 from __future__ import annotations
@@ -86,6 +90,13 @@ CASES = [
         "square-fourier-float",
         ["fourier", "--input", "{doc}", "--init", "1/2", "--length", "20", "--mode", "float"],
         "square",
+        0,
+    ),
+    ("two-discriminants-galois", ["galois", "--input", "{doc}", "--length", "6"], "two-discriminants", 0),
+    (
+        "two-discriminants-galois-float",
+        ["galois", "--input", "{doc}", "--length", "6", "--mode", "float"],
+        "two-discriminants",
         0,
     ),
 ]

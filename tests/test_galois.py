@@ -814,6 +814,55 @@ def test_root_wronskian_is_exact_in_one_quadratic_field():
     assert report.wronskian == modified_wronskian(report.system)
 
 
+def _float_root_wronskian(report) -> complex:
+    """The Wronskian of the same roots taken as doubles: the complex product, no field lift."""
+    float_roots = [RootDatum(complex(r.value), r.multiplicity, False) for r in report.roots]
+    return galois._root_wronskian(float_roots)
+
+
+def test_wronskian_of_one_field_through_two_discriminants_is_exact():
+    # (x^2 - 2x - 1)(x^2 - 1/2)^2: roots 1 +- 1/2 sqrt(8) and +- 1/2 sqrt(2), all in
+    # Q(sqrt(2)). As doubles the Wronskian was 34.648232278140831, 49/2 sqrt(2).
+    poly = _poly_mul([Fraction(-1), Fraction(-2), Fraction(1)], _poly_mul(*[[Fraction(-1, 2), 0, Fraction(1)]] * 2))
+    report = verify_fundamental(ConstLinearEq(tuple(poly[:-1])), 6)
+    assert report.ok and report.all_exact
+    assert {r.value.d for r in report.roots} == {2, 8}
+    assert report.wronskian == QuadExt(Fraction(0), Fraction(49, 2), Fraction(2))
+    assert report.wronskian == modified_wronskian(report.system)
+    assert complex(report.wronskian) == pytest.approx(_float_root_wronskian(report), rel=1e-12)
+    # Seeded: two or three surd pairs of discriminants d s^2, d fixed, each of its own
+    # multiplicity, so that Yun's split gives every quadratic a factor of its own.
+    rng = random.Random(2718)
+    two_discriminants = 0
+    for _ in range(40):
+        d = Fraction(rng.choice((-7, -3, -1, 2, 3, 5)), rng.choice((1, 2, 3)))
+        if _rational_sqrt(d) is not None:
+            continue
+        poly, roots = [Fraction(1)], set()
+        for multiplicity in rng.sample((1, 2, 3), rng.randint(2, 3)):
+            centre, s = Fraction(rng.randint(-4, 4), rng.choice((1, 2))), Fraction(rng.randint(1, 4), rng.choice((1, 3)))
+            if (centre, s * s) in roots:
+                continue
+            roots.add((centre, s * s))
+            for _ in range(multiplicity):  # (x - centre)^2 - s^2 d / 4, discriminant s^2 d
+                poly = _poly_mul(poly, [centre * centre - s * s * d / 4, -2 * centre, Fraction(1)])
+        eq = ConstLinearEq(tuple(poly[:-1]))
+        report = verify_fundamental(eq, eq.order + rng.randrange(0, 4))
+        two_discriminants += len({r.value.d for r in report.roots}) > 1
+        assert report.ok and isinstance(report.wronskian, QuadExt)
+        assert report.wronskian == modified_wronskian(report.system)
+        assert complex(report.wronskian) == pytest.approx(_float_root_wronskian(report), rel=1e-9)
+    assert two_discriminants >= 30
+
+
+def test_wronskian_of_two_quadratic_fields_stays_complex():
+    # (x^2 + 1)(x^2 + 2)^2: sqrt(-4) and sqrt(-8) lie in two different fields.
+    poly = _poly_mul([Fraction(1), 0, Fraction(1)], _poly_mul(*[[Fraction(2), 0, Fraction(1)]] * 2))
+    report = verify_fundamental(ConstLinearEq(tuple(poly[:-1])), 8)
+    assert report.ok and report.all_exact and isinstance(report.wronskian, complex)
+    assert report.wronskian == pytest.approx(128j, rel=1e-12)
+
+
 def test_smith_certificate_refuses_discs_that_overlap_past_the_squared_radii():
     # x^2 - 1 with centres +-t: r = 2 |t^2 - 1| / (2t) each, d = 2t. At t = 11/16,
     # r = 0.767 and d = 1.375, so r^2 + r^2 < d^2 <= (r + r)^2: d^2 beats the sum of

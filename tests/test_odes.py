@@ -108,6 +108,13 @@ def test_lin_residual_matches_closed_recurrence():
     assert local_stencil(gaussian_eq()) is None
 
 
+def test_poly_coeff_is_constant_when_no_power_of_t_occurs():
+    assert PolyCoeff(()).is_constant and ONE.is_constant
+    assert PolyCoeff(((0, Fraction(0)), (3, Fraction(0)))).is_constant  # zero monomials are dropped
+    assert not PolyCoeff(((1, Fraction(1)),)).is_constant
+    assert not PolyCoeff(((0, Fraction(2)), (5, Fraction(-1, 3)))).is_constant
+
+
 def test_lin_residual_gaussian():
     eq = gaussian_eq()
     z = taylor_to_lattice(gauss_coeffs(24), 21)

@@ -103,6 +103,10 @@ def test_star_power_exponential_cube():
 def test_star_power_zero_arity_rejected():
     with pytest.raises(ArityZero):
         star_power(unit_sequence(4), 0)
+    with pytest.raises(ArityZero):
+        star_power_kernel(unit_sequence(4), 0)
+    with pytest.raises(ValueError):
+        floatmode.star_power_kernel([1.0] * 4, 0)
 
 
 def test_star_power_paths_agree():
@@ -141,6 +145,24 @@ def test_float_kernel_route_matches_the_exact_power_on_short_inputs():
             tol = 1e-10 * max(abs(x) for x in z) ** p
             assert len(got) == len(z)
             assert all(abs(g - float(e)) <= tol for g, e in zip(got, exact.values))
+
+
+# floatmode.star_power_kernel(geometric_lattice(0.5, 41), 3) as float.hex, written
+# by the float route's own copy of the tuple sum before it shared the exact one.
+# The exact power is (-1/2)^n; from n = 26 on the float sum's cancellation shows.
+GEOMETRIC_HALF_CUBE_BITS = [
+    *(f"{'-' if n % 2 else ''}0x1.0000000000000p{-n:+d}" for n in range(26)),
+    '-0x1.4000000000000p-23', '0x1.6000000000000p-22', '0x1.5400000000000p-22',
+    '0x1.3840000000000p-18', '0x1.45c0000000000p-20', '0x1.3552000000000p-16',
+    '-0x1.a300000000000p-19', '0x1.377c000000000p-15', '0x1.80d7000000000p-15',
+    '-0x1.f69b580000000p-11', '-0x1.c3e6d24000000p-10', '0x1.a9f9ad5000000p-9',
+    '-0x1.6bffa9c200000p-7', '-0x1.a3e85c6780000p-6', '0x1.4f7dc08d80000p-7',
+]
+
+
+def test_float_kernel_route_keeps_its_bits_past_the_short_inputs():
+    got = floatmode.star_power_kernel(geometric_lattice(0.5, 41), 3)
+    assert [x.hex() for x in got] == GEOMETRIC_HALF_CUBE_BITS
 
 
 def full_scan_mul_trunc(a: list, b: list, D: int) -> list:

@@ -7,10 +7,11 @@
 Each mutant is one exact text replacement in one file under `src/`: a
 small edit that would make a verdict wrong or a result inexact. For each,
 the runner copies `src/`, `tests/` and `pyproject.toml` to a temporary
-directory, applies the edit there (the checkout is never touched) and runs
-the test files that should kill it with `pytest -x`. A mutant survives
-when those tests still pass. First the same tests run on the unmutated
-copy, since a suite that fails anyway kills everything.
+directory, with `tools/` and `perfbench/` read-only beside them for the
+tests that read those. It applies the edit there (the checkout is never
+touched) and runs the test files that should kill it with `pytest -x`.
+A mutant survives when those tests still pass. First the same tests run
+on the unmutated copy, since a suite that fails anyway kills everything.
 
 Prints one row per mutant and exits 1 on a survivor, on an edit whose old
 text does not occur exactly once, or on a failing baseline; 0 when every
@@ -117,8 +118,8 @@ MUTANTS = (
     Mutant(
         "common-field-ignores-second-surd",
         "src/starlattice/galois.py",
-        "if len(ds) > 1 or any(isinstance(v, complex) for v in values):",
-        "if len(ds) > 2 or any(isinstance(v, complex) for v in values):",
+        "all(e == ds[0] or _rational_sqrt(e / ds[0]) for e in ds)",
+        "all(True for e in ds)",
         ("tests/test_galois.py", "tests/test_cli.py"),
     ),
     Mutant(
@@ -282,6 +283,20 @@ MUTANTS = (
         "g = 1",
         ("tests/test_galois.py::test_seeded_sweep_integer_recurrence_matches_the_running_product",),
     ),
+    Mutant(
+        "kernel-weights-drop-arity-factor",
+        "src/starlattice/star.py",
+        "powers.append(powers[-1] * (p - 1))",
+        "powers.append(powers[-1])",
+        ("tests/test_star.py",),
+    ),
+    Mutant(
+        "square-class-lift-keeps-b",
+        "src/starlattice/galois.py",
+        "return QuadExt(value.a, value.b * r, d)",
+        "return QuadExt(value.a, value.b, d)",
+        ("tests/test_galois.py::test_wronskian_of_one_field_through_two_discriminants_is_exact",),
+    ),
 )
 
 
@@ -294,8 +309,12 @@ def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[int, float]:
 
 
 def copy_tree(dest: Path) -> None:
-    for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    """The tree the tests run in; `tools/` and `perfbench/`, which tests read, are copied read-only."""
+    for name in ("src", "tests", "tools", "perfbench"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
+    for path in [*(dest / "tools").rglob("*"), *(dest / "perfbench").rglob("*")]:
+        if path.is_file():
+            path.chmod(0o444)
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
