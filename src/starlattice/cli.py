@@ -275,7 +275,7 @@ MAX_ARITY = 64
 # solve, fourier and corpus run the exact solvers and residual tables, whose
 # cost grows about 10x per doubling of L here because the numbers grow with L:
 # on one core of a 2-vCPU Xeon VM, z' = z^2 from 1/2 took 23 s (solve) and
-# 17 s (fourier) at L = 1600, and corpus about 40 s.
+# 17 s (fourier) at L = 1600, and corpus about 18 s.
 MAX_SOLVE_LENGTH = 1600
 
 

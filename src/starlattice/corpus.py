@@ -7,6 +7,17 @@ the hypergeometric equation at its regular point, a first-order quadratic
 equation with a two-parameter solution family, and the Hermite and Jacobi
 polynomial equations.
 
+Every series is built on integers and read out once: each builder forms
+the integers W_k = k! c E^k b_k of `transforms.ScaledNewton` from its
+closed form's term ratio, or as integer coefficient sums over one
+denominator, and `taylor_coeffs` divides each entry once (one gcd, none
+for a zero). The sine and cosine take W_k = +-p^k for omega = p/q, the
+bell curve W_2j = -(2j-1) W_(2j-2), the Gauss series prefix and suffix
+products of its Pochhammer factors, the Riccati family its geometric
+series, and the damped oscillator `odes.taylor_solution_linear`, itself
+an integer solve. No case is kept between calls, and each still checks
+its own residuals when built.
+
 The residual tables go through `odes.taylor_residuals`: the equation's
 Newton-space defect on the integers of the forward map, read out alone.
 For a series solution that defect is zero, so no lattice image and no
@@ -14,20 +25,22 @@ Pascal row is built (the forward map sends the continuous residual to the
 discrete one). The termwise image in
 the Jacobi extras goes through `transforms.taylor_to_lattice`, and the
 Jacobi shifted form through its Newton readout, `transforms.ScaledNewton`.
-`gauss_sum` keeps the literal sum over (n)_k as a cross-check of the
-forward map.
+`gauss_sum` keeps the literal sum over (n)_k, on the running `Fraction`
+products of `_gauss_coefficients`, as a cross-check of the forward map
+and of the integer Gauss series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, perm, prod
+from operator import mul
 
 from .errors import GammaPole, PochhammerPole, SingularAtOrigin
 from .rational import as_rational, format_rational, over_common_denominator
 from .sequences import TaylorCoeffs
-from .series import mul_trunc, pow_trunc, reciprocal_trunc
 from .odes import LinearOde, NonlinearOde, PolyCoeff, taylor_residuals, taylor_solution_linear
 from .transforms import ScaledNewton, falling_factorial, taylor_to_lattice
 
@@ -60,14 +73,18 @@ def _checked(case: CorpusCase) -> CorpusCase:
 def _trig_coeffs(omega: Fraction, L: int, parity: int) -> TaylorCoeffs:
     """Series of sin(omega t) (parity 1) or cos(omega t) (parity 0) to t^L.
 
-    Entry k is (-1)^(k//2) omega^k / k! where k % 2 equals the parity, and 0 elsewhere.
+    Entry k is (-1)^(k//2) omega^k / k! where k % 2 equals the parity, and 0
+    elsewhere. With omega = p/q that is W_k / (k! q^k) for W_k = (-1)^(k//2) p^k,
+    each term -p^2 times the one two places before, read out once by
+    `ScaledNewton(1, q, W)`.
     """
-    return TaylorCoeffs(
-        tuple(
-            (-1) ** (k // 2) * omega**k / factorial(k) if k % 2 == parity else Fraction(0)
-            for k in range(L + 1)
-        )
-    )
+    p, q = omega.numerator, omega.denominator
+    W = [0] * (L + 1)
+    term = p**parity
+    for k in range(parity, L + 1, 2):
+        W[k] = term
+        term *= -p * p
+    return TaylorCoeffs(tuple(ScaledNewton(1, q, tuple(W)).taylor_coeffs()))
 
 
 def harmonic_case(omega=Fraction(1), length: int = 20) -> CorpusCase:
@@ -117,13 +134,13 @@ def gaussian_case(length: int = 20) -> CorpusCase:
     """z' + t z = 0 with the bell-curve series exp(-t^2/2)."""
     eq = LinearOde((PolyCoeff(((1, Fraction(1)),)), PolyCoeff.constant(1)))
     L = max(length, _BUILD_CHECK_RANGE) + 4
-    coeffs = []
-    for k in range(L + 1):
-        if k % 2:
-            coeffs.append(Fraction(0))
-        else:
-            j = k // 2
-            coeffs.append(Fraction((-1) ** j, 2**j * factorial(j)))
+    # W_k = k! b_k: W_2j = (-1)^j (2j)! / (2^j j!) = -(2j-1) W_(2j-2), and 0 at odd k.
+    W = [0] * (L + 1)
+    term = 1
+    for k in range(0, L + 1, 2):
+        W[k] = term
+        term *= -(k + 1)
+    coeffs = ScaledNewton(1, 1, tuple(W)).taylor_coeffs()
     return _checked(
         CorpusCase(name="gaussian", equation=eq, solutions=(TaylorCoeffs(tuple(coeffs)),))
     )
@@ -148,6 +165,27 @@ def _gauss_coefficients(a: Fraction, b: Fraction, c: Fraction, L: int) -> list[F
             raise PochhammerPole(f"(c)_{k} = 0 for c = {format_rational(c)}")
         out.append(pa * pb / pc / k_factorial)
     return out
+
+
+def _gauss_newton(a: Fraction, b: Fraction, c: Fraction, L: int) -> ScaledNewton:
+    """The coefficients (a)_k (b)_k / ((c)_k k!), k = 0..L, of `_gauss_coefficients` on integers.
+
+    With a = a'/a'', b = b'/b'', c = c'/c'' and the Pochhammer factors
+    f_i = c' + i c'', i < L, whose product P is c''^L (c)_L, they are
+    W_k / (k! |P| E^k) for E = a'' b'' and
+    W_k = sign(P) prod_(i<k) (a' + i a'')(b' + i b'') c'' * prod_(k<=i<L) f_i,
+    a prefix product of the numerator factors times a suffix product of
+    the f_i, so no index divides. Raises PochhammerPole at the first k
+    with (c)_k = 0, as `_gauss_coefficients` does.
+    """
+    poles = [c.numerator + i * c.denominator for i in range(L)]
+    if 0 in poles:
+        raise PochhammerPole(f"(c)_{poles.index(0) + 1} = 0 for c = {format_rational(c)}")
+    suffix = list(accumulate(reversed(poles), mul, initial=1))[::-1]
+    a1, a2, b1, b2 = a.numerator, a.denominator, b.numerator, b.denominator
+    numerators = [(a1 + i * a2) * (b1 + i * b2) * c.denominator for i in range(L)]
+    prefix = accumulate(numerators, mul, initial=1 if suffix[0] > 0 else -1)
+    return ScaledNewton(abs(suffix[0]), a2 * b2, tuple(map(mul, prefix, suffix)))
 
 
 def gauss_sum(n: int, a, b, c) -> Fraction:
@@ -188,7 +226,7 @@ def hypergeometric_case(
         CorpusCase(
             name="hypergeometric",
             equation=eq,
-            solutions=(TaylorCoeffs(tuple(_gauss_coefficients(a, b, c, L))),),
+            solutions=(TaylorCoeffs(tuple(_gauss_newton(a, b, c, L).taylor_coeffs())),),
             parameters=(("a", a), ("b", b), ("c", c)),
         )
     )
@@ -197,8 +235,9 @@ def hypergeometric_case(
 def riccati_case(k: int = 1, c1=Fraction(-2), c2=Fraction(0), length: int = 20) -> CorpusCase:
     """z' = t^k z^2 with the closed-form family -(k+1) / (t^(k+1) + c1 + k c2).
 
-    The series is produced by exact division; c1 + k c2 must be nonzero or
-    the solution has a pole at the origin.
+    The series is the geometric one of 1 / (1 + t^(k+1) / pole), pole =
+    c1 + k c2, by its term ratio; the pole must be nonzero or the solution
+    has it at the origin.
     """
     c1, c2 = as_rational(c1), as_rational(c2)
     if k < 0:
@@ -208,11 +247,15 @@ def riccati_case(k: int = 1, c1=Fraction(-2), c2=Fraction(0), length: int = 20) 
         raise SingularAtOrigin("c1 + k c2 = 0 puts the solution's pole at t = 0")
     eq = NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), PolyCoeff(((k, Fraction(1)),))))
     L = max(length, _BUILD_CHECK_RANGE) + 4
-    denominator = [Fraction(0)] * (k + 2)
-    denominator[0] = pole
-    denominator[k + 1] = Fraction(1)
-    inv = reciprocal_trunc(denominator, L)
-    coeffs = tuple(-(k + 1) * v for v in inv)
+    # -(k+1) / (t^K + pole), K = k + 1, is the geometric series b_(jK) = -K (-1)^j / pole^(j+1),
+    # zero elsewhere. With pole = n/d, ScaledNewton(|n|, |n|, W) holds the integers
+    # W_(jK) = (jK)! |n|^(jK+1) b_(jK), each (jK-K+1)...(jK) times -d |n|^K / n times W_(jK-K).
+    K, n, d = k + 1, pole.numerator, pole.denominator
+    W = [0] * (L + 1)
+    W[0] = -K * d * abs(n) // n
+    for i in range(K, L + 1, K):
+        W[i] = W[i - K] * perm(i, K) * (-d * abs(n) ** K // n)
+    coeffs = tuple(ScaledNewton(abs(n), abs(n), tuple(W)).taylor_coeffs())
     return _checked(
         CorpusCase(
             name=f"riccati-k{k}",
@@ -224,19 +267,19 @@ def riccati_case(k: int = 1, c1=Fraction(-2), c2=Fraction(0), length: int = 20) 
 
 
 def hermite_polynomial(m: int) -> list[Fraction]:
-    """Probabilists' Hermite polynomial coefficients (monic family)."""
+    """Probabilists' Hermite polynomial coefficients (monic family).
+
+    He_m(t) = sum_j (-1)^j m! / (j! 2^j (m-2j)!) t^(m-2j), so W_i = i! h_i is
+    (-1)^(m//2) times the odd numbers up to m at i = m % 2, and
+    W_(i+2) = -(m-i) W_i: integers, read out once by `ScaledNewton(1, 1, W)`.
+    """
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    prev = [Fraction(1)]
-    if m == 0:
-        return prev
-    cur = [Fraction(0), Fraction(1)]
-    for n in range(1, m):
-        nxt = [Fraction(0), *cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= n * c
-        prev, cur = cur, nxt
-    return cur
+    W = [0] * (m + 1)
+    W[m % 2] = (-1) ** (m // 2) * prod(range(1, m + 1, 2))
+    for i in range(m % 2, m - 1, 2):
+        W[i + 2] = -(m - i) * W[i]
+    return ScaledNewton(1, 1, tuple(W)).taylor_coeffs()
 
 
 def hermite_case(m: int = 2, length: int = 20) -> CorpusCase:
@@ -255,24 +298,27 @@ def hermite_case(m: int = 2, length: int = 20) -> CorpusCase:
     )
 
 
-def _binomial_general(x: Fraction, j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(j):
-        out *= (x - i) / (i + 1)
-    return out
-
-
 def jacobi_polynomial(m: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
-    """Classical Jacobi polynomial expanded into monomial coefficients."""
-    half_minus = [Fraction(-1, 2), Fraction(1, 2)]  # (t-1)/2
-    half_plus = [Fraction(1, 2), Fraction(1, 2)]  # (t+1)/2
-    total = [Fraction(0)] * (m + 1)
+    """Classical Jacobi polynomial expanded into monomial coefficients.
+
+    P_m = sum_s C(m+alpha, m-s) C(m+beta, s) ((t-1)/2)^s ((t+1)/2)^(m-s).
+    With alpha = a/a'' and beta = b/b'', term s is the integer polynomial
+    C(m,s) A_(m-s) B_s a''^s b''^(m-s) (t-1)^s (t+1)^(m-s) over one
+    denominator D = 2^m m! a''^m b''^m, where A_j = prod_(i<j) (m a'' + a - i a'')
+    and B_j alike. The integer coefficient sums N_i are read out once as
+    `ScaledNewton(D, 1, i! N_i)`.
+    """
+    a, a2, b, b2 = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    A = list(accumulate((m * a2 + a - i * a2 for i in range(m)), mul, initial=1))
+    B = list(accumulate((m * b2 + b - i * b2 for i in range(m)), mul, initial=1))
+    N = [0] * (m + 1)
     for s in range(m + 1):
-        term = mul_trunc(pow_trunc(half_minus, s, m), pow_trunc(half_plus, m - s, m), m)
-        w = _binomial_general(m + alpha, m - s) * _binomial_general(m + beta, s)
-        for i, c in enumerate(term):
-            total[i] += w * c
-    return total
+        weight = comb(m, s) * A[m - s] * B[s] * a2**s * b2 ** (m - s)
+        for i in range(s + 1):  # t^i of (t-1)^s times t^j of (t+1)^(m-s)
+            for j in range(m - s + 1):
+                N[i + j] += weight * (-1) ** (s - i) * comb(s, i) * comb(m - s, j)
+    W = map(mul, N, accumulate(range(1, m + 1), mul, initial=1))  # i! N_i
+    return ScaledNewton(2**m * factorial(m) * a2**m * b2**m, 1, tuple(W)).taylor_coeffs()
 
 
 def jacobi_shifted_values(m: int, alpha: Fraction, beta: Fraction, length: int) -> list[Fraction]:

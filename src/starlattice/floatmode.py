@@ -51,6 +51,9 @@ def star_power_kernel(z: list[float], p: int) -> list[float]:
     """`star.closed_kernel_sum` on floats; slow by design, and a timing subject only.
 
     Its alternating sum cancels: at p = 3 on the geometric 0.6 input it is off by about 1e-11 at L = 10, 1 at L = 30.
+    Its float Pascal table overflows near n = 1030, where C(n, n/2) leaves the double range,
+    and from there a weight inf times a 0.0 makes the entries NaN, at p = 1 too:
+    `star_power_kernel(geometric_lattice(0.5, 1100), 1)` is NaN at every n >= 1030.
     """
     if p < 1:
         raise ValueError("arity must be at least 1")

@@ -31,7 +31,10 @@ Taylor coefficients of the continuous one, so `nonlin_step`,
 where the star product is the binomial convolution with integer weights,
 so every W_k is an integer (the proof is in its docstring) and no index
 builds a `Fraction`. `transforms.ScaledNewton` maps W back to Taylor
-coefficients or to lattice values with one division per entry.
+coefficients or to lattice values with one division per entry. The linear
+Taylor solver `taylor_solution_linear` runs the same way: it solves the
+linear defect of `taylor_residuals` below for its one unknown term, on
+integers W_k = c S^k k! b_k, S the integer weight of that term.
 
 Linear residuals of a lattice sequence are evaluated online: a term
 c t^p z^(l) reads only the entries n-p..n-p+l, through the binomial formula
@@ -502,29 +505,42 @@ def local_stencil(eq: LinearOde) -> tuple[Fraction, ...] | None:
 
 
 def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
-    """Power-series solution b_0..b_L of the continuous equation.
+    """Power-series solution b_0..b_L of the continuous equation from N initial Taylor coefficients.
 
-    Solves the coefficient recurrence in t-space from N initial Taylor
-    coefficients; requires a_N(0) != 0 (ordinary point at the origin).
+    Requires a_N(0) != 0 (ordinary point at the origin). Coefficient s of
+    the equation times s! is the Newton-space defect of `taylor_residuals`,
+    E s! R_s = s! G_s + sum C (s)_p w_{s-p+l} over the integer form
+    (l, p, C), (r, G) of `_IntegerForm`, with w_k = k! b_k; the term
+    (N, 0, C) carries the unknown w_{s+N}, so setting the defect to zero
+    solves for it. With S = |E a_N(0)| and c the common denominator of the
+    initial values, the scaled W_k = c S^k k! b_k obey
+
+        W_{s+N} = -sign(E a_N(0)) [c S^(s+N-1) s! G_s + sum C S^(N-1+p-l) (s)_p W_{s-p+l}],
+
+    every exponent nonnegative (p >= 1 where l = N), so every W_k is an
+    integer and `ScaledNewton(c, S, W)` reads each b_k out once. A power
+    above L - N never reaches W_L, so it never sizes a weight.
     """
     N = eq.order
-    lead = eq.coeffs[-1].constant_term
-    if lead == 0:
+    if eq.coeffs[-1].constant_term == 0:
         raise NotForwardSolvable("a_N(0) = 0: origin is a singular point of the equation")
     b = _initial(eq, init, L, "Taylor coefficients")
+    form = _IntegerForm.of(eq.coeffs, eq.c0)
+    lead = next(C for l, p, C in form.terms if (l, p) == (N, 0))
+    sign, S = (-1, lead) if lead > 0 else (1, -lead)
+    c = lcm(*(x.denominator for x in b))
+    W = [(c * x).numerator * factorial(k) * S**k for k, x in enumerate(b)]
+    gamma = {r: c * G * S ** (r + N - 1) for r, G in form.c0 if r <= L - N}
+    terms = [(l - p, p, C * S ** (N - 1 + p - l)) for l, p, C in form.terms if (l, p) != (N, 0) and p <= L - N]
+    s_factorial = 1
     for s in range(L - N + 1):
-        acc = eq.c0.coefficient(s)
-        for l, a_l in enumerate(eq.coeffs):
-            for power, coeff in a_l.monomials:
-                if l == N and power == 0:
-                    continue  # the unknown slot
-                k = s - power + l
-                if s - power < 0:
-                    continue
-                acc += coeff * b[k] * falling_factorial(k, l)
-        unknown_weight = lead * falling_factorial(s + N, N)
-        b.append(-acc / unknown_weight)
-    return TaylorCoeffs(tuple(b))
+        acc = s_factorial * gamma.get(s, 0)
+        for shift, p, A in terms:
+            if p <= s:
+                acc += A * perm(s, p) * W[s + shift]
+        W.append(sign * acc)
+        s_factorial *= s + 1
+    return TaylorCoeffs(tuple(ScaledNewton(c, S, tuple(W)).taylor_coeffs()))
 
 
 def taylor_solution_nonlinear(eq: NonlinearOde, init, L: int) -> TaylorCoeffs:

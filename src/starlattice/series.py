@@ -14,9 +14,10 @@ coefficient series becomes the binomial convolution sum_i C(k,i) u_i v_{k-i}
 integers, so its callers (`odes.solve_newton`, the nonlinear residuals and
 `star.star_power`) keep their powers on integers and never normalise a
 fraction per index. `pow_trunc`, the one power on series coefficients,
-serves `floatmode`, `corpus` and the `fourier.constrained_convolution`
-oracle: floats cannot take binomial weights, as C(k, k/2) leaves the
-double range near k = 1030.
+serves `floatmode` and the `fourier.constrained_convolution` oracle:
+floats cannot take binomial weights, as C(k, k/2) leaves the double range
+near k = 1030. The `corpus` series are built on integers from their
+closed forms and need no series arithmetic from here.
 """
 
 from __future__ import annotations
@@ -84,20 +85,6 @@ def extend_binomial_powers(w: list[int], powers: list[list[int]]) -> None:
     for p in powers[1:]:
         p.append(sum(map(mul, prev, weighted)))
         prev = p
-
-
-def reciprocal_trunc(a: list[Fraction], D: int) -> list[Fraction]:
-    """1/a(x) modulo x^(D+1); requires a(0) != 0."""
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series has no reciprocal: constant term is zero")
-    out = [Fraction(0)] * (D + 1)
-    out[0] = 1 / Fraction(a[0])
-    for m in range(1, D + 1):
-        s = Fraction(0)
-        for k in range(1, min(m, len(a) - 1) + 1):
-            s += a[k] * out[m - k]
-        out[m] = -s / a[0]
-    return out
 
 
 def compose_trunc(f: list[Fraction], g: list[Fraction], D: int) -> list[Fraction]:

@@ -33,9 +33,10 @@ W_k = k! D b_k, which `taylor_to_lattice` reads out as lattice values; the
 residual tables of a Taylor solution (`odes.taylor_residuals`) evaluate a
 Newton-space defect on W instead and read out only the defect, which is
 zero for a series solution. `inverse_transform` takes W from the
-difference table of D z_n. The star powers, the nonlinear solver, the residual defects and the
-Jacobi shifted form read their integers out through the same class, whose
-lattice readouts cut the zero tail of W before the Pascal rule.
+difference table of D z_n. The star powers, both Taylor solvers, the residual defects, the
+`corpus` series and the Jacobi shifted form read their integers out
+through the same class, whose lattice readouts cut the zero tail of W
+before the Pascal rule.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -37,6 +38,9 @@ from starlattice.corpus import (
 from starlattice.errors import GammaPole
 from starlattice.odes import LinearOde, lin_residual, lin_residual_kernel, lin_step, local_stencil, nonlin_step
 from starlattice.rational import format_rational
+from starlattice.series import mul_trunc, pow_trunc
+from test_deltaops import reciprocal_trunc
+from test_odes import reference_taylor_solution_linear
 
 
 def reference_binomial(x: Fraction, j: int) -> Fraction:
@@ -61,6 +65,125 @@ def reference_jacobi_shifted_form(m: int, alpha: Fraction, beta: Fraction, n: in
             shifted *= n - k
         acc += reference_binomial(Fraction(m), k) * rising * Fraction(shifted, 2**k)
     return acc / factorial(m)
+
+
+def reference_trig_coeffs(omega: Fraction, L: int, parity: int) -> list[Fraction]:
+    """(-1)^(k//2) omega^k / k! where k % 2 equals the parity, else 0: the replaced per-term form."""
+    return [(-1) ** (k // 2) * omega**k / factorial(k) if k % 2 == parity else Fraction(0) for k in range(L + 1)]
+
+
+def reference_gaussian_coeffs(L: int) -> list[Fraction]:
+    """exp(-t^2/2) term by term, (-1)^j / (2^j j!) at k = 2j: the replaced per-term form."""
+    return [
+        Fraction(0) if k % 2 else Fraction((-1) ** (k // 2), 2 ** (k // 2) * factorial(k // 2)) for k in range(L + 1)
+    ]
+
+
+def reference_riccati_coeffs(k: int, pole: Fraction, L: int) -> list[Fraction]:
+    """-(k+1) / (t^(k+1) + pole) by series division: the replaced `Fraction` route."""
+    denominator = [Fraction(0)] * (k + 2)
+    denominator[0], denominator[k + 1] = pole, Fraction(1)
+    return [-(k + 1) * v for v in reciprocal_trunc(denominator, L)]
+
+
+def reference_hermite_polynomial(m: int) -> list[Fraction]:
+    """He_(n+1) = t He_n - n He_(n-1) on `Fraction` lists: the replaced recurrence."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    if m == 0:
+        return prev
+    for n in range(1, m):
+        nxt = [Fraction(0), *cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= n * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def reference_jacobi_polynomial(m: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
+    """sum_s C(m+alpha, m-s) C(m+beta, s) ((t-1)/2)^s ((t+1)/2)^(m-s) by series products: the replaced form."""
+    half_minus, half_plus = [Fraction(-1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]
+    total = [Fraction(0)] * (m + 1)
+    for s in range(m + 1):
+        term = mul_trunc(pow_trunc(half_minus, s, m), pow_trunc(half_plus, m - s, m), m)
+        w = reference_binomial(m + alpha, m - s) * reference_binomial(m + beta, s)
+        for i, c in enumerate(term):
+            total[i] += w * c
+    return total
+
+
+def exact_entries(values) -> list[tuple[type, int, int]]:
+    """Type, numerator and denominator of each entry: equal lists mean equal values in lowest terms."""
+    return [(type(v), v.numerator, v.denominator) for v in values]
+
+
+def fractions_of(values) -> list[tuple[type, int, int]]:
+    """What `exact_entries` must read for the reference values: every entry a `Fraction`."""
+    return [(Fraction, v.numerator, v.denominator) for v in values]
+
+
+def test_every_builder_matches_its_fraction_reference():
+    rng = random.Random(27)
+
+    def rational(span=13, den=9):
+        return Fraction(rng.randrange(-span, span + 1), rng.randrange(1, den))
+
+    for length in range(41):
+        L = max(length, 6) + 4  # the prefix every builder stores
+        omega = rational()
+        sine, cosine = harmonic_case(omega, length).solutions
+        assert exact_entries(sine) == fractions_of(reference_trig_coeffs(omega, L, 1))
+        assert exact_entries(cosine) == fractions_of(reference_trig_coeffs(omega, L, 0))
+        omega, q = rational(), Fraction(rng.randrange(0, 9), rng.randrange(8, 12))
+        damped = damped_case(omega, q, length)
+        for solution, init in zip(damped.solutions, ((1, 0), (0, 1))):
+            assert exact_entries(solution) == fractions_of(reference_taylor_solution_linear(damped.equation, init, L))
+        assert exact_entries(gaussian_case(length).solutions[0]) == fractions_of(reference_gaussian_coeffs(L))
+        a, b = rational(), rational()
+        c = Fraction(2 * rng.randrange(-8, 9) + 1, 2 * rng.randrange(1, 5))  # never an integer: no pole
+        (gauss,) = hypergeometric_case(a, b, c, length).solutions
+        assert exact_entries(gauss) == fractions_of(corpus._gauss_coefficients(a, b, c, L))
+        k, c1, c2 = rng.randrange(0, 5), rational(), rational()
+        if c1 + k * c2:
+            (riccati,) = riccati_case(k, c1, c2, length).solutions
+            assert exact_entries(riccati) == fractions_of(reference_riccati_coeffs(k, c1 + k * c2, L))
+        m = rng.randrange(0, 13)
+        (hermite,) = hermite_case(m, length).solutions
+        assert exact_entries(hermite) == fractions_of(reference_hermite_polynomial(m))
+        m, alpha, beta = rng.randrange(0, 7), rational(40, 13), rational(40, 13)
+        expected = fractions_of(reference_jacobi_polynomial(m, alpha, beta))
+        assert exact_entries(jacobi_polynomial(m, alpha, beta)) == expected
+        if (alpha + m + 1).denominator != 1 and (alpha + beta + m + 1).denominator != 1:  # no GammaPole
+            assert exact_entries(jacobi_case(m, alpha, beta, length).solutions[0]) == expected
+
+
+def test_builders_refuse_what_their_references_refuse():
+    rng = random.Random(28)
+    outcomes = set()
+    for length in range(0, 41, 4):
+        L = max(length, 6) + 4
+        # (c)_k = 0 at the first k with c + k - 1 = 0, within the prefix or past it.
+        c = Fraction(-rng.randrange(0, 2 * L))
+        a, b = Fraction(rng.randrange(-9, 10), 7), Fraction(1, 3)
+        try:
+            corpus._gauss_coefficients(a, b, c, L)
+        except PochhammerPole as refusal:
+            outcomes.add("pole")
+            with pytest.raises(PochhammerPole, match=rf"^{re.escape(str(refusal))}$"):
+                hypergeometric_case(a, b, c, length)
+        else:
+            outcomes.add("pole past the prefix")
+            assert exact_entries(hypergeometric_case(a, b, c, length).solutions[0]) == fractions_of(
+                corpus._gauss_coefficients(a, b, c, L)
+            )
+        k = rng.randrange(1, 5)
+        c1 = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        with pytest.raises(SingularAtOrigin):
+            riccati_case(k, c1, -c1 / k, length)
+        with pytest.raises(ValueError, match=r"^damped case is restricted to q <= 1$"):
+            damped_case(Fraction(rng.randrange(1, 5)), 1 + Fraction(1, rng.randrange(1, 9)), length)
+    assert outcomes == {"pole", "pole past the prefix"}
+    with pytest.raises(PochhammerPole, match=r"^\(c\)_3 = 0 for c = -2$"):
+        hypergeometric_case(Fraction(1, 2), Fraction(1, 3), Fraction(-2))
 
 
 def test_every_standard_case_verifies():

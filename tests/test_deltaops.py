@@ -19,11 +19,25 @@ from starlattice.deltaops import (
     symbol_coefficients,
     validate_stencil,
 )
-from starlattice.series import mul_trunc, pow_trunc, reciprocal_trunc
+from starlattice.series import mul_trunc, pow_trunc
 
 FOUR_POINT_CUBIC = DeltaStencil(
     Fraction(1), -1, (Fraction(-1, 3), Fraction(-1, 2), Fraction(1), Fraction(-1, 6))
 )
+
+
+def reciprocal_trunc(a: list[Fraction], D: int) -> list[Fraction]:
+    """1/a(x) modulo x^(D+1) by the recurrence of the series product; requires a(0) != 0."""
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series has no reciprocal: constant term is zero")
+    out = [Fraction(0)] * (D + 1)
+    out[0] = 1 / Fraction(a[0])
+    for m in range(1, D + 1):
+        s = Fraction(0)
+        for k in range(1, min(m, len(a) - 1) + 1):
+            s += a[k] * out[m - k]
+        out[m] = -s / a[0]
+    return out
 
 
 def lagrange_inverse(F: FormalSeries) -> FormalSeries:

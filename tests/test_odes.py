@@ -13,6 +13,7 @@ from starlattice import (
     NotForwardSolvable,
     OrderTooLarge,
     TaylorCoeffs,
+    falling_factorial,
     inverse_transform,
     taylor_to_lattice,
 )
@@ -245,6 +246,65 @@ def test_lin_step_constant_solution():
     eq = LinearOde((PolyCoeff(()), ONE))
     stepped = lin_step(eq, (Fraction(7, 3),), 5)
     assert all(v == Fraction(7, 3) for v in stepped)
+
+
+def reference_taylor_solution_linear(eq: LinearOde, init, L: int) -> list[Fraction]:
+    """The t-space coefficient recurrence in `Fraction` arithmetic, one term at a time.
+
+    The per-term form that the integer solve of `taylor_solution_linear` replaced, kept as its oracle.
+    """
+    N = eq.order
+    lead = eq.coeffs[-1].constant_term
+    b = [Fraction(v) for v in init]
+    for s in range(L - N + 1):
+        acc = eq.c0.coefficient(s)
+        for l, a_l in enumerate(eq.coeffs):
+            for power, coeff in a_l.monomials:
+                if (l == N and power == 0) or s < power:
+                    continue  # the unknown slot, or a term that starts later
+                k = s - power + l
+                acc += coeff * b[k] * falling_factorial(k, l)
+        b.append(-acc / (lead * falling_factorial(s + N, N)))
+    return b
+
+
+def test_taylor_solution_linear_matches_the_fraction_recurrence():
+    rng = random.Random(27)
+
+    def rational():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+
+    def poly():
+        return PolyCoeff.from_pairs((rng.randrange(0, 4), rational()) for _ in range(rng.randrange(0, 4)))
+
+    seen = set()
+    for _ in range(240):
+        N = rng.randrange(1, 5)
+        lead = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 8))
+        extra = [(rng.randrange(1, 3), rational()) for _ in range(rng.randrange(0, 2))]
+        top = PolyCoeff.from_pairs([(0, lead), *extra])
+        eq = LinearOde((*(poly() for _ in range(N)), top), c0=poly())
+        init = [rational() for _ in range(N)]
+        L = rng.randrange(N - 1, 31)
+        got = taylor_solution_linear(eq, init, L).coeffs
+        expected = reference_taylor_solution_linear(eq, init, L)
+        assert [(type(v), v.numerator, v.denominator) for v in got] == [
+            (Fraction, v.numerator, v.denominator) for v in expected
+        ]
+        seen.add((N, lead < 0, not eq.c0.is_zero))
+    assert seen == {(N, negative, c0) for N in range(1, 5) for negative in (False, True) for c0 in (False, True)}
+
+
+def test_taylor_solution_linear_refusals_and_late_powers():
+    with pytest.raises(NotForwardSolvable, match=r"^a_N\(0\) = 0: origin is a singular point of the equation$"):
+        taylor_solution_linear(LinearOde((ONE, PolyCoeff(((1, Fraction(1)),)))), (1,), 5)
+    with pytest.raises(LengthMismatch, match=r"^need exactly 1 initial Taylor coefficients, got 2$"):
+        taylor_solution_linear(gaussian_eq(), (1, 2), 5)
+    # A power past L - N never enters b_0..b_L, so it must not size a weight or a power of S.
+    huge = PolyCoeff(((0, Fraction(1)), (10**18, Fraction(1))))
+    late = LinearOde((huge, PolyCoeff.constant(-3)), c0=huge)
+    init = (Fraction(1, 2),)
+    assert list(taylor_solution_linear(late, init, 8)) == reference_taylor_solution_linear(late, init, 8)
 
 
 def test_stepping_matches_taylor_map_harmonic():

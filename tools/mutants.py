@@ -297,6 +297,62 @@ MUTANTS = (
         "return QuadExt(value.a, value.b, d)",
         ("tests/test_galois.py::test_wronskian_of_one_field_through_two_discriminants_is_exact",),
     ),
+    Mutant(
+        "hypergeometric-ratio-shifted",
+        "src/starlattice/corpus.py",
+        "numerators = [(a1 + i * a2) * (b1 + i * b2) * c.denominator for i in range(L)]",
+        "numerators = [(a1 + i * a2) * (b1 + i * b2) * c.denominator for i in range(1, L + 1)]",
+        ("tests/test_corpus.py::test_every_builder_matches_its_fraction_reference",),
+    ),
+    Mutant(
+        "taylor-solution-sign-fold-lost",
+        "src/starlattice/odes.py",
+        "sign, S = (-1, lead) if lead > 0 else (1, -lead)",
+        "sign, S = (-1, lead) if lead > 0 else (-1, -lead)",
+        ("tests/test_odes.py::test_taylor_solution_linear_matches_the_fraction_recurrence",),
+    ),
+    Mutant(
+        "gaussian-product-loses-minus",
+        "src/starlattice/corpus.py",
+        "term *= -(k + 1)",
+        "term *= k + 1",
+        ("tests/test_corpus.py::test_every_builder_matches_its_fraction_reference",),
+    ),
+    Mutant(
+        "trig-ratio-loses-minus",
+        "src/starlattice/corpus.py",
+        "term *= -p * p",
+        "term *= p * p",
+        ("tests/test_corpus.py::test_every_builder_matches_its_fraction_reference",),
+    ),
+    Mutant(
+        "riccati-ratio-loses-minus",
+        "src/starlattice/corpus.py",
+        "W[i] = W[i - K] * perm(i, K) * (-d * abs(n) ** K // n)",
+        "W[i] = W[i - K] * perm(i, K) * (d * abs(n) ** K // n)",
+        ("tests/test_corpus.py::test_every_builder_matches_its_fraction_reference",),
+    ),
+    Mutant(
+        "hermite-ratio-loses-minus",
+        "src/starlattice/corpus.py",
+        "W[i + 2] = -(m - i) * W[i]",
+        "W[i + 2] = (m - i) * W[i]",
+        ("tests/test_corpus.py::test_every_builder_matches_its_fraction_reference",),
+    ),
+    Mutant(
+        "jacobi-sum-signs-the-wrong-factor",
+        "src/starlattice/corpus.py",
+        "N[i + j] += weight * (-1) ** (s - i) * comb(s, i) * comb(m - s, j)",
+        "N[i + j] += weight * (-1) ** (s - j) * comb(s, i) * comb(m - s, j)",
+        ("tests/test_corpus.py::test_every_builder_matches_its_fraction_reference",),
+    ),
+    Mutant(
+        "taylor-solution-c0-overscaled",
+        "src/starlattice/odes.py",
+        "gamma = {r: c * G * S ** (r + N - 1) for r, G in form.c0 if r <= L - N}",
+        "gamma = {r: c * G * S ** (r + N) for r, G in form.c0 if r <= L - N}",
+        ("tests/test_odes.py::test_taylor_solution_linear_matches_the_fraction_recurrence",),
+    ),
 )
 
 

@@ -6,9 +6,10 @@ Builds one list of command lines: every `step`, `verify` and `const` pool
 operation of seeds 1-3, taken from `perfbench/workloads.py` (imported as
 it is), and every document under `tests/fixtures/` through each data
 command, in both formats and both modes (`solve` and `fourier` with as
-many `--init` values as the document's order or m), plus `corpus`. Both
-trees run the whole list through `starlattice.cli.run`, one subprocess
-per tree, each importing the package from its own `src/`. For every
+many `--init` values as the document's order or m), plus `corpus` at
+each of `CORPUS_LENGTHS`. Both trees run the whole list through
+`starlattice.cli.run`, one subprocess per tree, each importing the
+package from its own `src/`. For every
 command line the SHA-256 of stdout, the stderr text and the exit code
 (or the exception, for a call that raised) must agree.
 
@@ -31,6 +32,8 @@ FIXTURES = ROOT / "tests" / "fixtures"
 WORKLOADS = ("step", "verify", "const")
 SEEDS = (1, 2, 3)
 INIT = ("1/2", "-1/3", "2/5", "1")
+# The corpus series prefix is max(L, 6) + 4 long, so lengths around 6 and past it take both branches.
+CORPUS_LENGTHS = (0, 5, 6, 7, 20, 100)
 
 # Runs in a fresh interpreter: argv[1] is the src/ to import from; reads
 # [[id, argv], ...] as JSON on stdin and writes {id: [stdout digest, stderr,
@@ -77,8 +80,8 @@ def pool_calls(workdir: Path) -> list[tuple[str, list[str]]]:
 
 
 def fixture_calls() -> list[tuple[str, list[str]]]:
-    """Each fixture document through every data command, formats and modes; then corpus."""
-    calls = [("corpus", ["corpus", "--length", "20"])]
+    """`corpus` at each of CORPUS_LENGTHS; then each fixture document through every data command, formats and modes."""
+    calls = [(f"corpus --length {n}", ["corpus", "--length", str(n)]) for n in CORPUS_LENGTHS]
     for doc in sorted(FIXTURES.glob("*.json")):
         document = json.loads(doc.read_text(encoding="utf-8"))
         order = document.get("order") or document.get("m") or 1
