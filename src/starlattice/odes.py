@@ -31,10 +31,13 @@ Taylor coefficients of the continuous one, so `nonlin_step`,
 where the star product is the binomial convolution with integer weights,
 so every W_k is an integer (the proof is in its docstring) and no index
 builds a `Fraction`. `transforms.ScaledNewton` maps W back to Taylor
-coefficients or to lattice values with one division per entry. The linear
-Taylor solver `taylor_solution_linear` runs the same way: it solves the
-linear defect of `taylor_residuals` below for its one unknown term, on
-integers W_k = c S^k k! b_k, S the integer weight of that term.
+coefficients or to lattice values with one division per entry.
+`taylor_solution_linear` solves the linear defect of `taylor_residuals`
+for its one unknown term the same way, on W_k = c S^k k! b_k. Each solver
+and each defect is one Newton-space recurrence with one term loop,
+`_newton_rhs`: a term (X, shift, p, A) is the source list X read at
+k + shift times A (k)_p. A linear term C t^p z^(l) reads W at l - p, a
+nonlinear one the binomial power w^(*j), which may still grow, at -p.
 
 Linear residuals of a lattice sequence are evaluated online: a term
 c t^p z^(l) reads only the entries n-p..n-p+l, through the binomial formula
@@ -333,14 +336,14 @@ def _lin_residual_newton(eq: LinearOde, D: int, W, count: int) -> ScaledNewton:
     continuous residual of b, whose Newton coefficients are k! R_k. With the
     integer form (l, p, C), (r, G) over E,
     rho_k = E D k! R_k = D k! G_k + sum C (k)_p W_{k-p+l},
-    `solve_newton`'s right-hand side on the sources X_l = W[l:].
+    `_newton_rhs` on the terms (W, l - p, p, C).
     """
     form = _IntegerForm.of(eq.coeffs, eq.c0)
     gamma = {r: D * g for r, g in form.c0}
-    sources = [W[l:] for l in range(eq.order + 1)]
+    terms = [(W, l - p, p, C) for l, p, C in form.terms]
     rho, k_factorial = [], 1
     for k in range(count):
-        rho.append(_newton_rhs(gamma, form.terms, sources, k, k_factorial))
+        rho.append(_newton_rhs(gamma, terms, k, k_factorial))
         k_factorial *= k + 1
     return ScaledNewton(form.E * D, 1, tuple(rho))
 
@@ -353,20 +356,20 @@ def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNe
     denominator of the coefficients. The
     residuals have the Newton coefficients rho_k / (D^N E), where the bracket in
     rho_k = E D^(N-1) w_{k+m} - [D^N k! G_k + sum C_{j,p} D^(N-j) (k)_p (w^(*j))_{k-p}]
-    is `solve_newton`'s right-hand side.
+    is `solve_newton`'s right-hand side, on the terms (w^(*j), -p, p, C_{j,p} D^(N-j)).
     """
     form = _IntegerForm.of((PolyCoeff(()), *eq.coeffs[1:]), eq.coeffs[0])
     N = eq.degree
     scale = [D ** (N - j) for j in range(N + 1)]
     gamma = {r: scale[0] * g for r, g in form.c0}
-    terms = [(j, p, c * scale[j]) for j, p, c in form.terms]
     powers: list[list[int]] = [[] for _ in range(N - 1)]  # w^(*2) .. w^(*N)
-    sources = (None, w, *powers)
+    sources = (w, *powers)
+    terms = [(sources[j - 1], -p, p, C * scale[j]) for j, p, C in form.terms]
     rho, k_factorial = [], 1
     for k in range(count):
         extend_binomial_powers(w, powers)
         ahead = w[k + eq.m] if k + eq.m < len(w) else 0
-        rho.append(form.E * scale[1] * ahead - _newton_rhs(gamma, terms, sources, k, k_factorial))
+        rho.append(form.E * scale[1] * ahead - _newton_rhs(gamma, terms, k, k_factorial))
         k_factorial *= k + 1
     return ScaledNewton(scale[0] * form.E, 1, tuple(rho))
 
@@ -518,8 +521,9 @@ def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
         W_{s+N} = -sign(E a_N(0)) [c S^(s+N-1) s! G_s + sum C S^(N-1+p-l) (s)_p W_{s-p+l}],
 
     every exponent nonnegative (p >= 1 where l = N), so every W_k is an
-    integer and `ScaledNewton(c, S, W)` reads each b_k out once. A power
-    above L - N never reaches W_L, so it never sizes a weight.
+    integer and `ScaledNewton(c, S, W)` reads each b_k out once. The bracket
+    is `_newton_rhs` on the terms (W, l - p, p, C S^(N-1+p-l)), appended to
+    W itself. A power above L - N never reaches W_L, so it sizes no weight.
     """
     N = eq.order
     if eq.coeffs[-1].constant_term == 0:
@@ -528,17 +532,13 @@ def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
     form = _IntegerForm.of(eq.coeffs, eq.c0)
     lead = next(C for l, p, C in form.terms if (l, p) == (N, 0))
     sign, S = (-1, lead) if lead > 0 else (1, -lead)
-    c = lcm(*(x.denominator for x in b))
-    W = [(c * x).numerator * factorial(k) * S**k for k, x in enumerate(b)]
+    c, B = over_common_denominator(b)
+    W = [x * factorial(k) * S**k for k, x in enumerate(B)]
     gamma = {r: c * G * S ** (r + N - 1) for r, G in form.c0 if r <= L - N}
-    terms = [(l - p, p, C * S ** (N - 1 + p - l)) for l, p, C in form.terms if (l, p) != (N, 0) and p <= L - N]
+    terms = [(W, l - p, p, C * S ** (N - 1 + p - l)) for l, p, C in form.terms if (l, p) != (N, 0) and p <= L - N]
     s_factorial = 1
     for s in range(L - N + 1):
-        acc = s_factorial * gamma.get(s, 0)
-        for shift, p, A in terms:
-            if p <= s:
-                acc += A * perm(s, p) * W[s + shift]
-        W.append(sign * acc)
+        W.append(sign * _newton_rhs(gamma, terms, s, s_factorial))
         s_factorial *= s + 1
     return TaylorCoeffs(tuple(ScaledNewton(c, S, tuple(W)).taylor_coeffs()))
 
@@ -577,35 +577,34 @@ def solve_newton(eq: NonlinearOde, zeta_init, L: int) -> ScaledNewton:
     integers alone and divides nowhere.
     """
     m, coeffs = eq.m, eq.coeffs
-    zeta = _initial(eq, zeta_init, L, "coefficients")
-    c = lcm(*(x.denominator for x in zeta))
+    c, Z = over_common_denominator(_initial(eq, zeta_init, L, "coefficients"))
     # A power r > L - m first enters W_{r+m}, past W_L, so it never sizes E or E^(m+r-1).
     a0 = [(r, c * g) for r, g in coeffs[0].monomials if r <= L - m]
     rest = [(j, p, a / c ** (j - 1)) for j, a_j in enumerate(coeffs[1:], 1) for p, a in a_j.monomials if p <= L - m]
     E = lcm(*(x.denominator for _, x in a0), *(x.denominator for _, _, x in rest))
+    W = [x * factorial(k) * E**k for k, x in enumerate(Z)]
+    powers: list[list[int]] = [[] for _ in range(len(coeffs) - 2)]  # W^(*2) .. W^(*N)
+    sources = (W, *powers)
     # E x is an integer for each x above, and every exponent m + r - 1, m + p - 1 is >= 0.
     gamma = {r: (x * E).numerator * E ** (m + r - 1) for r, x in a0}
-    terms = [(j, p, (x * E).numerator * E ** (m + p - 1)) for j, p, x in rest]
-    W = [(c * x).numerator * factorial(k) * E**k for k, x in enumerate(zeta)]
-    powers: list[list[int]] = [[] for _ in range(len(coeffs) - 2)]  # W^(*2) .. W^(*N)
-    sources = (None, W, *powers)
+    terms = [(sources[j - 1], -p, p, (x * E).numerator * E ** (m + p - 1)) for j, p, x in rest]
     k_factorial = 1
     for k in range(L - m + 1):
         extend_binomial_powers(W, powers)
-        W.append(_newton_rhs(gamma, terms, sources, k, k_factorial))
+        W.append(_newton_rhs(gamma, terms, k, k_factorial))
         k_factorial *= k + 1
     return ScaledNewton(c, E, tuple(W))
 
 
-def _newton_rhs(gamma: dict, terms, sources, k: int, k_factorial: int) -> int:
-    """k! gamma_k + sum A (k)_p X_j[k-p] over the terms (j, p, A) with p <= k.
+def _newton_rhs(gamma: dict, terms, k: int, k_factorial: int) -> int:
+    """k! gamma_k + sum A (k)_p X[k + shift] over the terms (X, shift, p, A) with p <= k.
 
-    The Newton-space right-hand side at k on the source sequences X_j = sources[j].
-    With X_j = w^(*j) the solver appends it and the nonlinear defect subtracts it;
-    with X_l = W[l:] it is the linear defect itself.
+    The one term loop of the module's Newton-space recurrences: the solvers
+    append it, the nonlinear defect subtracts it, and it is the linear defect
+    itself. Each X is read, not copied, so a power list may grow between calls.
     """
     acc = k_factorial * gamma.get(k, 0)
-    for j, p, A in terms:
+    for X, shift, p, A in terms:
         if p <= k:
-            acc += A * perm(k, p) * sources[j][k - p]
+            acc += A * perm(k, p) * X[k + shift]
     return acc

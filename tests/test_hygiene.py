@@ -167,7 +167,7 @@ def test_every_listed_mutant_applies_to_exactly_one_place():
         spec.loader.exec_module(mutants)
     finally:
         del sys.modules[spec.name]
-    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 44
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 46
     for m in mutants.MUTANTS:
         assert (root / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
         assert m.tests and all((root / t.partition("::")[0]).is_file() for t in m.tests), m.name

@@ -353,6 +353,26 @@ MUTANTS = (
         "gamma = {r: c * G * S ** (r + N) for r, G in form.c0 if r <= L - N}",
         ("tests/test_odes.py::test_taylor_solution_linear_matches_the_fraction_recurrence",),
     ),
+    Mutant(
+        "newton-rhs-drops-inhomogeneity",
+        "src/starlattice/odes.py",
+        "k_factorial * gamma.get(k, 0)",
+        "gamma.get(k, 0)",
+        (
+            "tests/test_odes.py::test_taylor_solution_linear_matches_the_fraction_recurrence",
+            "tests/test_online.py::test_sweep_taylor_residuals_match_the_lattice_route",
+        ),
+    ),
+    Mutant(
+        "newton-rhs-ignores-shift",
+        "src/starlattice/odes.py",
+        "acc += A * perm(k, p) * X[k + shift]",
+        "acc += A * perm(k, p) * X[k - p]",
+        (
+            "tests/test_odes.py::test_taylor_solution_linear_matches_the_fraction_recurrence",
+            "tests/test_online.py::test_sweep_taylor_residuals_match_the_lattice_route",
+        ),
+    ),
 )
 
 
