@@ -147,10 +147,10 @@ def cmd_residual(args) -> int:
     """Residual table of the document's solution for n = 0..length; exit 1 when an entry is nonzero.
 
     Residual n reads entries 0..n+order only. A `taylor` solution goes to
-    `odes.taylor_residuals`, which evaluates the equation's Newton-space
-    defect on the series integers and reads out only that defect, so the
-    lattice image of the series is never built (it is the functor image of
-    the continuous residual). A `lattice` one must store z_0..z_{length+order}
+    `odes.taylor_residuals`, which evaluates the continuous residual on the
+    series integers in Taylor space and reads out only a nonzero one, so
+    the lattice image of the series is never built (the table is the
+    functor image of the continuous residual). A `lattice` one must store z_0..z_{length+order}
     and goes to the stencil (`lin_residuals`) or the defect
     (`nonlin_residuals`) on its numerators.
     """
@@ -275,7 +275,7 @@ MAX_ARITY = 64
 # solve, fourier and corpus run the exact solvers and residual tables, whose
 # cost grows about 10x per doubling of L here because the numbers grow with L:
 # on one core of a 2-vCPU Xeon VM, z' = z^2 from 1/2 took 23 s (solve) and
-# 17 s (fourier) at L = 1600, and corpus about 18 s.
+# 17 s (fourier) at L = 1600, and corpus about 1.8 s.
 MAX_SOLVE_LENGTH = 1600
 
 

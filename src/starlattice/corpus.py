@@ -19,10 +19,14 @@ an integer solve. No case is kept between calls, and each still checks
 its own residuals when built.
 
 The residual tables go through `odes.taylor_residuals`: the equation's
-Newton-space defect on the integers of the forward map, read out alone.
-For a series solution that defect is zero, so no lattice image and no
+continuous residual on the series integers, in Taylor space, read out
+alone. For a series solution it is zero, so no lattice image and no
 Pascal row is built (the forward map sends the continuous residual to the
-discrete one). The termwise image in
+discrete one). `_checked` computes each solution's table once, over
+n = 0..max(length, _BUILD_CHECK_RANGE), asserts n <= _BUILD_CHECK_RANGE
+and keeps the table with the case, and `run_corpus` reports its first
+length + 1 entries: residual n reads only b_0..b_{n+order}, so that prefix
+is the table at length. The termwise image in
 the Jacobi extras goes through `transforms.taylor_to_lattice`, and the
 Jacobi shifted form through its Newton readout, `transforms.ScaledNewton`.
 `gauss_sum` keeps the literal sum over (n)_k, on the running `Fraction`
@@ -55,18 +59,34 @@ class CorpusCase:
     solutions: tuple[TaylorCoeffs, ...]
     parameters: tuple[tuple[str, Fraction], ...] = ()
     extras: dict = field(default_factory=dict)
+    # The residual tables of the build's self-check, one per solution; empty for a case built
+    # unchecked. Not an init field, so a case copied by `dataclasses.replace` holds none.
+    tables: tuple[list[Fraction], ...] = field(default=(), init=False, compare=False, repr=False)
 
     def residual_table(self, length: int) -> list[list[Fraction]]:
-        """Residuals per solution for n = 0..length, by `odes.taylor_residuals` on the series integers."""
+        """Residuals per solution for n = 0..length, by `odes.taylor_residuals` on the series integers.
+
+        A case built by `_checked` already holds tables at least that long:
+        residual n reads only b_0..b_{n+order}, so their prefix is the table.
+        """
+        if self.tables and len(self.tables[0]) > length:
+            return [table[: length + 1] for table in self.tables]
         return [taylor_residuals(self.equation, sol, length) for sol in self.solutions]
 
     def verify(self, length: int) -> bool:
         return all(r == 0 for table in self.residual_table(length) for r in table)
 
 
-def _checked(case: CorpusCase) -> CorpusCase:
-    if not case.verify(_BUILD_CHECK_RANGE):
+def _checked(case: CorpusCase, length: int) -> CorpusCase:
+    """The case with its residual tables over n = 0..max(length, _BUILD_CHECK_RANGE), once each.
+
+    The build asserts only n <= _BUILD_CHECK_RANGE; `run_corpus` reports
+    the first length + 1 entries of the same tables.
+    """
+    tables = case.residual_table(max(length, _BUILD_CHECK_RANGE))
+    if any(r for table in tables for r in table[: _BUILD_CHECK_RANGE + 1]):
         raise AssertionError(f"corpus case {case.name} fails its own residual check")
+    object.__setattr__(case, "tables", tuple(tables))  # the case is frozen and built just now
     return case
 
 
@@ -98,7 +118,8 @@ def harmonic_case(omega=Fraction(1), length: int = 20) -> CorpusCase:
             equation=eq,
             solutions=(_trig_coeffs(omega, L, 1), _trig_coeffs(omega, L, 0)),
             parameters=(("omega", omega),),
-        )
+        ),
+        length,
     )
 
 
@@ -126,7 +147,8 @@ def damped_case(omega=Fraction(1), q=Fraction(1, 2), length: int = 20) -> Corpus
             equation=eq,
             solutions=sols,
             parameters=(("omega", omega), ("q", q)),
-        )
+        ),
+        length,
     )
 
 
@@ -142,7 +164,8 @@ def gaussian_case(length: int = 20) -> CorpusCase:
         term *= -(k + 1)
     coeffs = ScaledNewton(1, 1, tuple(W)).taylor_coeffs()
     return _checked(
-        CorpusCase(name="gaussian", equation=eq, solutions=(TaylorCoeffs(tuple(coeffs)),))
+        CorpusCase(name="gaussian", equation=eq, solutions=(TaylorCoeffs(tuple(coeffs)),)),
+        length,
     )
 
 
@@ -228,7 +251,8 @@ def hypergeometric_case(
             equation=eq,
             solutions=(TaylorCoeffs(tuple(_gauss_newton(a, b, c, L).taylor_coeffs())),),
             parameters=(("a", a), ("b", b), ("c", c)),
-        )
+        ),
+        length,
     )
 
 
@@ -262,7 +286,8 @@ def riccati_case(k: int = 1, c1=Fraction(-2), c2=Fraction(0), length: int = 20) 
             equation=eq,
             solutions=(TaylorCoeffs(coeffs),),
             parameters=(("k", Fraction(k)), ("c1", c1), ("c2", c2)),
-        )
+        ),
+        length,
     )
 
 
@@ -294,7 +319,8 @@ def hermite_case(m: int = 2, length: int = 20) -> CorpusCase:
             equation=eq,
             solutions=(coeffs,),
             parameters=(("m", Fraction(m)),),
-        )
+        ),
+        length,
     )
 
 
@@ -380,7 +406,8 @@ def jacobi_case(
             solutions=(coeffs,),
             parameters=(("m", Fraction(m)), ("alpha", alpha), ("beta", beta)),
             extras=extras,
-        )
+        ),
+        length,
     )
 
 
@@ -399,7 +426,7 @@ def standard_cases(length: int = 20) -> list[CorpusCase]:
 
 
 def run_corpus(length: int = 20) -> dict:
-    """Run every standard case and collect a JSON-ready report."""
+    """Run every standard case and collect a JSON-ready report from the tables its build checked."""
     report_cases = []
     all_pass = True
     for case in standard_cases(length):

@@ -32,12 +32,15 @@ where the star product is the binomial convolution with integer weights,
 so every W_k is an integer (the proof is in its docstring) and no index
 builds a `Fraction`. `transforms.ScaledNewton` maps W back to Taylor
 coefficients or to lattice values with one division per entry.
-`taylor_solution_linear` solves the linear defect of `taylor_residuals`
-for its one unknown term the same way, on W_k = c S^k k! b_k. Each solver
-and each defect is one Newton-space recurrence with one term loop,
-`_newton_rhs`: a term (X, shift, p, A) is the source list X read at
-k + shift times A (k)_p. A linear term C t^p z^(l) reads W at l - p, a
-nonlinear one the binomial power w^(*j), which may still grow, at -p.
+`taylor_solution_linear` solves the linear defect of `taylor_residuals`,
+scaled by k! into Newton space, for its one unknown term the same way, on
+W_k = c S^k k! b_k. Each solver and each defect is one recurrence with
+one term loop, `_newton_rhs`: a term (X, shift, p, A, at) is the source
+list X read at k + shift times A (k + at)_(p + at). A Newton term has
+at = 0, so its weight is (k)_p: a linear term C t^p z^(l) reads W at
+l - p, a nonlinear one the binomial power w^(*j), which may still grow,
+at -p. A Taylor term has at = shift and no k!, so the falling factorial
+sits on the source index.
 
 Linear residuals of a lattice sequence are evaluated online: a term
 c t^p z^(l) reads only the entries n-p..n-p+l, through the binomial formula
@@ -52,18 +55,22 @@ Both evaluators run on the equation scaled once to integer coefficients and
 on the sequence scaled to integer numerators over one denominator, and
 divide once per index.
 
-A Taylor solution b never becomes a lattice sequence: `taylor_residuals`
-takes the integers W_k = k! D b_k, the Newton coefficients of D times its
-lattice image, and evaluates a Newton-space defect for both kinds of
-equation. For a nonlinear one this is the defect above with W as w. For a
-linear one it is the equation's own Taylor-space defect: the forward map is
-a functor, F(t^p g^(l))_n = (n)_p (Delta^l F g)_{n-p}, so the residual
-table of F b is F R, R the continuous residual of b, and its Newton
-coefficients k! R_k cost O(terms) integer products each. Only the defect
-goes through the Pascal rule, and the defect of a series solution is zero,
-so checking one builds no lattice image at all. The stencil route of
-`lin_residuals` on `taylor_to_lattice(b, L + N)` is the independent
-cross-check of this one.
+A Taylor solution b is checked in Taylor space and never becomes a lattice
+sequence. The forward map is a functor, F(t^p g^(l))_n =
+(n)_p (Delta^l F g)_{n-p}, that sends the Cauchy product to the star
+product, so the residual table of F b is F R, R the continuous residual
+of b. `taylor_residuals` puts the prefix over one denominator, V_k = D b_k,
+and each defect gives sigma_k = c R_k as integers with no factorial: the
+linear one on Taylor terms of V, the nonlinear one on the plain Cauchy
+powers of V (`series.extend_cauchy_powers`), whose entries stay as small
+as the series' own. The Newton coefficients of F R are k! R_k = k! sigma_k / c,
+what a Newton-space defect on W_k = k! V_k would give, so k! enters only
+the readout of a nonzero table.
+The table of a series solution is zero, so checking one builds no lattice
+image and forms no factorial at all. The stencil route of `lin_residuals`
+and the binomial Newton defect of `nonlin_residuals`, both on
+`taylor_to_lattice(b, L + N)`, share no step with it and are its
+independent cross-checks.
 `lin_residual_kernel` keeps the paper's whole-sequence route, through
 `star.monomial_star_kernel`, as the cross-check of `lin_residual`; no
 production path calls it.
@@ -76,22 +83,23 @@ through `_check_index`, the tables at n = 0 too, so none is ever empty.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 
 from .errors import IndexOutOfRange, LengthMismatch, NotForwardSolvable, OrderTooLarge
 from .rational import as_rational, coprime_fraction, over_common_denominator, reduced_fraction
 from .sequences import LatticeSeq, TaylorCoeffs
-from .series import extend_binomial_powers
+from .series import extend_binomial_powers, extend_cauchy_powers
 from .star import monomial_star_kernel
 from .transforms import (
     ScaledNewton,
     falling_factorial,
     inverse_transform,
     lattice_to_newton,
-    taylor_newton,
 )
 
 
@@ -327,36 +335,32 @@ def lin_residuals(eq: LinearOde, z: LatticeSeq) -> list[Fraction]:
     return [reduced_fraction(stencil.scaled_residual(Z, 0, n, D), D * stencil.E) for n in range(z.last_index - eq.order + 1)]
 
 
-def _lin_residual_newton(eq: LinearOde, D: int, W, count: int) -> ScaledNewton:
-    """The residuals at n = 0..count-1 as scaled Newton coefficients rho_k with c = E D.
+def _lin_residual_taylor(eq: LinearOde, D: int, V, count: int) -> tuple[int, list[int]]:
+    """(E D, sigma): E D times the continuous residual R_k of b at k = 0..count-1.
 
-    W are the integers k! D b_k of a series prefix b, at least count + N of
-    them, N the order. The forward map F sends t^p g^(l) to
-    (n)_p (Delta^l F g)_{n-p}, so the lattice residual of F b is F R, R the
-    continuous residual of b, whose Newton coefficients are k! R_k. With the
-    integer form (l, p, C), (r, G) over E,
-    rho_k = E D k! R_k = D k! G_k + sum C (k)_p W_{k-p+l},
-    `_newton_rhs` on the terms (W, l - p, p, C).
+    V are the integers D b_k of a series prefix b, at least count + N of
+    them, N the order. Coefficient k of a_l(t) b^(l) holds b_{k-p+l} times
+    (k-p+l)_l for each monomial C t^p of E a_l, so with the integer form
+    (l, p, C), (r, G) over E,
+    sigma_k = D G_k + sum C (k-p+l)_l V_{k-p+l}, `_newton_rhs` on the
+    Taylor terms (V, l - p, p, C, l - p) with no k!.
     """
     form = _IntegerForm.of(eq.coeffs, eq.c0)
     gamma = {r: D * g for r, g in form.c0}
-    terms = [(W, l - p, p, C) for l, p, C in form.terms]
-    rho, k_factorial = [], 1
-    for k in range(count):
-        rho.append(_newton_rhs(gamma, terms, k, k_factorial))
-        k_factorial *= k + 1
-    return ScaledNewton(form.E * D, 1, tuple(rho))
+    terms = [(V, l - p, p, C, l - p) for l, p, C in form.terms]
+    return form.E * D, [_newton_rhs(gamma, terms, k, 1) for k in range(count)]
 
 
 def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNewton:
     """The residuals at n = 0..count-1 as scaled Newton coefficients rho_k with c = D^N E.
 
-    w are the integer Newton coefficients of D z, at least count of them,
-    read as zero past their end; N is the degree and E the common
-    denominator of the coefficients. The
-    residuals have the Newton coefficients rho_k / (D^N E), where the bracket in
+    w are the integer Newton coefficients of D z, at least count + m of
+    them; N is the degree and E the common denominator of the
+    coefficients. The residuals have the Newton coefficients
+    rho_k / (D^N E), where the bracket in
     rho_k = E D^(N-1) w_{k+m} - [D^N k! G_k + sum C_{j,p} D^(N-j) (k)_p (w^(*j))_{k-p}]
-    is `solve_newton`'s right-hand side, on the terms (w^(*j), -p, p, C_{j,p} D^(N-j)).
+    is `solve_newton`'s right-hand side, on the Newton terms
+    (w^(*j), -p, p, C_{j,p} D^(N-j), 0) over the binomial powers w^(*j).
     """
     form = _IntegerForm.of((PolyCoeff(()), *eq.coeffs[1:]), eq.coeffs[0])
     N = eq.degree
@@ -364,14 +368,42 @@ def _nonlin_residual_newton(eq: NonlinearOde, D: int, w, count: int) -> ScaledNe
     gamma = {r: scale[0] * g for r, g in form.c0}
     powers: list[list[int]] = [[] for _ in range(N - 1)]  # w^(*2) .. w^(*N)
     sources = (w, *powers)
-    terms = [(sources[j - 1], -p, p, C * scale[j]) for j, p, C in form.terms]
+    terms = [(sources[j - 1], -p, p, C * scale[j], 0) for j, p, C in form.terms]
     rho, k_factorial = [], 1
     for k in range(count):
         extend_binomial_powers(w, powers)
-        ahead = w[k + eq.m] if k + eq.m < len(w) else 0
-        rho.append(form.E * scale[1] * ahead - _newton_rhs(gamma, terms, k, k_factorial))
+        rho.append(form.E * scale[1] * w[k + eq.m] - _newton_rhs(gamma, terms, k, k_factorial))
         k_factorial *= k + 1
     return ScaledNewton(scale[0] * form.E, 1, tuple(rho))
+
+
+def _nonlin_residual_taylor(eq: NonlinearOde, D: int, V, count: int) -> tuple[int, list[int]]:
+    """(D^N E, sigma): D^N E times the continuous residual R_k of b at k = 0..count-1.
+
+    V are the integers D b_k of a series prefix b, at least count of them,
+    read as zero past their end; N is the degree and E the common
+    denominator of the coefficients. Coefficient k of b^(m) is
+    (k+m)_m b_{k+m}, and (V^j)_k = D^j (b^j)_k for the Cauchy powers V^j, so
+
+        sigma_k = E D^(N-1) (k+m)_m V_{k+m} - [D^N G_k + sum C_{j,p} D^(N-j) (V^j)_{k-p}],
+
+    the bracket `_newton_rhs` on the Taylor terms (V^j, -p, p, C_{j,p} D^(N-j), -p)
+    with no k!. It shares no step with `_nonlin_residual_newton`, whose
+    defect is k! sigma_k on the lattice's Newton coefficients.
+    """
+    form = _IntegerForm.of((PolyCoeff(()), *eq.coeffs[1:]), eq.coeffs[0])
+    N, m = eq.degree, eq.m
+    scale = [D ** (N - j) for j in range(N + 1)]
+    gamma = {r: scale[0] * g for r, g in form.c0}
+    powers: list[list[int]] = [[] for _ in range(N - 1)]  # V^2 .. V^N
+    sources = (V, *powers)
+    terms = [(sources[j - 1], -p, p, C * scale[j], -p) for j, p, C in form.terms]
+    sigma = []
+    for k in range(count):
+        extend_cauchy_powers(V, powers)
+        ahead = perm(k + m, m) * V[k + m] if k + m < len(V) else 0
+        sigma.append(form.E * scale[1] * ahead - _newton_rhs(gamma, terms, k, 1))
+    return scale[0] * form.E, sigma
 
 
 def nonlin_residual(eq: NonlinearOde, z: LatticeSeq, n: int) -> Fraction:
@@ -393,26 +425,28 @@ def taylor_residuals(eq: LinearOde | NonlinearOde, b: TaylorCoeffs, length: int)
 
     The same rationals as `lin_residuals` or `nonlin_residuals` of
     `taylor_to_lattice(b, length + order)`, and like it this reads only
-    b_0..b_{length+order}, but the lattice image of b is never formed: the
-    integers W_k = k! D b_k of `transforms.taylor_newton`, zero past a
-    polynomial prefix, are the Newton coefficients of D z, and both kinds
-    of equation evaluate a Newton-space defect on them. Since the forward
-    map is a functor, F(t^p g^(l))_n = (n)_p (Delta^l F g)_{n-p}, the
-    residual table of F b is F R, R the continuous residual of b, so the
-    linear defect is k! R_k, scaled to integers. The nonlinear one takes W
-    as the w of the recurrence `solve_newton` solves. Only the defect goes
-    through the Pascal rule, and that of a series solution is zero.
+    b_0..b_{length+order}, but the lattice image of b is never formed.
+    Since the forward map is a functor, F(t^p g^(l))_n = (n)_p (Delta^l F g)_{n-p},
+    and sends the Cauchy product to the star product, the residual table of
+    F b is F R, R the continuous residual of b. So the check runs in Taylor
+    space: on V_k = D b_k, D the common denominator of the prefix, each
+    defect gives the integers sigma_k = c R_k with Cauchy products of V
+    and no factorial. The Newton coefficients of the table are k! R_k, so
+    only a nonzero sigma is scaled by k! and read out through the Pascal
+    rule; that of a series solution is zero and builds no lattice image.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    needed = length + eq.order + 1
-    newton = taylor_newton(b, needed - 1)
     linear = isinstance(eq, LinearOde)
-    # The nonlinear defect reads W_{k+m} as zero past W, so m never sizes a list.
-    W = list(newton.W) + [0] * (length + 1 + (eq.order if linear else 0) - len(newton.W))
-    residual_newton = _lin_residual_newton if linear else _nonlin_residual_newton
-    defect = residual_newton(eq, newton.c, W, length + 1)
-    return defect.lattice_values()
+    needed = length + eq.order + 1
+    D, V = over_common_denominator(list(islice(b, min(needed, sys.maxsize))))  # no sequence holds more
+    # The nonlinear defect reads V_{k+m} as zero past V, so m never sizes a list.
+    V += [0] * (length + 1 + (eq.order if linear else 0) - len(V))
+    residual_taylor = _lin_residual_taylor if linear else _nonlin_residual_taylor
+    c, sigma = residual_taylor(eq, D, V, length + 1)
+    if any(sigma):
+        sigma = list(map(mul, sigma, accumulate(range(1, len(sigma)), mul, initial=1)))  # k! R_k c
+    return ScaledNewton(c, 1, tuple(sigma)).lattice_values()
 
 
 def lin_step(eq: LinearOde, init, L: int) -> LatticeSeq:
@@ -510,20 +544,23 @@ def local_stencil(eq: LinearOde) -> tuple[Fraction, ...] | None:
 def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
     """Power-series solution b_0..b_L of the continuous equation from N initial Taylor coefficients.
 
-    Requires a_N(0) != 0 (ordinary point at the origin). Coefficient s of
-    the equation times s! is the Newton-space defect of `taylor_residuals`,
-    E s! R_s = s! G_s + sum C (s)_p w_{s-p+l} over the integer form
-    (l, p, C), (r, G) of `_IntegerForm`, with w_k = k! b_k; the term
-    (N, 0, C) carries the unknown w_{s+N}, so setting the defect to zero
-    solves for it. With S = |E a_N(0)| and c the common denominator of the
-    initial values, the scaled W_k = c S^k k! b_k obey
+    Requires a_N(0) != 0 (ordinary point at the origin). The solver stays
+    in Newton space: coefficient s of the equation is the Taylor-space
+    defect of `taylor_residuals`, E R_s = G_s + sum C (s-p+l)_l b_{s-p+l}
+    over the integer form (l, p, C), (r, G) of `_IntegerForm`, and its
+    k!-scaled form E s! R_s = s! G_s + sum C (s)_p w_{s-p+l}, with
+    w_k = k! b_k, is the one solved; the term (N, 0, C) carries the unknown
+    w_{s+N}, so setting the defect to zero solves for it. With
+    S = |E a_N(0)| and c the common denominator of the initial values, the
+    scaled W_k = c S^k k! b_k obey
 
         W_{s+N} = -sign(E a_N(0)) [c S^(s+N-1) s! G_s + sum C S^(N-1+p-l) (s)_p W_{s-p+l}],
 
     every exponent nonnegative (p >= 1 where l = N), so every W_k is an
     integer and `ScaledNewton(c, S, W)` reads each b_k out once. The bracket
-    is `_newton_rhs` on the terms (W, l - p, p, C S^(N-1+p-l)), appended to
-    W itself. A power above L - N never reaches W_L, so it sizes no weight.
+    is `_newton_rhs` on the Newton terms (W, l - p, p, C S^(N-1+p-l), 0),
+    appended to W itself. A power above L - N never reaches W_L, so it
+    sizes no weight.
     """
     N = eq.order
     if eq.coeffs[-1].constant_term == 0:
@@ -535,7 +572,7 @@ def taylor_solution_linear(eq: LinearOde, init, L: int) -> TaylorCoeffs:
     c, B = over_common_denominator(b)
     W = [x * factorial(k) * S**k for k, x in enumerate(B)]
     gamma = {r: c * G * S ** (r + N - 1) for r, G in form.c0 if r <= L - N}
-    terms = [(W, l - p, p, C * S ** (N - 1 + p - l)) for l, p, C in form.terms if (l, p) != (N, 0) and p <= L - N]
+    terms = [(W, l - p, p, C * S ** (N - 1 + p - l), 0) for l, p, C in form.terms if (l, p) != (N, 0) and p <= L - N]
     s_factorial = 1
     for s in range(L - N + 1):
         W.append(sign * _newton_rhs(gamma, terms, s, s_factorial))
@@ -587,7 +624,7 @@ def solve_newton(eq: NonlinearOde, zeta_init, L: int) -> ScaledNewton:
     sources = (W, *powers)
     # E x is an integer for each x above, and every exponent m + r - 1, m + p - 1 is >= 0.
     gamma = {r: (x * E).numerator * E ** (m + r - 1) for r, x in a0}
-    terms = [(sources[j - 1], -p, p, (x * E).numerator * E ** (m + p - 1)) for j, p, x in rest]
+    terms = [(sources[j - 1], -p, p, (x * E).numerator * E ** (m + p - 1), 0) for j, p, x in rest]
     k_factorial = 1
     for k in range(L - m + 1):
         extend_binomial_powers(W, powers)
@@ -597,14 +634,17 @@ def solve_newton(eq: NonlinearOde, zeta_init, L: int) -> ScaledNewton:
 
 
 def _newton_rhs(gamma: dict, terms, k: int, k_factorial: int) -> int:
-    """k! gamma_k + sum A (k)_p X[k + shift] over the terms (X, shift, p, A) with p <= k.
+    """k! gamma_k + sum A (k + at)_(p + at) X[k + shift] over the terms (X, shift, p, A, at) with p <= k.
 
-    The one term loop of the module's Newton-space recurrences: the solvers
-    append it, the nonlinear defect subtracts it, and it is the linear defect
-    itself. Each X is read, not copied, so a power list may grow between calls.
+    The one term loop of the module's recurrences: the solvers append it,
+    the nonlinear defects subtract it, and it is the linear defect itself.
+    A Newton term (at = 0) weighs its source by (k)_p; a Taylor term
+    (at = shift, with k! = 1) by the falling factorial of the source index
+    k + shift down to k - p + 1. Each X is read, not copied, so a power
+    list may grow between calls.
     """
     acc = k_factorial * gamma.get(k, 0)
-    for X, shift, p, A in terms:
+    for X, shift, p, A, at in terms:
         if p <= k:
-            acc += A * perm(k, p) * X[k + shift]
+            acc += A * perm(k + at, p + at) * X[k + shift]
     return acc

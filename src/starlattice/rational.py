@@ -20,7 +20,6 @@ that reaches into the `Fraction` slots.
 
 from __future__ import annotations
 
-import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -29,7 +28,6 @@ from .errors import RationalParseError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 # Longest digit string a literal may hold. CPython 3.11 refuses int(str) past
 # 4300 digits; `decimal` converts past that, at a cost that grows like the
 # square of the length: 0.5 s for 10^5 digits and 49 s for 10^6 on one core
@@ -49,12 +47,18 @@ def _parse_int(digits: str, text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (q > 0) into an exact rational, in lowest terms by one gcd."""
-    match = _RATIONAL_RE.fullmatch(text.strip())
-    if match is None:
+    """Parse "p" or "p/q" (q > 0) into an exact rational, in lowest terms by one gcd.
+
+    The grammar is [+-]?d+(/d+)? after stripping whitespace, d a Unicode
+    decimal digit (category Nd: what `str.isdecimal` accepts and `int`
+    reads). The denominator is read first, then refused if zero, then the
+    numerator is read.
+    """
+    num, slash, den = text.strip().partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
+    if not digits.isdecimal() or (slash and not den.isdecimal()):
         raise RationalParseError(f"not a rational literal: {text!r}")
-    num, den = match.groups()
-    if den is None:
+    if not slash:
         return coprime_fraction(_parse_int(num, text), 1)
     q = _parse_int(den, text)
     if q == 0:

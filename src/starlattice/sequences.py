@@ -15,13 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator
 
 from .rational import as_rational
 
 
 def _coerce(values) -> tuple[Fraction, ...]:
-    out = tuple(as_rational(v) for v in values)
+    """The entries as a tuple of rationals; one that holds only `Fraction` entries is not coerced again."""
+    out = tuple(values)
+    if not all(map(isinstance, out, repeat(Fraction))):
+        out = tuple(map(as_rational, out))
     if not out:
         raise ValueError("sequence must have at least one entry")
     return out

@@ -11,9 +11,13 @@ adds and multiplies its inputs, so the float route in `floatmode` runs
 Newton coefficients w_k = k! zeta_k, where the Cauchy product of
 coefficient series becomes the binomial convolution sum_i C(k,i) u_i v_{k-i}
 (the falling-factorial basis is of binomial type). Its weights are
-integers, so its callers (`odes.solve_newton`, the nonlinear residuals and
-`star.star_power`) keep their powers on integers and never normalise a
-fraction per index. `pow_trunc`, the one power on series coefficients,
+integers, so its callers (`odes.solve_newton`, the lattice route of the
+nonlinear residuals and `star.star_power`) keep their powers on integers
+and never normalise a fraction per index. `extend_cauchy_powers` is the
+same loop with the plain weight row v_k, ..., v_0: the Cauchy powers of
+integer Taylor coefficients over one denominator, which the Taylor-space
+residual of `odes.taylor_residuals` takes with no k! in its integers.
+`pow_trunc`, the one power on series coefficients,
 serves `floatmode` and the `fourier.constrained_convolution` oracle:
 floats cannot take binomial weights, as C(k, k/2) leaves the double range
 near k = 1030. The `corpus` series are built on integers from their
@@ -79,6 +83,29 @@ def extend_binomial_powers(w: list[int], powers: list[list[int]]) -> None:
     for i in range(k + 1 if len(powers) > 1 else k // 2 + 1):
         weighted.append(binomial * w[k - i])
         binomial = binomial * (k - i) // (i + 1)
+    _append_powers(w, powers, weighted)
+
+
+def extend_cauchy_powers(v: list[int], powers: list[list[int]]) -> None:
+    """Append the next coefficient to each Cauchy power v^2, v^3, ... in place.
+
+    `extend_binomial_powers` with the weight row v_k, v_(k-1), ..., v_0 in
+    place of C(k,i) v_(k-i): the plain product of coefficient series, for
+    integer Taylor coefficients over one denominator, whose entries stay
+    as small as the series' own.
+    """
+    if powers:
+        _append_powers(v, powers, v[len(powers[0]) :: -1])
+
+
+def _append_powers(w: list[int], powers: list[list[int]], weighted: list[int]) -> None:
+    """Index k = len(powers[0]) of each power from the weight row weighted[i] on w_(k-i).
+
+    The square sums the symmetric pairs i < k - i once and doubles them,
+    so it reads weighted only up to k/2; each higher power is the dot
+    product of the power below it with the whole row.
+    """
+    k = len(powers[0])
     half = sum(map(mul, w[: (k + 1) // 2], weighted))
     powers[0].append(2 * half + (w[k // 2] * weighted[k // 2] if k % 2 == 0 else 0))
     prev = powers[0]

@@ -14,8 +14,9 @@ residual verification. parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
-from .errors import SchemaError
+from .errors import RationalParseError, SchemaError
 from .galois import ConstLinearEq
 from .odes import LinearOde, NonlinearOde, PolyCoeff
 from .rational import format_rational, parse_rational
@@ -47,6 +48,12 @@ def _parse_rational_at(value, path: str, index: int | None = None) -> Fraction:
 
 
 def _parse_rationals(values: list, path: str) -> tuple[Fraction, ...]:
+    """Strings in one pass; a list with another entry or a bad literal goes entry by entry, to name ``path[i]``."""
+    if all(map(isinstance, values, repeat(str))):
+        try:
+            return tuple(map(parse_rational, values))
+        except RationalParseError:
+            pass
     return tuple(_parse_rational_at(v, path, i) for i, v in enumerate(values))
 
 

@@ -28,12 +28,13 @@ The exact maps run on integers: the falling-factorial basis is of binomial
 type, so a rational sequence needs one common denominator, and
 `ScaledNewton` holds the integers W_k = k! c E^k zeta_k together with the
 readouts that divide once per entry, each quotient a `reduced_fraction`:
-one gcd per nonzero entry and none for a zero one. `taylor_newton` builds
-W_k = k! D b_k, which `taylor_to_lattice` reads out as lattice values; the
-residual tables of a Taylor solution (`odes.taylor_residuals`) evaluate a
-Newton-space defect on W instead and read out only the defect, which is
-zero for a series solution. `inverse_transform` takes W from the
-difference table of D z_n. The star powers, both Taylor solvers, the residual defects, the
+one gcd per nonzero entry and none for a zero one. `taylor_to_lattice`
+builds W_k = k! D b_k and reads it out as lattice values. The
+residual tables of a Taylor solution (`odes.taylor_residuals`) need no W:
+they evaluate the continuous residual on D b_k, with no factorial, and
+only a nonzero one is scaled by k! into Newton coefficients and read out
+here; that of a series solution is zero. `inverse_transform` takes W from
+the difference table of D z_n. The star powers, both Taylor solvers, the residual defects, the
 `corpus` series and the Jacobi shifted form read their integers out
 through the same class, whose lattice readouts cut the zero tail of W
 before the Pascal rule.
@@ -188,26 +189,17 @@ def inverse_transform(z: LatticeSeq) -> FourierSeq:
     return FourierSeq(tuple(ScaledNewton(D, 1, tuple(lattice_to_newton(Z))).taylor_coeffs()))
 
 
-def taylor_newton(b: TaylorCoeffs, L: int) -> ScaledNewton:
-    """ScaledNewton(D, 1, W) of the lattice image of b_0..b_L, with W_k = k! D b_k.
-
-    D is the common denominator of b_0..b_min(L, len-1); W stops where the
-    stored prefix does, and the lattice readouts take the coefficients past
-    it as exact zeros.
-    """
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    D, B = over_common_denominator(list(islice(b, min(L + 1, sys.maxsize))))  # no sequence holds more
-    W = map(mul, B, accumulate(range(1, len(B)), mul, initial=1))  # k! D b_k
-    return ScaledNewton(D, 1, tuple(W))
-
-
 def taylor_to_lattice(b: TaylorCoeffs, L: int) -> LatticeSeq:
     """Lattice image z_n = sum_{k<=n} b_k (n)_k of a series prefix, n = 0..L.
 
     Coefficients beyond the stored prefix are taken as exact zeros, so a
     polynomial may be passed as its finite coefficient list. For a
     transcendental series supply at least L+1 coefficients. The Newton
-    coefficients of D z are the integers of `taylor_newton`.
+    coefficients of D z, D the common denominator of b_0..b_L, are the
+    integers W_k = k! D b_k, which stop where the stored prefix does.
     """
-    return LatticeSeq(tuple(taylor_newton(b, L).lattice_values(L + 1)))
+    if L < 0:
+        raise ValueError("L must be nonnegative")
+    D, B = over_common_denominator(list(islice(b, min(L + 1, sys.maxsize))))  # no sequence holds more
+    W = map(mul, B, accumulate(range(1, len(B)), mul, initial=1))  # k! D b_k
+    return LatticeSeq(tuple(ScaledNewton(D, 1, tuple(W)).lattice_values(L + 1)))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,7 +22,8 @@ from starlattice import cli, galois
 from starlattice.cli import run
 from starlattice.galois import ConstLinearEq, verify_fundamental
 from starlattice.odes import LinearOde, NonlinearOde, lin_step, nonlin_step
-from starlattice.rational import format_float, format_rational
+from starlattice.errors import RationalParseError
+from starlattice.rational import format_float, format_rational, parse_rational
 from starlattice.specio import parse_solution, parse_spec, to_document
 
 GAUSSIAN_DOC = {"type": "linear", "order": 1, "coeffs": [[[1, "1"]], [[0, "1"]]], "c0": []}
@@ -87,6 +89,35 @@ def test_parse_spec_rejects_bad_rational():
     with pytest.raises(SchemaError) as err:
         parse_spec({"type": "const_linear", "coeffs": ["1", "-2/4", None]})
     assert str(err.value) == 'coeffs[2]: rationals must be strings like "p/q"'
+
+
+def test_parse_solution_names_the_bad_entry_at_every_index():
+    # The list parses in one pass; a failing one is re-read entry by entry, and the label
+    # names the index of its first bad entry, a non-string or a bad literal, wherever it sits.
+    rng = random.Random(71)
+    good = ["1/2", "-3", " 4/6 ", "+0", "\u0663/\u0664", "7/1"]
+    bad = [
+        (2, 'rationals must be strings like "p/q"'),
+        (None, 'rationals must be strings like "p/q"'),
+        (1.5, 'rationals must be strings like "p/q"'),
+        (["1"], 'rationals must be strings like "p/q"'),
+        (True, 'rationals must be strings like "p/q"'),
+        ("1/0", "zero denominator: '1/0'"),
+        ("1/", "not a rational literal: '1/'"),
+        ("2.5", "not a rational literal: '2.5'"),
+    ]
+    for _ in range(60):
+        values = [rng.choice(good) for _ in range(rng.randrange(1, 12))]
+        assert parse_solution({"solution": {"taylor": values}}) == ("taylor", tuple(map(parse_rational, values)))
+        i = rng.randrange(len(values) + 1)
+        entry, message = rng.choice(bad)
+        values.insert(i, entry)
+        values += [rng.choice([b for b, _ in bad])] * rng.randrange(0, 2)  # a later bad entry is not named
+        with pytest.raises(SchemaError) as err:
+            parse_solution({"solution": {"taylor": values}})
+        assert str(err.value) == f"solution.taylor[{i}]: {message}"
+        assert err.value.path == f"solution.taylor[{i}]"
+        assert isinstance(err.value.__cause__, RationalParseError) == isinstance(entry, str)
 
 
 def test_parse_spec_rejects_unknown_field():

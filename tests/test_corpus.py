@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import re
@@ -384,3 +385,50 @@ def test_run_corpus_fails_a_perturbed_case_and_the_cli_exits_1(monkeypatch, tmp_
     out = tmp_path / "report.json"
     assert run(["corpus", "--length", str(length), "--out", str(out)]) == 1
     assert json.loads(out.read_text()) == {"command": "corpus", **report}
+
+
+def test_build_self_check_reads_exactly_the_residuals_up_to_its_range():
+    # b_(k+2) enters R_k of z'' + z = 0, so moving b_8 of the sine leaves the residuals
+    # before n = 6 at zero and b_9 those before n = 7: the build refuses the first, at
+    # every length, and keeps the second, whose table then shows it from n = 7 on.
+    harmonic = harmonic_case(length=20)
+    sine = harmonic.solutions[0].coeffs
+    off = {}
+    for k in (8, 9):
+        series = TaylorCoeffs(sine[:k] + (sine[k] + 1,) + sine[k + 1 :])
+        off[k] = CorpusCase(f"sine-off-at-b{k}", harmonic.equation, (series,))
+    for length in (0, 6, 20):
+        with pytest.raises(AssertionError, match="sine-off-at-b8 fails its own residual check"):
+            corpus._checked(off[8], length)
+        (table,) = corpus._checked(off[9], length).tables
+        assert len(table) == max(length, 6) + 1
+        assert not any(table[:7]) and (length < 7 or table[7] != 0)
+
+
+def test_run_corpus_builds_one_residual_table_per_solution(monkeypatch):
+    # Each build checks its residuals over max(length, 6) once, and the report reads the
+    # first length + 1 entries of those same tables: no second table per solution.
+    lengths = []
+    original = corpus.taylor_residuals
+
+    def counting(eq, b, length):
+        lengths.append(length)
+        return original(eq, b, length)
+
+    monkeypatch.setattr(corpus, "taylor_residuals", counting)
+    for length in (0, 5, 6, 7, 20):
+        lengths.clear()
+        report = run_corpus(length)
+        assert report["all_pass"] is True
+        assert lengths == [max(length, 6)] * sum(case["solutions"] for case in report["cases"])
+
+
+def test_a_replaced_case_recomputes_its_residual_tables():
+    # The build's tables belong to the solutions it checked: a copy with other solutions
+    # holds none, so its table is that of its own series and not the stored zeros.
+    harmonic = harmonic_case(length=20)
+    sine = harmonic.solutions[0].coeffs
+    off = dataclasses.replace(harmonic, solutions=(TaylorCoeffs(sine[:3] + (sine[3] + 1,) + sine[4:]),))
+    assert len(harmonic.tables) == 2 and off.tables == ()
+    assert harmonic.verify(20) and not off.verify(20)
+    assert off.residual_table(4) == [[0, 6, 12, 24, 48]]

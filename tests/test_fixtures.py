@@ -20,7 +20,11 @@ writer replaced. The `two-discriminants` cases ((x^2 - 2x - 1)(x^2 - 1/2)^2:
 roots in Q(sqrt 2) written through sqrt(2) and sqrt(8)) pin the exact
 Wronskian 49/2*sqrt(2) that the lift between square classes gives; their
 `--mode float` file was written by the code before that lift, which
-printed the same double. Every file under `tests/fixtures/expected/`
+printed the same double. The `noncanonical` cases (literals such as
+"2/4", "+3", " -1/2 ", Arabic-Indic and full-width digits, in the equation
+and in `taylor` and `lattice` blocks, with nonzero residuals) were written
+by the code before the Taylor-space residual defect and the regex-free
+literal parser. Every file under `tests/fixtures/expected/`
 belongs to a case. They are never rewritten to make a failing case pass.
 """
 
@@ -93,6 +97,14 @@ CASES = [
         0,
     ),
     ("two-discriminants-galois", ["galois", "--input", "{doc}", "--length", "6"], "two-discriminants", 0),
+    ("noncanonical-taylor-residual", ["residual", "--input", "{doc}", "--length", "12"], "noncanonical-taylor", 1),
+    (
+        "noncanonical-linear-residual",
+        ["residual", "--input", "{doc}", "--length", "12", "--format", "json"],
+        "noncanonical-linear",
+        1,
+    ),
+    ("noncanonical-lattice-residual", ["residual", "--input", "{doc}", "--length", "21"], "noncanonical-lattice", 1),
     (
         "two-discriminants-galois-float",
         ["galois", "--input", "{doc}", "--length", "6", "--mode", "float"],

@@ -53,7 +53,7 @@ from starlattice.odes import (
     taylor_solution_nonlinear,
 )
 from starlattice.rational import coprime_fraction, over_common_denominator
-from starlattice.series import extend_binomial_powers, pow_trunc
+from starlattice.series import extend_binomial_powers, extend_cauchy_powers, pow_trunc
 from starlattice.star import monomial_star, star_multiply, star_power, star_power_kernel
 from starlattice.transforms import falling_factorial, lattice_to_newton
 
@@ -320,6 +320,21 @@ def test_extend_binomial_powers_is_the_cauchy_power_on_newton_coefficients():
         for j, power in enumerate(powers, 2):
             assert all(type(x) is int for x in power)
             assert power == [factorial(k) * c for k, c in enumerate(pow_trunc(zeta, j, len(w) - 1))]
+
+
+def test_extend_cauchy_powers_is_pow_trunc_on_integers():
+    # The Taylor-space power of the residual defect: plain Cauchy powers of integer
+    # coefficients, grown one index at a time from a prefix or from the whole list.
+    rng = random.Random(29)
+    v = [rng.randrange(-10**6, 10**6) if rng.random() < 0.7 else 0 for _ in range(14)]
+    for degree in (2, 3, 5):
+        want = [pow_trunc([Fraction(x) for x in v], j, len(v) - 1) for j in range(2, degree + 1)]
+        for whole in (False, True):
+            powers = [[] for _ in range(degree - 1)]
+            for k in range(len(v)):
+                extend_cauchy_powers(v if whole else v[: k + 1], powers)
+            assert all(type(x) is int for power in powers for x in power)
+            assert powers == want
 
 
 def sweep_nonlinear(rng: random.Random, wide: bool) -> NonlinearOde:
@@ -710,6 +725,33 @@ def test_taylor_residuals_of_a_solution_build_no_pascal_image(monkeypatch):
         bumped = TaylorCoeffs(b.coeffs[:L] + (b.coeffs[L] + 1,) + b.coeffs[L + 1 :])
         assert any(odes.taylor_residuals(eq, bumped, L))
         assert widths and max(widths) > 0
+
+
+def test_taylor_residuals_of_nonlinear_equations_never_run_the_lattice_defect(monkeypatch):
+    # The Taylor-space defect and the Newton defect of `nonlin_residuals` share no code, so
+    # that the sweep above compares two implementations: with the lattice one refusing to
+    # run, known nonzero tables and the zero tables of closed-form solutions still come out.
+    def refuse(*args):
+        raise AssertionError("taylor_residuals ran the lattice route's defect")
+
+    monkeypatch.setattr(odes, "_nonlin_residual_newton", refuse)
+    square = NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), PolyCoeff.constant(1)))
+    cube = NonlinearOde(1, (PolyCoeff(()), PolyCoeff(()), PolyCoeff(()), PolyCoeff.constant(1)))
+    forced = NonlinearOde(1, (PolyCoeff.constant(Fraction(1, 3)), PolyCoeff(()), PolyCoeff(((1, Fraction(1)),))))
+    # z' = z^2 on 1 + 2t: R = 1 - 4t - 4t^2, whose image is 1 - 4n - 4n(n-1).
+    assert odes.taylor_residuals(square, TaylorCoeffs((1, 2)), 3) == [1, -3, -15, -35]
+    # z' = z^3 on 1 + t: R = -3t - 3t^2 - t^3, whose image is -3n - 3n(n-1) - n(n-1)(n-2).
+    assert odes.taylor_residuals(cube, TaylorCoeffs((1, 1)), 3) == [0, -3, -12, -33]
+    # z' = 1/3 + t z^2 on 1/2: R = -1/3 - t/4, whose image is -1/3 - n/4.
+    want = [Fraction(-1, 3), Fraction(-7, 12), Fraction(-5, 6)]
+    assert odes.taylor_residuals(forced, TaylorCoeffs((Fraction(1, 2),)), 2) == want
+    # 1/(2 - t) solves z' = z^2, and (1 - 2t)^(-1/2), b_k = C(2k, k) / 2^k, solves z' = z^3.
+    L = 30
+    geometric = TaylorCoeffs(tuple(Fraction(1, 2 ** (k + 1)) for k in range(L + 2)))
+    central = TaylorCoeffs(tuple(Fraction(comb(2 * k, k), 2**k) for k in range(L + 2)))
+    assert odes.taylor_residuals(square, geometric, L) == odes.taylor_residuals(cube, central, L) == [0] * (L + 1)
+    with pytest.raises(AssertionError, match="lattice route"):
+        nonlin_residuals(square, LatticeSeq((1, 1, 2)))
 
 
 def test_residual_ignores_entries_beyond_its_window():

@@ -6,7 +6,9 @@ and parts past the int/str digit limit) fill the `Fraction` slots
 themselves, so each must give the very object `Fraction(n, d)` gives:
 equal value, the same type, hash and string, and the same results in
 arithmetic with `Fraction` and `int`. `parse_rational` is pinned by a
-table of accepted and refused literals. The constructors reach into
+table of accepted and refused literals, and against
+`reference_parse_rational`, the regex grammar it replaced, on a table and
+on seeded random strings. The constructors reach into
 CPython's private slots, so these checks also run without pytest, as a
 plain script under every supported interpreter:
 
@@ -16,7 +18,9 @@ plain script under every supported interpreter:
 from __future__ import annotations
 
 import random
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -177,6 +181,71 @@ def test_parse_rational_table():
             raise AssertionError(f"accepted {text[:20]!r}")
 
 
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def reference_int(digits: str, text: str) -> int:
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise RationalParseError(f"literal with more than {MAX_LITERAL_DIGITS} digits: {text[:40]!r}...")
+    return int(Decimal(digits))
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    """The regex grammar `parse_rational` had: denominator read first, then refused if zero, then numerator."""
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if match is None:
+        raise RationalParseError(f"not a rational literal: {text!r}")
+    num, den = match.groups()
+    if den is None:
+        return Fraction(reference_int(num, text))
+    q = reference_int(den, text)
+    if q == 0:
+        raise RationalParseError(f"zero denominator: {text!r}")
+    return Fraction(reference_int(num, text), q)
+
+
+def parse_outcome(parse, text: str):
+    """(value, its type) or ("error", message) of one parse."""
+    try:
+        value = parse(text)
+    except RationalParseError as exc:
+        return "error", str(exc)
+    return (value.numerator, value.denominator), type(value)
+
+
+TOO_LONG = "7" * (MAX_LITERAL_DIGITS + 1)
+GRAMMAR_TABLE = [
+    "\u0663/\u0664", "+0", "-0/5", " 1/2 ", "1 /2", "1/ 2", "1_000", "1/", "/2", "/", "+-1", "-+1", "+", "-",
+    "1/-2", "1/+2", "1/0", "-0/0", "1/2/3", "1//2", "2/4", "+3", " -1/2 ", "\u0663", "\u00b2", "1.5", "1e3",
+    "0x10", "", "  ", "\t-12/18\n", "\uff11\uff12/\uff18", "\u0966\u0967",
+    "4" * 4301, "-" + "4" * 4301 + "/3", "1/" + "3" * 4301,
+    TOO_LONG, "+" + TOO_LONG, "1/" + TOO_LONG, TOO_LONG + "/2", TOO_LONG + "/0", TOO_LONG + "/" + TOO_LONG,
+    "1/" + "0" * (MAX_LITERAL_DIGITS + 1), TOO_LONG + "/x",
+]
+
+
+def test_parse_rational_matches_the_regex_grammar():
+    # The same value and type, or the same error text, on a table and on 6000 seeded
+    # strings over digits of three scripts, signs, slashes, spaces and near misses.
+    for text in GRAMMAR_TABLE:
+        assert parse_outcome(parse_rational, text) == parse_outcome(reference_parse_rational, text), text[:20]
+    rng = random.Random(61)
+    alphabet = ["0", "1", "7", "\u0663", "\uff15", "+", "-", "/", " ", "\t", "_", ".", "a", "\u00b2", "\u2155"]
+    kinds = {"accepted": 0, "refused": 0}
+    for _ in range(6000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
+        got = parse_outcome(parse_rational, text)
+        assert got == parse_outcome(reference_parse_rational, text), text
+        kinds["refused" if got[0] == "error" else "accepted"] += 1
+    assert min(kinds.values()) > 500
+
+
+def test_decimal_digits_are_the_regex_digits():
+    # The parser's `str.isdecimal` accepts exactly the characters the regex \d matched.
+    digit = re.compile(r"\d")
+    assert all(ch.isdecimal() == bool(digit.fullmatch(ch)) for ch in map(chr, range(sys.maxunicode + 1)))
+
+
 if __name__ == "__main__":
     test_coprime_fraction_is_the_normalised_fraction()
     test_reduced_fraction_is_the_fraction_of_the_pair()
@@ -184,4 +253,6 @@ if __name__ == "__main__":
     test_coprime_fraction_takes_part_in_arithmetic_like_fraction()
     test_reduced_fraction_takes_part_in_arithmetic_like_fraction()
     test_parse_rational_table()
+    test_parse_rational_matches_the_regex_grammar()
+    test_decimal_digits_are_the_regex_digits()
     print(f"coprime_fraction, reduced_fraction and parse_rational checks passed on Python {sys.version.split()[0]}")

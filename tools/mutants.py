@@ -90,15 +90,15 @@ MUTANTS = (
     Mutant(
         "taylor-residuals-read-one-short",
         "src/starlattice/odes.py",
-        "newton = taylor_newton(b, needed - 1)",
-        "newton = taylor_newton(b, needed - 2)",
+        "islice(b, min(needed, sys.maxsize))",
+        "islice(b, min(needed - 1, sys.maxsize))",
         ("tests/test_online.py", "tests/test_corpus.py"),
     ),
     Mutant(
         "taylor-residuals-pad-one-short",
         "src/starlattice/odes.py",
-        "W = list(newton.W) + [0] * (length + 1 + (eq.order if linear else 0) - len(newton.W))",
-        "W = list(newton.W) + [0] * (length + (eq.order if linear else 0) - len(newton.W))",
+        "V += [0] * (length + 1 + (eq.order if linear else 0) - len(V))",
+        "V += [0] * (length + (eq.order if linear else 0) - len(V))",
         ("tests/test_online.py", "tests/test_corpus.py"),
     ),
     Mutant(
@@ -251,8 +251,8 @@ MUTANTS = (
     Mutant(
         "nonlin-defect-reads-past-the-prefix",
         "src/starlattice/odes.py",
-        "w[k + eq.m] if k + eq.m < len(w) else 0",
-        "w[k + eq.m] if k + eq.m < len(w) else 1",
+        "V[k + m] if k + m < len(V) else 0",
+        "V[k + m] if k + m < len(V) else 1",
         ("tests/test_cli.py",),
     ),
     Mutant(
@@ -366,10 +366,67 @@ MUTANTS = (
     Mutant(
         "newton-rhs-ignores-shift",
         "src/starlattice/odes.py",
-        "acc += A * perm(k, p) * X[k + shift]",
-        "acc += A * perm(k, p) * X[k - p]",
+        "acc += A * perm(k + at, p + at) * X[k + shift]",
+        "acc += A * perm(k + at, p + at) * X[k - p]",
         (
             "tests/test_odes.py::test_taylor_solution_linear_matches_the_fraction_recurrence",
+            "tests/test_online.py::test_sweep_taylor_residuals_match_the_lattice_route",
+        ),
+    ),
+    Mutant(
+        "taylor-weight-read-at-k",
+        "src/starlattice/odes.py",
+        "terms = [(V, l - p, p, C, l - p) for l, p, C in form.terms]",
+        "terms = [(V, l - p, p, C, 0) for l, p, C in form.terms]",
+        (
+            "tests/test_online.py::test_sweep_taylor_residuals_match_the_lattice_route",
+            "tests/test_corpus.py::test_every_standard_case_verifies",
+        ),
+    ),
+    Mutant(
+        "cauchy-power-misses-last-term",
+        "src/starlattice/series.py",
+        "_append_powers(v, powers, v[len(powers[0]) :: -1])",
+        "_append_powers(v, powers, v[len(powers[0]) :: -1][:-1] + [0])",
+        (
+            "tests/test_online.py::test_extend_cauchy_powers_is_pow_trunc_on_integers",
+            "tests/test_online.py::test_taylor_residuals_of_nonlinear_equations_never_run_the_lattice_defect",
+        ),
+    ),
+    Mutant(
+        "taylor-readout-without-factorial",
+        "src/starlattice/odes.py",
+        "    if any(sigma):\n",
+        "    if False:\n",
+        (
+            "tests/test_online.py::test_taylor_residuals_of_nonlinear_equations_never_run_the_lattice_defect",
+            "tests/test_fixtures.py::test_fixture_output_is_byte_identical",
+        ),
+    ),
+    Mutant(
+        "corpus-self-check-reads-n-up-to-5",
+        "src/starlattice/corpus.py",
+        "for r in table[: _BUILD_CHECK_RANGE + 1])",
+        "for r in table[:_BUILD_CHECK_RANGE])",
+        ("tests/test_corpus.py::test_build_self_check_reads_exactly_the_residuals_up_to_its_range",),
+    ),
+    Mutant(
+        "grammar-accepts-empty-denominator",
+        "src/starlattice/rational.py",
+        "(slash and not den.isdecimal())",
+        "(slash and den and not den.isdecimal())",
+        (
+            "tests/test_rational.py::test_parse_rational_table",
+            "tests/test_rational.py::test_parse_rational_matches_the_regex_grammar",
+        ),
+    ),
+    Mutant(
+        "taylor-ahead-drops-falling-factorial",
+        "src/starlattice/odes.py",
+        "ahead = perm(k + m, m) * V[k + m]",
+        "ahead = V[k + m]",
+        (
+            "tests/test_online.py::test_taylor_residuals_of_nonlinear_equations_never_run_the_lattice_defect",
             "tests/test_online.py::test_sweep_taylor_residuals_match_the_lattice_route",
         ),
     ),

@@ -32,8 +32,9 @@ FIXTURES = ROOT / "tests" / "fixtures"
 WORKLOADS = ("step", "verify", "const")
 SEEDS = (1, 2, 3)
 INIT = ("1/2", "-1/3", "2/5", "1")
-# The corpus series prefix is max(L, 6) + 4 long, so lengths around 6 and past it take both branches.
-CORPUS_LENGTHS = (0, 5, 6, 7, 20, 100)
+# The corpus series prefix is max(L, 6) + 4 long, so lengths around 6 and past it take both branches;
+# at 400 the Taylor-space residual integers are furthest from the Newton-space ones.
+CORPUS_LENGTHS = (0, 5, 6, 7, 20, 100, 400)
 
 # Runs in a fresh interpreter: argv[1] is the src/ to import from; reads
 # [[id, argv], ...] as JSON on stdin and writes {id: [stdout digest, stderr,
