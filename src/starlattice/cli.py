@@ -273,9 +273,9 @@ MAX_LENGTH = 10_000
 # This stays far below the interpreter's recursion limit.
 MAX_ARITY = 64
 # solve, fourier and corpus run the exact solvers and residual tables, whose
-# cost grows about 10x per doubling of L here because the numbers grow with L:
-# on one core of a 2-vCPU Xeon VM, z' = z^2 from 1/2 took 23 s (solve) and
-# 17 s (fourier) at L = 1600, and corpus about 1.8 s.
+# cost grows 5-12x per doubling of L here because the numbers grow with L:
+# on one core of a 2-vCPU Xeon VM, z' = z^2 from 1/2 took 6.9 s (solve) and
+# 6.6 s (fourier) at L = 1600, and corpus about 0.9 s.
 MAX_SOLVE_LENGTH = 1600
 
 

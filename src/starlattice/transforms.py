@@ -11,33 +11,33 @@ b_0..b_L maps to the lattice through the same forward rule with zeta = b.
 Both directions go through the Newton coefficients w_l = l! * zeta_l, which
 are the leading entries (Delta^l z)_0 of the forward-difference table, so
 z_n = sum_l C(n,l) w_l. The table and its inverse, the Pascal rule of
-`newton_to_lattice`, only add and subtract (and scale by an integer E), so
-each is written once for every scalar: integers, Fraction, quadratic surds,
-complex and float. The exact paths and the float route share them. Both
-run as prefix sums, one C-level `itertools.accumulate` per line of the
-table and no Python call per entry: `lattice_to_newton` walks the
-difference table by anti-diagonals, which are running sums once diagonal n
-carries the sign (-1)^n, and `newton_to_lattice` with E = 1 builds the
-Pascal table column by column, each column the running sum of the one
-above. Each entry is the single addition or subtraction of the row-by-row
-table, up to an exact negation, so exact results are unchanged and float
-ones keep their bits, except the sign of an exactly cancelled zero in the
-difference table.
+`newton_to_lattice`, only add and subtract, so each is written once for
+every scalar: integers, Fraction, quadratic surds, complex and float. The
+exact paths and the float route share them. Both run as prefix sums, one
+C-level `itertools.accumulate` per line of the table and no Python call
+per entry: `lattice_to_newton` walks the difference table by
+anti-diagonals, which are running sums once diagonal n carries the sign
+(-1)^n, and `newton_to_lattice` builds the Pascal table column by column,
+each column the running sum of the one above. Each entry is the single
+addition or subtraction of the row-by-row table, up to an exact negation,
+so exact results are unchanged and float ones keep their bits, except the
+sign of an exactly cancelled zero in the difference table.
 
 The exact maps run on integers: the falling-factorial basis is of binomial
 type, so a rational sequence needs one common denominator, and
 `ScaledNewton` holds the integers W_k = k! c E^k zeta_k together with the
 readouts that divide once per entry, each quotient a `reduced_fraction`:
-one gcd per nonzero entry and none for a zero one. `taylor_to_lattice`
-builds W_k = k! D b_k and reads it out as lattice values. The
-residual tables of a Taylor solution (`odes.taylor_residuals`) need no W:
-they evaluate the continuous residual on D b_k, with no factorial, and
-only a nonzero one is scaled by k! into Newton coefficients and read out
-here; that of a series solution is zero. `inverse_transform` takes W from
-the difference table of D z_n. The star powers, both Taylor solvers, the residual defects, the
-`corpus` series and the Jacobi shifted form read their integers out
-through the same class, whose lattice readouts cut the zero tail of W
-before the Pascal rule.
+one gcd per nonzero entry and none for a zero one. Its lattice readout
+cuts the zero tail of W, scales W_k by E^(K-1-k), K one past the last
+nonzero W_k, runs the one Pascal rule on those integers and divides every
+sum by c E^(K-1). `taylor_to_lattice` builds W_k = k! D b_k and reads it
+out as lattice values. The residual tables of a Taylor solution
+(`odes.taylor_residuals`) need no W: they evaluate the continuous residual
+on D b_k, with no factorial, and only a nonzero one is scaled by k! into
+Newton coefficients and read out here; that of a series solution is zero.
+`inverse_transform` takes W from the difference table of D z_n. The star
+powers, both Taylor solvers, the residual defects, the `corpus` series and
+the Jacobi shifted form read their integers out through the same class.
 """
 
 from __future__ import annotations
@@ -95,42 +95,27 @@ def lattice_to_newton(z) -> list:
     return out
 
 
-def newton_to_lattice(w, E: int = 1, length: int | None = None) -> list:
-    """z_n = sum_l C(n,l) E^(n-l) w_l for n < length (default len(w)), with w a sequence, zero past its end.
+def newton_to_lattice(w, length: int | None = None) -> list:
+    """z_n = sum_l C(n,l) w_l for n < length (default len(w)), with w a sequence, zero past its end.
 
     These are the entries T_0[n] of the table T_l[0] = w_l,
-    T_l[n+1] = E T_l[n] + T_{l+1}[n]. Only w_0..w_{K-1}, K = min(len(w),
-    length), enter, and T_K is zero. For E = 1 the column T_{K-1} is
-    constant and each lower column is the running sum of the one above,
-    one C-level `accumulate` per l down to T_0 = z, at O(length K) cost.
-    For E != 1 the rows T_.[n] go down the table as a comprehension, whose
-    width stays K while n <= length - K (a running sum with a Python
-    function per entry is slower). Either way the rule only adds and
-    scales by E: no binomial or factorial is formed, so float input stays
-    inside the double range wherever its sums do, and integer input stays
-    integer.
+    T_l[n+1] = T_l[n] + T_{l+1}[n]. Only w_0..w_{K-1}, K = min(len(w),
+    length), enter, and T_K is zero, so the column T_{K-1} is constant and
+    each lower column is the running sum of the one above, one C-level
+    `accumulate` per l down to T_0 = z, at O(length K) cost. The rule only
+    adds: no binomial or factorial is formed, so float input stays inside
+    the double range wherever its sums do, and integer input stays integer.
     """
     if length is None:
         length = len(w)
     K = min(len(w), length)
     if not K:
         return [0] * length
-    if E == 1:
-        top = w[K - 1]
-        column = [top] + [top + 0] * (length - K)  # top + T_K: a float -0.0 becomes 0.0, as in the rows
-        for l in range(K - 2, -1, -1):
-            column = list(accumulate(column, initial=w[l]))
-        return column
-    row = list(w[:K])
-    out = []
-    for _ in range(length - K):
-        row.append(0)
-        out.append(row[0])
-        row = [E * a + b for a, b in zip(row, row[1:])]
-    while row:
-        out.append(row[0])
-        row = [E * a + b for a, b in zip(row, row[1:])]
-    return out
+    top = w[K - 1]
+    column = [top] + [top + 0] * (length - K)  # top + T_K: a float -0.0 becomes 0.0, as in the rows
+    for l in range(K - 2, -1, -1):
+        column = list(accumulate(column, initial=w[l]))
+    return column
 
 
 @dataclass(frozen=True)
@@ -156,26 +141,28 @@ class ScaledNewton:
             denominator *= (k + 1) * self.E
         return out
 
-    def lattice_numerators(self, length: int | None = None) -> list[int]:
-        """S_n = c E^n z_n for n < length (default len(W)): the Pascal rule `newton_to_lattice(W, E, length)`.
+    def lattice_values(self, length: int | None = None) -> list[Fraction]:
+        """z_n = sum_l C(n,l) W_l / (c E^l) for n < length (default len(W)), over one denominator.
 
-        The rule reads W as zero past its end, so it runs on W without its
-        zero tail: the numerators of K nonzero leading entries cost
-        O(length K), and an all-zero W, such as the defect of an exact
-        solution, costs no Pascal step at all.
+        With K the number of entries of W up to its last nonzero one among
+        the first `length`, z_n = sum_l C(n,l) W_l E^(K-1-l) / (c E^(K-1)):
+        the Pascal rule `newton_to_lattice` runs on the integers
+        W_l E^(K-1-l), at O(length K) cost, and each of its sums is divided
+        by c E^(K-1). The zero tail of W is cut first, so an all-zero W,
+        such as the defect of an exact solution, costs no Pascal step and
+        no power of E.
         """
-        K = len(self.W)
+        if length is None:
+            length = len(self.W)
+        K = min(len(self.W), length)
         while K and not self.W[K - 1]:
             K -= 1
-        return newton_to_lattice(self.W[:K], self.E, len(self.W) if length is None else length)
-
-    def lattice_values(self, length: int | None = None) -> list[Fraction]:
-        """z_n = S_n / (c E^n) for n < length (default len(W)), with S the `lattice_numerators`."""
-        out, denominator = [], self.c
-        for s in self.lattice_numerators(length):
-            out.append(reduced_fraction(s, denominator))
-            denominator *= self.E
-        return out
+        scaled, power = list(self.W[:K]), 1
+        for k in range(K - 2, -1, -1):
+            power *= self.E
+            scaled[k] *= power
+        denominator = self.c * power
+        return [reduced_fraction(s, denominator) for s in newton_to_lattice(scaled, length)]
 
 
 def forward_transform(zeta: FourierSeq) -> LatticeSeq:

@@ -160,13 +160,20 @@ def test_newton_core_matches_closed_formulas_on_every_scalar():
 
 
 def test_newton_to_lattice_is_the_weighted_binomial_sum():
+    """The Pascal rule on integers is the binomial sum; with c and E the one readout divides it by c E^n."""
     rng = random.Random(2027)
     assert newton_to_lattice([]) == []
-    for E in (1, 1, 2, 3, 10, 2**20 + 7):
+    for E in (1, 1, 2, 3, 10, 105, 2**20 + 7):
         W = [rng.randrange(-10**9, 10**9) for _ in range(rng.randrange(1, 25))]
-        sums = newton_to_lattice(W, E)
-        assert sums == [sum(comb(n, l) * E ** (n - l) * W[l] for l in range(n + 1)) for n in range(len(W))]
-        assert all(type(s) is int for s in sums)
+        c = rng.randrange(1, 10**6)
+        sums = weighted_binomial_sums(W, E)
+        if E == 1:
+            got = newton_to_lattice(W)
+            assert got == sums == [sum(comb(n, l) * W[l] for l in range(n + 1)) for n in range(len(W))]
+            assert all(type(s) is int for s in got)
+        values = ScaledNewton(c, E, tuple(W)).lattice_values()
+        assert values == [Fraction(s, c * E**n) for n, s in enumerate(sums)]
+        assert all(type(v) is Fraction for v in values)
     W = [rng.randrange(-10**9, 10**9) for _ in range(12)]
     assert newton_to_lattice(lattice_to_newton(W)) == W
 
@@ -176,75 +183,92 @@ def weighted_binomial_sums(w: list, E: int) -> list:
     return [sum((comb(n, l) * E ** (n - l) * w[l] for l in range(1, n + 1)), w[0] * E**n) for n in range(len(w))]
 
 
-def padded_call(w: list, E: int, length: int, zero) -> list:
-    """Reference for newton_to_lattice(w, E, length): w padded with zeros to length, cut to length."""
-    return newton_to_lattice(w + [zero] * (length - len(w)), E)[:length]
+def padded_call(w: list, length: int, zero) -> list:
+    """Reference for newton_to_lattice(w, length): w padded with zeros to length, cut to length."""
+    return newton_to_lattice(w + [zero] * (length - len(w)))[:length]
+
+
+def row_values(c: int, E: int, W: list, length: int | None = None) -> list[Fraction]:
+    """Reference for ScaledNewton(c, E, W).lattice_values(length): the row-form sums S_n over c E^n."""
+    return [Fraction(s, c * E**n) for n, s in enumerate(row_newton_to_lattice(W, E, length))]
+
+
+SCALES = (1, 2, 3, 5, 105, 2**20 + 7)
 
 
 def test_newton_to_lattice_sweep_over_exact_and_float_scalars():
     """One map for every scalar: Fraction, QuadExt and floats that hold small integers exactly.
 
     The length argument reads w as zero past its end: below, at and past
-    len(w) it equals the call on w padded with zeros.
+    len(w) it equals the call on w padded with zeros. The integers also go
+    through `ScaledNewton` with a random c and E and a zero tail, against
+    the row form weighted by E.
     """
     rng = random.Random(2031)
     for i in range(40):
         length = rng.randrange(1, 18)
-        E = rng.choice((1, 1, 2, 3, 5))
         below, past = rng.randrange(0, length), rng.randrange(length + 1, 19)
         n = (below, length, past)[i % 3]
         w = [rand_fraction(rng) for _ in range(length)]
-        got = newton_to_lattice(w, E)
-        assert got == weighted_binomial_sums(w, E)
+        got = newton_to_lattice(w)
+        assert got == weighted_binomial_sums(w, 1)
         assert all(type(v) is Fraction for v in got)
-        got = newton_to_lattice(w, E, n)
-        assert got == padded_call(w, E, n, Fraction(0))
+        got = newton_to_lattice(w, n)
+        assert got == padded_call(w, n, Fraction(0))
         assert all(type(v) is Fraction for v in got)
         d = Fraction(rng.choice((2, 3, 5, 7)))
         surd = [QuadExt(a, rand_fraction(rng), d) for a in w]
-        got = newton_to_lattice(surd, E)
-        assert got == weighted_binomial_sums(surd, E)
+        got = newton_to_lattice(surd)
+        assert got == weighted_binomial_sums(surd, 1)
         assert all(type(v) is QuadExt for v in got)
-        got = newton_to_lattice(surd, E, n)
-        assert got == padded_call(surd, E, n, QuadExt(Fraction(0), Fraction(0), d))
+        got = newton_to_lattice(surd, n)
+        assert got == padded_call(surd, n, QuadExt(Fraction(0), Fraction(0), d))
         assert all(type(v) is QuadExt for v in got)
-        # every partial sum is below 50 (E+1)^17 < 2^53, so the floats are exact.
+        # every partial sum is below 50 * 2^17 < 2^53, so the floats are exact.
         ints = [rng.randrange(-50, 51) for _ in range(length)]
         floats = [float(v) for v in ints]
-        got = newton_to_lattice(floats, E)
-        assert got == [float(v) for v in newton_to_lattice(ints, E)]
+        got = newton_to_lattice(floats)
+        assert got == [float(v) for v in newton_to_lattice(ints)]
         assert all(type(v) is float for v in got)
-        got = newton_to_lattice(floats, E, n)
-        assert got == padded_call(floats, E, n, 0.0) == [float(v) for v in newton_to_lattice(ints, E, n)]
+        got = newton_to_lattice(floats, n)
+        assert got == padded_call(floats, n, 0.0) == [float(v) for v in newton_to_lattice(ints, n)]
         assert all(type(v) is float for v in got)
+        E, c = SCALES[i % len(SCALES)], rng.randrange(1, 200)
+        W = ints[: rng.randrange(0, length + 1)] + [0] * rng.randrange(0, 4)
+        got = ScaledNewton(c, E, tuple(W)).lattice_values(n)
+        assert got == row_values(c, E, W, n)
+        assert all(type(v) is Fraction for v in got)
 
 
 def test_scaled_newton_readouts_ignore_trailing_zeros():
     """The Pascal rule reads W as zero past its end, so cutting its zero tail changes no readout.
 
-    Lengths below, at and past len(W), E in {1, 2, 5}, and W all zeros;
-    `taylor_coeffs` still returns one entry per stored W_k.
+    Lengths below, at and past len(W), every E of SCALES against a random
+    c, and W all zeros, also with E > c; `taylor_coeffs` still returns one
+    entry per stored W_k.
     """
     rng = random.Random(2033)
-    for i in range(36):
-        E = (1, 2, 5)[i % 3]
+    for i in range(48):
+        E = SCALES[(i // 4) % len(SCALES)]
         head = [] if i % 4 == 0 else [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(1, 8))]
         W = head + [0] * rng.randrange(0 if head and i % 4 == 1 else 1, 6)
         c = rng.randrange(1, 50)
         scaled = ScaledNewton(c, E, tuple(W))
         for length in (rng.randrange(0, len(W)), len(W), len(W) + rng.randrange(1, 6)):
-            numerators = scaled.lattice_numerators(length)
-            assert numerators == weighted_binomial_sums(W + [0] * (length - len(W)), E)[:length]
-            assert all(type(s) is int for s in numerators)
             values = scaled.lattice_values(length)
-            assert values == [Fraction(s, c * E**n) for n, s in enumerate(numerators)]
+            assert values == row_values(c, E, W, length)
+            padded = weighted_binomial_sums(W + [0] * (length - len(W)), E)[:length]
+            assert values == [Fraction(s, c * E**n) for n, s in enumerate(padded)]
             assert all(type(v) is Fraction for v in values)
-        assert scaled.lattice_numerators() == newton_to_lattice(W, E)
         assert scaled.lattice_values() == scaled.lattice_values(len(W))
         zeta = scaled.taylor_coeffs()
         assert zeta == [Fraction(w, c * factorial(k) * E**k) for k, w in enumerate(W)]
         assert all(type(x) is Fraction for x in zeta)
-    assert ScaledNewton(3, 2, ()).lattice_numerators(4) == [0] * 4
+    for c, E in ((3, 2), (3, 105), (1, 2**20 + 7)):
+        for W in ((), (0,), (0, 0, 0)):
+            values = ScaledNewton(c, E, W).lattice_values(4)
+            assert values == [0] * 4
+            assert all(type(v) is Fraction for v in values)
     assert ScaledNewton(3, 2, ()).taylor_coeffs() == []
 
 
@@ -308,11 +332,13 @@ def scalar_columns(rng: random.Random, size: int) -> list[list]:
 
 
 def test_newton_maps_match_their_row_forms():
-    """Both maps give the row forms' values and types on every scalar, length and E.
+    """Both maps give the row forms' values and types on every scalar and length.
 
     The Pascal rule forms every float entry by the same addition, so its
     floats are repr-identical; the anti-diagonals of the difference table
-    negate exactly, so only the sign of a zero may differ there.
+    negate exactly, so only the sign of a zero may differ there. Integer
+    columns also go through `ScaledNewton` at every E of SCALES, against
+    the row form weighted by E.
     """
     rng = random.Random(2035)
     cases = [[], [0] * 5, [Fraction(0)] * 4, [0.0, -0.0, 0.0], [-0.0], [2.5, -0.0]]
@@ -321,12 +347,15 @@ def test_newton_maps_match_their_row_forms():
     for z in cases:
         assert same_entries(lattice_to_newton(z), row_lattice_to_newton(z))
         K = len(z)
-        for E in (1, 2, 5):
-            lengths = {None, 0, K, K + rng.randrange(1, 6)} | ({rng.randrange(0, K)} if K else set())
-            for length in lengths:
-                got, want = newton_to_lattice(z, E, length), row_newton_to_lattice(z, E, length)
-                assert same_entries(got, want)
-                assert repr(got) == repr(want)
+        lengths = {None, 0, K, K + rng.randrange(1, 6)} | ({rng.randrange(0, K)} if K else set())
+        for length in lengths:
+            got, want = newton_to_lattice(z, length), row_newton_to_lattice(z, 1, length)
+            assert same_entries(got, want)
+            assert repr(got) == repr(want)
+            if all(type(v) is int for v in z):
+                c = rng.randrange(1, 10**6)
+                for E in SCALES:
+                    assert ScaledNewton(c, E, tuple(z)).lattice_values(length) == row_values(c, E, z, length)
 
 
 def test_float_star_power_is_repr_identical_to_the_row_forms(monkeypatch):

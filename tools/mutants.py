@@ -430,6 +430,33 @@ MUTANTS = (
             "tests/test_online.py::test_sweep_taylor_residuals_match_the_lattice_route",
         ),
     ),
+    Mutant(
+        "lattice-denominator-one-power-high",
+        "src/starlattice/transforms.py",
+        "denominator = self.c * power",
+        "denominator = self.c * power * self.E",
+        (
+            "tests/test_transforms.py::test_scaled_newton_readouts_ignore_trailing_zeros",
+            "tests/test_transforms.py::test_newton_to_lattice_is_the_weighted_binomial_sum",
+        ),
+    ),
+    Mutant(
+        "lattice-w0-left-unscaled",
+        "src/starlattice/transforms.py",
+        "for k in range(K - 2, -1, -1):",
+        "for k in range(K - 2, 0, -1):",
+        (
+            "tests/test_transforms.py::test_scaled_newton_readouts_ignore_trailing_zeros",
+            "tests/test_transforms.py::test_newton_maps_match_their_row_forms",
+        ),
+    ),
+    Mutant(
+        "lattice-keeps-zero-tail",
+        "src/starlattice/transforms.py",
+        "        while K and not self.W[K - 1]:\n            K -= 1\n",
+        "",
+        ("tests/test_online.py::test_taylor_residuals_of_a_solution_build_no_pascal_image",),
+    ),
 )
 
 

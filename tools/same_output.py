@@ -7,7 +7,8 @@ operation of seeds 1-3, taken from `perfbench/workloads.py` (imported as
 it is), and every document under `tests/fixtures/` through each data
 command, in both formats and both modes (`solve` and `fourier` with as
 many `--init` values as the document's order or m), plus `corpus` at
-each of `CORPUS_LENGTHS`. Both trees run the whole list through
+each of `CORPUS_LENGTHS` and `solve` of every nonlinear document at
+`LONG_SOLVE_LENGTH`. Both trees run the whole list through
 `starlattice.cli.run`, one subprocess per tree, each importing the
 package from its own `src/`. For every
 command line the SHA-256 of stdout, the stderr text and the exit code
@@ -35,6 +36,9 @@ INIT = ("1/2", "-1/3", "2/5", "1")
 # The corpus series prefix is max(L, 6) + 4 long, so lengths around 6 and past it take both branches;
 # at 400 the Taylor-space residual integers are furthest from the Newton-space ones.
 CORPUS_LENGTHS = (0, 5, 6, 7, 20, 100, 400)
+# A nonlinear solution is read out over c E^(K-1), K its Newton length; at a long L that is
+# furthest from the per-index c E^n.
+LONG_SOLVE_LENGTH = 400
 
 # Runs in a fresh interpreter: argv[1] is the src/ to import from; reads
 # [[id, argv], ...] as JSON on stdin and writes {id: [stdout digest, stderr,
@@ -81,7 +85,10 @@ def pool_calls(workdir: Path) -> list[tuple[str, list[str]]]:
 
 
 def fixture_calls() -> list[tuple[str, list[str]]]:
-    """`corpus` at each of CORPUS_LENGTHS; then each fixture document through every data command, formats and modes."""
+    """`corpus` at each of CORPUS_LENGTHS; then each fixture document through every data command, formats and modes.
+
+    A nonlinear document is also solved at LONG_SOLVE_LENGTH.
+    """
     calls = [(f"corpus --length {n}", ["corpus", "--length", str(n)]) for n in CORPUS_LENGTHS]
     for doc in sorted(FIXTURES.glob("*.json")):
         document = json.loads(doc.read_text(encoding="utf-8"))
@@ -94,6 +101,8 @@ def fixture_calls() -> list[tuple[str, list[str]]]:
             for fmt in ("csv", "json"):
                 options = ["--length", "20", "--format", fmt, "--mode", mode]
                 argvs += [["residual", *inp, *options], ["solve", *inp, *options, init], ["fourier", *inp, *options, init]]
+        if document["type"] == "nonlinear":
+            argvs.append(["solve", *inp, "--length", str(LONG_SOLVE_LENGTH), init])
         calls += [(f"{doc.stem}: {' '.join(argv[:1] + argv[3:])}", argv) for argv in argvs]
     return calls
 
